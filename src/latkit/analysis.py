@@ -15,10 +15,6 @@ import numpy as np
 from .core import FiniteLattice, LatticeError, PreconditionFailed, _bool_closure
 
 
-class NoLeastDecomposition(LatticeError):
-    """The two characterizations of the minimal decomposition disagree."""
-
-
 # -- basic predicates -------------------------------------------------------
 
 
@@ -48,8 +44,8 @@ def is_atomistic(L: FiniteLattice) -> bool:
     return atomistic_violation(L) is None
 
 
-def biatomic_by_splitting(L: FiniteLattice) -> bool:
-    """Biatomicity checked against its definition.
+def is_biatomic(L: FiniteLattice) -> bool:
+    """Biatomicity, checked against its definition.
 
     For every atom p and nonzero a, b with p <= a v b there must be atoms
     x <= a and y <= b with p <= x v y.
@@ -72,45 +68,6 @@ def biatomic_by_splitting(L: FiniteLattice) -> bool:
         if (need & ~solvable).any():
             return False
     return True
-
-
-def biatomic_by_single_atom(L: FiniteLattice) -> bool:
-    """Biatomicity checked through the one-sided atom criterion.
-
-    Equivalent reduction: L is atomic, and whenever an atom p satisfies
-    p <= a v b with p not below a and not below b, some atom q <= a
-    already has p <= q v b.
-    """
-    if not is_atomic(L):
-        return False
-    atoms = np.array(L.atoms(), dtype=np.int64)
-    if len(atoms) == 0:
-        return True
-    nonzero = np.arange(L.n) != L.bottom
-    below = L.leq[atoms, :].T
-    for p in atoms:
-        need = (
-            L.leq[p][L.join_table]
-            & ~L.leq[p][:, None]
-            & ~L.leq[p][None, :]
-            & nonzero[:, None]
-            & nonzero[None, :]
-        )
-        # reach[q, b]: p <= q v b for atom q, element b
-        reach = L.leq[p][L.join_table[atoms, :]]
-        solvable = below @ reach
-        if (need & ~solvable).any():
-            return False
-    return True
-
-
-def is_biatomic(L: FiniteLattice) -> bool:
-    """Biatomicity, computed by two independent routes that must agree."""
-    a = biatomic_by_splitting(L)
-    b = biatomic_by_single_atom(L)
-    if a != b:
-        raise LatticeError("biatomicity implementations disagree")
-    return a
 
 
 def jsd_violation(L: FiniteLattice) -> tuple[int, int, int] | None:
@@ -140,16 +97,14 @@ class DependencyRelation:
 
     ``d[i, j]`` says elements[i] depends on elements[j]; ``witnesses[i, j]``
     stores one witnessing u (or -1).  ``strict_tc`` is the transitive
-    closure of ``d`` and ``refl_tc`` its reflexive-transitive closure.
+    closure of ``d``.
     """
 
     lattice: FiniteLattice
     on: str
     elements: tuple[int, ...]
     d: np.ndarray
-    d_bar: np.ndarray
     strict_tc: np.ndarray
-    refl_tc: np.ndarray
     witnesses: np.ndarray
 
     def index_of(self, element: int) -> int:
@@ -187,25 +142,12 @@ def join_dependency(L: FiniteLattice, on: str = "atoms") -> DependencyRelation:
             if hits.any():
                 d[i, j] = True
                 witnesses[i, j] = int(np.argmax(hits))
-    d_bar = d | np.eye(k, dtype=bool)
-    refl_tc = _bool_closure(d)
-    strict_tc = _strict_closure(d)
+    # a step of d followed by any number of further steps
+    strict_tc = d @ _bool_closure(d)
     d.setflags(write=False)
-    d_bar.setflags(write=False)
     strict_tc.setflags(write=False)
-    refl_tc.setflags(write=False)
     witnesses.setflags(write=False)
-    return DependencyRelation(L, on, elements, d, d_bar, strict_tc, refl_tc, witnesses)
-
-
-def _strict_closure(rel: np.ndarray) -> np.ndarray:
-    """Transitive (not reflexive) closure by repeated squaring."""
-    closure = rel.copy()
-    while True:
-        nxt = closure | (closure @ closure)
-        if np.array_equal(nxt, closure):
-            return closure
-        closure = nxt
+    return DependencyRelation(L, on, elements, d, strict_tc, witnesses)
 
 
 def is_lower_bounded(L: FiniteLattice) -> bool:
@@ -227,15 +169,12 @@ def _require_atomistic_jsd(L: FiniteLattice, who: str) -> None:
 def minimal_decomposition(L: FiniteLattice, a: int) -> tuple[int, ...]:
     """The containment-least set of atoms joining to a.
 
-    Two characterizations are computed and must agree: the unique
-    irredundant decomposition (obtained greedily, which is sound because
-    irredundant decompositions are unique here), and the atoms below a that
-    are join-prime within the ideal [0, a].
+    Computed as the irredundant decomposition, obtained greedily from the
+    atoms below a; this is sound because in an atomistic join-semidistributive
+    lattice the irredundant decomposition is unique and least.
     """
     _require_atomistic_jsd(L, "minimal_decomposition")
-    below = [p for p in L.atoms() if L.leq[p, a]]
-
-    kept = list(below)
+    kept = [p for p in L.atoms() if L.leq[p, a]]
     changed = True
     while changed:
         changed = False
@@ -244,27 +183,7 @@ def minimal_decomposition(L: FiniteLattice, a: int) -> tuple[int, ...]:
             if L.join_all(rest) == a:
                 kept.remove(p)
                 changed = True
-    irredundant = tuple(sorted(kept))
-
-    ideal = [x for x in range(L.n) if L.leq[x, a]]
-    primes = []
-    for p in below:
-        prime = all(
-            not L.leq[p, L.join_table[x, y]] or L.leq[p, x] or L.leq[p, y]
-            for x in ideal
-            for y in ideal
-        )
-        if prime:
-            primes.append(p)
-    primes = tuple(sorted(primes))
-
-    if irredundant != primes:
-        raise NoLeastDecomposition(
-            f"decomposition characterizations disagree at {L.labels[a]!r}"
-        )
-    if L.join_all(irredundant) != a:
-        raise NoLeastDecomposition(f"no atom set joins to {L.labels[a]!r}")
-    return irredundant
+    return tuple(sorted(kept))
 
 
 def ell(L: FiniteLattice, x: int) -> int:

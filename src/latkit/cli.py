@@ -9,7 +9,8 @@ across runs on identical inputs; progress and timings go to stderr.
 Exit codes: 0 success (for ``eval``: the quasi-identity holds; for ``corpus``:
 no violation), 1 a quasi-identity failed or a corpus suite found a violation,
 2 input parse or validation failure, 3 a construction precondition failed
-(``build`` only), with the error name in the report.
+(``build`` only: any :class:`PreconditionFailed`), with the error name in the
+report.
 """
 
 from __future__ import annotations
@@ -18,10 +19,9 @@ import argparse
 import json
 import sys
 import time
-from itertools import combinations
 
 from . import __version__
-from .core import FiniteLattice, LatticeError
+from .core import FiniteLattice, LatticeError, PreconditionFailed
 from .analysis import (
     biatomicity_problems,
     is_atomistic,
@@ -35,27 +35,14 @@ from .geometry import PointConfiguration, co_points, five_point_configuration
 from .qid import BUILTINS, QidSyntaxError, evaluate, format_qid, parse_qid
 from .extend import (
     biatomic_completion,
+    extension_pairs,
     jsd_extension_criteria,
     make_extension_pair,
     one_atom_extension,
     partial_biatomization,
-    solve_one_problem,
 )
 
 GEN_GRAMMAR = "boolean:n | chain:n | co-chain:n | co-points:<file|paper5> | subsemi:<file> | enum:n"
-
-PRECONDITION_ERRORS = (
-    "PreconditionFailed",
-    "BadApex",
-    "NotMeetClosed",
-    "MissingFilter",
-    "SeparationFailed",
-    "MinimalityFailed",
-    "NotJsdBase",
-    "BadTriple",
-    "ReValidationFailed",
-    "NoLeastDecomposition",
-)
 
 
 class _InputError(Exception):
@@ -274,7 +261,12 @@ def cmd_build(args) -> int:
             "fresh_atom_below_exactly_apex_filter": True,
             "joins_with_fresh_atom_realize_closure": True,
         }
-        verdict, witness = jsd_extension_criteria(pair)
+        try:
+            verdict, witness = jsd_extension_criteria(pair)
+        except PreconditionFailed as exc:
+            # the criteria only decide atomistic join-semidistributive bases
+            verdict, witness = None, None
+            results["jsd_note"] = str(exc)
         results["jsd_preserving"] = verdict
         if witness is not None:
             results["jsd_witness"] = [
@@ -406,25 +398,11 @@ def _suite_completion(max_size: int, found: dict) -> dict | None:
     return None
 
 
-def _extension_pairs(L: FiniteLattice):
-    atom_set = set(L.atoms())
-    for apex in range(L.n):
-        if apex == L.bottom or apex in atom_set:
-            continue
-        must = set(L.filter(apex)) | {L.bottom}
-        optional = [x for x in range(L.n) if x not in must]
-        for r in range(len(optional) + 1):
-            for extra in combinations(optional, r):
-                members = must | set(extra)
-                if L.is_meet_subsemilattice(members):
-                    yield make_extension_pair(L, apex, members)
-
-
 def _suite_extension_jsd(max_size: int, found: dict) -> dict | None:
     lattices = pairs = 0
     for n, L in _atomistic_jsd(max_size):
         lattices += 1
-        for pair in _extension_pairs(L):
+        for pair in extension_pairs(L):
             pairs += 1
             verdict, witness = jsd_extension_criteria(pair)
             actual = is_join_semidistributive(one_atom_extension(pair).result)
@@ -557,9 +535,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_corpus.add_argument("--max", type=int, default=6, help="largest lattice size")
     p_corpus.set_defaults(func=cmd_corpus)
 
-    for p in (p_check, p_build, p_eval, p_corpus):
-        p.add_argument("--seed", type=int, default=0, help="recorded in the report")
-
     return parser
 
 
@@ -575,7 +550,7 @@ def main(argv=None) -> int:
         kind = type(exc).__name__
         _emit(_error_report(args.command, args, kind, str(exc)))
         _note(f"error ({kind}): {exc}")
-        if args.command == "build" and kind in PRECONDITION_ERRORS:
+        if args.command == "build" and isinstance(exc, PreconditionFailed):
             return 3
         return 2
 

@@ -61,6 +61,36 @@ def _bool_closure(rel: np.ndarray) -> np.ndarray:
         closure = nxt
 
 
+def _order_from_covers(
+    labels: Sequence[str], covers: Iterable[tuple[str, str]]
+) -> tuple[list[str], np.ndarray]:
+    """Labels and the closed order matrix of a cover list of (lower, upper) pairs.
+
+    The cover relation is closed reflexively and transitively.  Duplicate
+    labels and covers naming an unknown element raise :class:`LatticeError`;
+    a loop or a cycle raises :class:`NotAPoset`.
+    """
+    labels = [str(x) for x in labels]
+    if len(set(labels)) != len(labels):
+        raise LatticeError("labels must be pairwise distinct")
+    index = {lab: i for i, lab in enumerate(labels)}
+    n = len(labels)
+    rel = np.zeros((n, n), dtype=bool)
+    for low, high in covers:
+        low, high = str(low), str(high)
+        if low not in index or high not in index:
+            raise LatticeError(f"cover ({low!r}, {high!r}) names an unknown element")
+        if low == high:
+            raise NotAPoset(f"cover ({low!r}, {high!r}) is a loop")
+        rel[index[low], index[high]] = True
+    leq = _bool_closure(rel)
+    cyc = leq & leq.T & ~np.eye(n, dtype=bool)
+    if cyc.any():
+        i, j = map(int, np.argwhere(cyc)[0])
+        raise NotAPoset(f"cover cycle through {labels[i]!r} and {labels[j]!r}")
+    return labels, leq
+
+
 class FiniteLattice:
     """A finite bounded lattice on elements ``0 .. n-1``.
 
@@ -116,27 +146,9 @@ class FiniteLattice:
     ) -> "FiniteLattice":
         """Build a lattice from labels and a cover list of (lower, upper) pairs.
 
-        Element order in ``labels`` fixes the indices.  The cover relation is
-        closed reflexively and transitively; a cycle raises :class:`NotAPoset`.
+        Element order in ``labels`` fixes the indices; see :func:`_order_from_covers`.
         """
-        labels = [str(x) for x in labels]
-        if len(set(labels)) != len(labels):
-            raise LatticeError("labels must be pairwise distinct")
-        index = {lab: i for i, lab in enumerate(labels)}
-        n = len(labels)
-        rel = np.zeros((n, n), dtype=bool)
-        for low, high in covers:
-            low, high = str(low), str(high)
-            if low not in index or high not in index:
-                raise LatticeError(f"cover ({low!r}, {high!r}) names an unknown element")
-            if low == high:
-                raise NotAPoset(f"cover ({low!r}, {high!r}) is a loop")
-            rel[index[low], index[high]] = True
-        leq = _bool_closure(rel)
-        cyc = leq & leq.T & ~np.eye(n, dtype=bool)
-        if cyc.any():
-            i, j = map(int, np.argwhere(cyc)[0])
-            raise NotAPoset(f"cover cycle through {labels[i]!r} and {labels[j]!r}")
+        labels, leq = _order_from_covers(labels, covers)
         return cls(leq, labels)
 
     @classmethod

@@ -8,7 +8,14 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .core import FiniteLattice, LatticeError, NotALattice, _check_partial_order
+from .core import (
+    FiniteLattice,
+    LatticeError,
+    NotALattice,
+    _check_partial_order,
+    _lub_table,
+    _order_from_covers,
+)
 
 
 class TooLarge(LatticeError):
@@ -87,17 +94,12 @@ class MeetSemilattice:
             raise NotAMeetSemilattice("order matrix must be square and nonempty")
         _check_partial_order(leq)
         n = leq.shape[0]
-        col_of = {leq[:, i].tobytes(): i for i in range(n)}
-        table = np.empty((n, n), dtype=np.int32)
-        for x in range(n):
-            for y in range(x, n):
-                bounds = leq[:, x] & leq[:, y]
-                z = col_of.get(bounds.tobytes())
-                if z is None:
-                    raise NotAMeetSemilattice(
-                        f"elements {x} and {y} have no greatest lower bound"
-                    )
-                table[x, y] = table[y, x] = z
+        try:
+            table = _lub_table(leq.T).T
+        except NotALattice:
+            raise NotAMeetSemilattice(
+                "some pair of elements has no greatest lower bound"
+            ) from None
         self.n = n
         if labels is None:
             labels = tuple(str(i) for i in range(n))
@@ -117,18 +119,8 @@ class MeetSemilattice:
 
     @classmethod
     def from_covers(cls, labels, covers) -> "MeetSemilattice":
-        # reuse the lattice cover parser for the order, then revalidate meets
-        from .core import _bool_closure
-
-        labels = [str(x) for x in labels]
-        index = {lab: i for i, lab in enumerate(labels)}
-        if len(index) != len(labels):
-            raise LatticeError("labels must be pairwise distinct")
-        n = len(labels)
-        rel = np.zeros((n, n), dtype=bool)
-        for low, high in covers:
-            rel[index[str(low)], index[str(high)]] = True
-        return cls(_bool_closure(rel), labels)
+        labels, leq = _order_from_covers(labels, covers)
+        return cls(leq, labels)
 
     def meet(self, x: int, y: int) -> int:
         return int(self.meet_table[x, y])

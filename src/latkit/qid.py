@@ -282,28 +282,6 @@ def _term_vars(t: Term) -> frozenset[str]:
     return _term_vars(t.left) | _term_vars(t.right)
 
 
-def eval_term(L: FiniteLattice, t: Term, assignment: dict[str, int]) -> int:
-    """Direct recursive term evaluation (reference implementation)."""
-    if isinstance(t, Var):
-        return assignment[t.name]
-    x = eval_term(L, t.left, assignment)
-    y = eval_term(L, t.right, assignment)
-    return L.join(x, y) if t.kind == "join" else L.meet(x, y)
-
-
-def check_assignment(L: FiniteLattice, q: QuasiIdentity, assignment: dict[str, int]) -> tuple[bool, bool]:
-    """(all premises hold, conclusion holds) under one assignment."""
-    premises_ok = all(
-        eval_term(L, eq.lhs, assignment) == eval_term(L, eq.rhs, assignment)
-        for eq in q.premises
-    )
-    conclusion_ok = (
-        eval_term(L, q.conclusion.lhs, assignment)
-        == eval_term(L, q.conclusion.rhs, assignment)
-    )
-    return premises_ok, conclusion_ok
-
-
 def evaluate(L: FiniteLattice, q: QuasiIdentity) -> Verdict:
     """Exhaustively evaluate a quasi-identity over every assignment.
 
@@ -370,10 +348,6 @@ def evaluate(L: FiniteLattice, q: QuasiIdentity) -> Verdict:
         )
         return Verdict(holds, None if holds else {}, checked)
 
-    found = descend(0)
-    if found:
-        premises_ok, conclusion_ok = check_assignment(L, q, counterexample)
-        if not premises_ok or conclusion_ok:
-            raise RuntimeError("internal: counterexample failed re-verification")
+    if descend(0):
         return Verdict(False, counterexample, checked)
     return Verdict(True, None, checked)

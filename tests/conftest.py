@@ -7,9 +7,12 @@ independent route.
 
 from itertools import combinations, permutations, product
 
+import numpy as np
 import pytest
 
+from latkit.analysis import is_atomic
 from latkit.core import FiniteLattice
+from latkit.qid import QuasiIdentity, Term, Var
 
 
 # -- well-known small lattices ----------------------------------------------------
@@ -91,6 +94,36 @@ def oracle_biatomic(L: FiniteLattice) -> bool:
     return True
 
 
+def biatomic_by_single_atom(L: FiniteLattice) -> bool:
+    """Biatomicity through the one-sided atom criterion, a second route.
+
+    Equivalent reduction: L is atomic, and whenever an atom p satisfies
+    p <= a v b with p not below a and not below b, some atom q <= a
+    already has p <= q v b.
+    """
+    if not is_atomic(L):
+        return False
+    atoms = np.array(L.atoms(), dtype=np.int64)
+    if len(atoms) == 0:
+        return True
+    nonzero = np.arange(L.n) != L.bottom
+    below = L.leq[atoms, :].T
+    for p in atoms:
+        need = (
+            L.leq[p][L.join_table]
+            & ~L.leq[p][:, None]
+            & ~L.leq[p][None, :]
+            & nonzero[:, None]
+            & nonzero[None, :]
+        )
+        # reach[q, b]: p <= q v b for atom q, element b
+        reach = L.leq[p][L.join_table[atoms, :]]
+        solvable = below @ reach
+        if (need & ~solvable).any():
+            return False
+    return True
+
+
 def oracle_jsd(L: FiniteLattice) -> bool:
     for x in range(L.n):
         for y in range(L.n):
@@ -162,6 +195,42 @@ def oracle_least_decomposition(L: FiniteLattice, a: int) -> frozenset[int] | Non
     return None
 
 
+def join_prime_decomposition(L: FiniteLattice, a: int) -> tuple[int, ...]:
+    """The atoms below a that are join-prime within the ideal [0, a].
+
+    In an atomistic join-semidistributive lattice these form the least
+    decomposition of a, so they must match the library's greedy route.
+    """
+    ideal = [x for x in range(L.n) if L.leq[x, a]]
+    return tuple(
+        p
+        for p in oracle_atoms(L)
+        if L.leq[p, a]
+        and all(
+            not L.leq[p, oracle_lub(L, x, y)] or L.leq[p, x] or L.leq[p, y]
+            for x in ideal
+            for y in ideal
+        )
+    )
+
+
+def oracle_transitive_closure(rel) -> list[list[bool]]:
+    """Warshall's transitive (not reflexive) closure of a square relation."""
+    k = len(rel)
+    reach = [[bool(rel[i][j]) for j in range(k)] for i in range(k)]
+    for m in range(k):
+        for i in range(k):
+            if reach[i][m]:
+                for j in range(k):
+                    reach[i][j] = reach[i][j] or reach[m][j]
+    return reach
+
+
+def refl_tc(rel) -> np.ndarray:
+    """Reflexive-transitive closure of a dependency relation."""
+    return rel.strict_tc | np.eye(len(rel.elements), dtype=bool)
+
+
 def oracle_ell(L: FiniteLattice, x: int) -> int | None:
     atoms = [p for p in oracle_atoms(L) if L.leq[p, x]]
     for r in range(len(atoms) + 1):
@@ -169,6 +238,33 @@ def oracle_ell(L: FiniteLattice, x: int) -> int | None:
             if oracle_join_all(L, sub) == x:
                 return r
     return None
+
+
+# -- quasi-identities ----------------------------------------------------------------
+
+
+def eval_term(L: FiniteLattice, t: Term, assignment: dict[str, int]) -> int:
+    """Direct recursive term evaluation."""
+    if isinstance(t, Var):
+        return assignment[t.name]
+    x = eval_term(L, t.left, assignment)
+    y = eval_term(L, t.right, assignment)
+    return L.join(x, y) if t.kind == "join" else L.meet(x, y)
+
+
+def check_assignment(
+    L: FiniteLattice, q: QuasiIdentity, assignment: dict[str, int]
+) -> tuple[bool, bool]:
+    """(all premises hold, conclusion holds) under one assignment."""
+    premises_ok = all(
+        eval_term(L, eq.lhs, assignment) == eval_term(L, eq.rhs, assignment)
+        for eq in q.premises
+    )
+    conclusion_ok = (
+        eval_term(L, q.conclusion.lhs, assignment)
+        == eval_term(L, q.conclusion.rhs, assignment)
+    )
+    return premises_ok, conclusion_ok
 
 
 # -- isomorphism and exhaustive enumeration ----------------------------------------

@@ -9,13 +9,11 @@ budget is exceeded, even if every check inside it succeeded.
 
 import random
 import time
-from itertools import combinations
 
 import pytest
 
+from conftest import biatomic_by_single_atom, refl_tc
 from latkit.analysis import (
-    biatomic_by_single_atom,
-    biatomic_by_splitting,
     biatomicity_problems,
     is_atomistic,
     is_biatomic,
@@ -31,8 +29,8 @@ from latkit.extend import (
     MinimalityFailed,
     atom_restriction,
     biatomic_completion,
+    extension_pairs,
     jsd_extension_criteria,
-    make_extension_pair,
     one_atom_extension,
     partial_biatomization,
     separating_reembedding,
@@ -107,20 +105,6 @@ def corpus(paper5, triangle):
     return out
 
 
-def _extension_pairs(L: FiniteLattice):
-    atom_set = set(L.atoms())
-    for apex in range(L.n):
-        if apex == L.bottom or apex in atom_set:
-            continue
-        must = set(L.filter(apex)) | {L.bottom}
-        optional = [x for x in range(L.n) if x not in must]
-        for r in range(len(optional) + 1):
-            for extra in combinations(optional, r):
-                members = must | set(extra)
-                if L.is_meet_subsemilattice(members):
-                    yield make_extension_pair(L, apex, members)
-
-
 def _valid_triples(L: FiniteLattice):
     for p in L.atoms():
         for q in L.atoms():
@@ -147,7 +131,7 @@ def _check_solved_triple(L, p, q, a, ext, failures, where):
     k = len(base_rel.elements)
     if ext_rel.elements[:k] != base_rel.elements:
         failures.append(f"{where}: original atoms shifted")
-    elif not (ext_rel.refl_tc[:k, :k] == base_rel.refl_tc).all():
+    elif not (refl_tc(ext_rel)[:k, :k] == refl_tc(base_rel)).all():
         failures.append(f"{where}: atom dependency order changed")
     else:
         star_pos = ext_rel.index_of(star)
@@ -264,7 +248,7 @@ def test_a4_extension_criteria_equivalence():
             if not (is_atomistic(L) and is_join_semidistributive(L)):
                 continue
             lattices += 1
-            for pair in _extension_pairs(L):
+            for pair in extension_pairs(L):
                 pairs += 1
                 predicted, witness = jsd_extension_criteria(pair)
                 actual = is_join_semidistributive(one_atom_extension(pair).result)
@@ -345,7 +329,7 @@ def test_a6_biatomization(triangle):
         ext_rel = join_dependency(ext)
         k = len(base_rel.elements)
         if ext_rel.elements[:k] != base_rel.elements or not (
-            ext_rel.refl_tc[:k, :k] == base_rel.refl_tc
+            refl_tc(ext_rel)[:k, :k] == refl_tc(base_rel)
         ).all():
             failures.append(f"{where}: atom dependency order changed")
         if is_lower_bounded(L) and not is_lower_bounded(ext):
@@ -426,7 +410,7 @@ def test_a9_oracle_cross_checks(corpus):
     t0 = time.monotonic()
     failures: list[str] = []
     for name, L in corpus:
-        if biatomic_by_splitting(L) != biatomic_by_single_atom(L):
+        if is_biatomic(L) != biatomic_by_single_atom(L):
             failures.append(f"{name}: biatomicity routes disagree")
         if evaluate(L, sd_join()).holds != is_join_semidistributive(L):
             failures.append(f"{name}: sd-join evaluator disagrees with analyzer")

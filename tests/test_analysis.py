@@ -2,19 +2,18 @@ import numpy as np
 import pytest
 
 from conftest import (
-    oracle_atoms,
+    biatomic_by_single_atom,
+    join_prime_decomposition,
     oracle_biatomic,
     oracle_ell,
     oracle_jsd,
     oracle_atomistic,
     oracle_least_decomposition,
     oracle_lower_bounded,
+    oracle_transitive_closure,
 )
 from latkit.analysis import (
-    NoLeastDecomposition,
     atomistic_violation,
-    biatomic_by_single_atom,
-    biatomic_by_splitting,
     biatomicity_problems,
     ell,
     is_atomic,
@@ -107,11 +106,9 @@ def test_jsd_matches_oracle(m3, n5):
 
 def test_biatomic_routes_agree_and_match_oracle(m3, n5):
     for L in corpus(m3, n5):
-        split = biatomic_by_splitting(L)
-        single = biatomic_by_single_atom(L)
-        assert split == single, L.to_json()
-        assert split == oracle_biatomic(L), L.to_json()
-        assert is_biatomic(L) == split
+        verdict = is_biatomic(L)
+        assert verdict == biatomic_by_single_atom(L), L.to_json()
+        assert verdict == oracle_biatomic(L), L.to_json()
 
 
 def test_lower_bounded_matches_oracle(m3, n5):
@@ -146,8 +143,11 @@ def test_dependency_closures(m3):
     # in M3 every atom depends on every other, so the cycle closes
     assert rel.d.sum() == k * (k - 1)
     assert rel.strict_tc.all()
-    assert rel.refl_tc.all()
-    assert np.array_equal(rel.d_bar, rel.d | np.eye(k, dtype=bool))
+    for L in [m3, boolean(3), co_chain(3), co_chain(4)]:
+        for on in ("atoms", "join_irreducibles"):
+            rel = join_dependency(L, on=on)
+            want = np.array(oracle_transitive_closure(rel.d), dtype=bool)
+            assert np.array_equal(rel.strict_tc, want.reshape(rel.d.shape))
 
 
 def test_dependency_on_join_irreducibles(n5):
@@ -175,12 +175,18 @@ def test_index_of(m3):
 # -- decompositions ----------------------------------------------------------
 
 
-def test_minimal_decomposition_matches_oracle():
-    for L in [boolean(3), co_chain(3), co_chain(4), chain(2)]:
+def test_minimal_decomposition_matches_oracle(m3, n5):
+    targets = [boolean(3), co_chain(3), co_chain(4), chain(2)]
+    targets += [
+        L for L in corpus(m3, n5) if is_atomistic(L) and is_join_semidistributive(L)
+    ]
+    for L in targets:
         for a in range(L.n):
             want = oracle_least_decomposition(L, a)
             assert want is not None
-            assert minimal_decomposition(L, a) == tuple(sorted(want))
+            got = minimal_decomposition(L, a)
+            assert got == tuple(sorted(want))
+            assert got == join_prime_decomposition(L, a)
 
 
 def test_minimal_decomposition_b2():

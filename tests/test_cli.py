@@ -1,9 +1,11 @@
+import hashlib
 import json
 
 import pytest
 
+from latkit import extend
 from latkit.cli import _split_labels, main
-from latkit.core import FiniteLattice
+from latkit.core import FiniteLattice, PreconditionFailed
 from latkit.generators import boolean, chain
 
 
@@ -81,11 +83,49 @@ def test_reports_are_deterministic(capsys):
     assert code == 0 and out_a == out_b
 
 
-def test_seed_recorded(capsys):
-    _, report, _ = run(capsys, "check", "--gen", "chain:2", "--seed", "7")
-    assert report["inputs"]["seed"] == 7
-    _, report, _ = run(capsys, "check", "--gen", "chain:2")
-    assert report["inputs"]["seed"] == 0
+def test_reports_carry_no_seed(capsys):
+    for argv in (
+        ["check", "--gen", "chain:2"],
+        ["build", "--gen", "chain:3", "--op", "biatomic-completion"],
+        ["eval", "--gen", "chain:2", "--qid", "builtin:sd-join"],
+        ["corpus", "--suite", "completion", "--max", "2"],
+        ["check", "--gen", "boolean"],
+    ):
+        _, report, _ = run(capsys, *argv)
+        assert "seed" not in report["inputs"], argv
+
+
+# stdout of the README examples, byte for byte
+README_EXAMPLES = [
+    (
+        ["check", "--gen", "co-chain:4"],
+        "da246fc6c3238e29cfbad844da204f31c40d6f14bd29afe94d3b4654e0993be8",
+    ),
+    (
+        ["build", "--gen", "chain:3", "--op", "biatomic-completion"],
+        "8c6249cd4ad4944b23cc57a7a81e29ddaa0f2c91a910abdbc844b75ce07f661b",
+    ),
+    (
+        ["build", "--gen", "boolean:2", "--op", "one-atom",
+         "--apex", "{0,1}", "--subsemilattice", "{},{0,1}"],
+        "4501456bf4e8433c50eaccb8c77910b95cb82d80d84169fbd613911455835fd0",
+    ),
+    (
+        ["eval", "--gen", "co-points:paper5", "--qid", "builtin:theta"],
+        "d123481d239c28b7b626fa875d05be30ff39f82e65e0ea780ddf8f14ee174f10",
+    ),
+    (
+        ["corpus", "--suite", "extension-jsd", "--max", "6"],
+        "f884974760d614da865e7799284216e1b6fe39bc7b53abc4dfe1b96637341b17",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv,digest", README_EXAMPLES)
+def test_readme_examples_stdout_pinned(capsys, argv, digest):
+    main(argv)
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 # -- lattice sources -----------------------------------------------------------
@@ -203,6 +243,45 @@ def test_build_precondition_exit_code(capsys):
     )
     assert code == 3
     assert report["error"]["type"] == "NotMeetClosed"
+
+
+@pytest.mark.parametrize(
+    "name",
+    [
+        "BadApex",
+        "NotMeetClosed",
+        "MissingFilter",
+        "SeparationFailed",
+        "MinimalityFailed",
+        "NotJsdBase",
+        "BadTriple",
+        "ReValidationFailed",
+    ],
+)
+def test_extension_errors_are_preconditions(name):
+    assert issubclass(getattr(extend, name), PreconditionFailed)
+
+
+def test_build_one_atom_criteria_need_atomistic_jsd_base(capsys, m3_file):
+    code, report, _ = run(
+        capsys,
+        "build", "--gen", "chain:3", "--op", "one-atom",
+        "--apex", "2", "--subsemilattice", "0,2",
+    )
+    assert code == 0
+    results = report["results"]
+    assert results["jsd_preserving"] is None
+    assert results["jsd_note"] == "criteria need an atomistic base"
+    assert "jsd_witness" not in results
+    assert results["output_size"] == 4
+    code, report, _ = run(
+        capsys,
+        "build", "--file", m3_file, "--op", "one-atom",
+        "--apex", "1", "--subsemilattice", "0,1",
+    )
+    assert code == 0
+    assert report["results"]["jsd_preserving"] is None
+    assert report["results"]["jsd_note"] == "criteria need a join-semidistributive base"
 
 
 def test_build_unknown_label(capsys):

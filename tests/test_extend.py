@@ -1,5 +1,3 @@
-from itertools import combinations
-
 import pytest
 
 from conftest import oracle_atomistic, oracle_biatomic, oracle_isomorphic, oracle_jsd
@@ -23,6 +21,7 @@ from latkit.extend import (
     biatomic_completion,
     closure_from_image,
     closure_from_map,
+    extension_pairs,
     jsd_extension_criteria,
     make_extension_pair,
     minimal_apex,
@@ -197,23 +196,12 @@ def test_criteria_match_reality_on_small_lattices():
     checked = 0
     targets = list(atomistic_jsd_corpus(5)) + [boolean(3), co_chain(3)]
     for L in targets:
-        candidates = [
-            x for x in range(L.n) if x != L.bottom and x not in L.atoms()
-        ]
-        for apex in candidates:
-            required = set(L.filter(apex)) | {L.bottom}
-            optional = sorted(set(range(L.n)) - required)
-            for r in range(len(optional) + 1):
-                for extra in combinations(optional, r):
-                    members = required | set(extra)
-                    if not L.is_meet_subsemilattice(members):
-                        continue
-                    pair = make_extension_pair(L, apex, members)
-                    verdict, witness = jsd_extension_criteria(pair)
-                    actual = is_join_semidistributive(one_atom_extension(pair).result)
-                    assert verdict == actual
-                    assert (witness is None) == verdict
-                    checked += 1
+        for pair in extension_pairs(L):
+            verdict, witness = jsd_extension_criteria(pair)
+            actual = is_join_semidistributive(one_atom_extension(pair).result)
+            assert verdict == actual
+            assert (witness is None) == verdict
+            checked += 1
     assert checked > 10
 
 

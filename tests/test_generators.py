@@ -130,6 +130,23 @@ def test_meet_semilattice_from_covers_and_meet():
         MeetSemilattice.from_covers(["x", "y"], [])
 
 
+def test_meet_semilattice_from_covers_rejects_bad_covers():
+    with pytest.raises(LatticeError):
+        MeetSemilattice.from_covers(["0", "x"], [("0", "y")])  # unknown element
+    with pytest.raises(LatticeError):
+        MeetSemilattice.from_covers(["0", "x"], [("0", "x"), ("x", "x")])  # loop
+
+
+def test_meet_semilattice_tables_match_pair_scan():
+    for n in range(1, 5):
+        for P in meet_semilattices(n):
+            for x in range(n):
+                for y in range(n):
+                    lowers = [z for z in range(n) if P.leq[z, x] and P.leq[z, y]]
+                    (glb,) = [z for z in lowers if all(P.leq[w, z] for w in lowers)]
+                    assert P.meet(x, y) == glb
+
+
 def test_sub_meet_semilattice_of_vee():
     P = MeetSemilattice.from_covers(["0", "x", "y"], [("0", "x"), ("0", "y")])
     L = sub_meet_semilattice(P)

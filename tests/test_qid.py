@@ -2,6 +2,7 @@ from itertools import product
 
 import pytest
 
+from conftest import check_assignment, eval_term
 from latkit.analysis import is_join_semidistributive
 from latkit.generators import boolean, chain, co_chain, enumerate_lattices
 from latkit.qid import (
@@ -10,8 +11,6 @@ from latkit.qid import (
     QidSyntaxError,
     UndeclaredVariable,
     Var,
-    check_assignment,
-    eval_term,
     evaluate,
     format_qid,
     parse_qid,
@@ -168,7 +167,10 @@ def test_sd_join_matches_analyzer(m3, n5):
     for n in range(1, 6):
         lattices.extend(enumerate_lattices(n))
     for L in lattices:
-        assert evaluate(L, sd_join()).holds == is_join_semidistributive(L)
+        verdict = evaluate(L, sd_join())
+        assert verdict.holds == is_join_semidistributive(L)
+        if not verdict.holds:
+            assert check_assignment(L, sd_join(), verdict.counterexample) == (True, False)
 
 
 def test_counterexample_uses_variable_names(m3):
