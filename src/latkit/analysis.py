@@ -20,12 +20,7 @@ from .core import FiniteLattice, LatticeError, PreconditionFailed, _bool_closure
 
 def is_atomic(L: FiniteLattice) -> bool:
     """True iff every nonzero element lies above an atom."""
-    atoms = L.atoms()
-    if not atoms:
-        return L.n == 1
-    covered = np.zeros(L.n, dtype=bool)
-    for p in atoms:
-        covered |= L.leq[p]
+    covered = L.leq[list(L.atoms())].any(axis=0)
     covered[L.bottom] = True
     return bool(covered.all())
 
@@ -44,30 +39,36 @@ def is_atomistic(L: FiniteLattice) -> bool:
     return atomistic_violation(L) is None
 
 
+def _splitting_masks(L: FiniteLattice):
+    """Per atom p, yield (p, problem, below, split) over elements a, b.
+
+    problem[a, b]: p <= a v b, p below neither a nor b (so both are nonzero);
+    below[a, i]: the i-th atom lies below a (the same array for every p);
+    split[i, b]: some atom y <= b has p <= x v y for x the i-th atom.
+    So some atoms x <= a, y <= b have p <= x v y iff (below @ split)[a, b].
+    """
+    atoms = np.array(L.atoms(), dtype=np.int64)
+    below = L.leq[atoms, :].T
+    atom_join = L.join_table[np.ix_(atoms, atoms)]
+    for p in atoms:
+        up = L.leq[p]
+        problem = up[L.join_table] & ~up[:, None] & ~up[None, :]
+        yield int(p), problem, below, up[atom_join] @ below.T
+
+
 def is_biatomic(L: FiniteLattice) -> bool:
     """Biatomicity, checked against its definition.
 
     For every atom p and nonzero a, b with p <= a v b there must be atoms
-    x <= a and y <= b with p <= x v y.
+    x <= a and y <= b with p <= x v y.  In an atomic lattice this holds
+    whenever p lies below a or b, so only the problems need checking.
     """
     if not is_atomic(L):
         return False
-    atoms = np.array(L.atoms(), dtype=np.int64)
-    if len(atoms) == 0:
-        return True  # singleton
-    nonzero = np.arange(L.n) != L.bottom
-    # below[e, i]: atom i lies below element e
-    below = L.leq[atoms, :].T
-    atom_join = L.join_table[np.ix_(atoms, atoms)]
-    for p in atoms:
-        # need[a, b]: p <= a v b for nonzero a, b
-        need = L.leq[p][L.join_table] & nonzero[:, None] & nonzero[None, :]
-        # reach[x, y]: p <= x v y over atom pairs
-        reach = L.leq[p][atom_join]
-        solvable = (below @ reach) @ below.T  # any x <= a, y <= b with p <= x v y
-        if (need & ~solvable).any():
-            return False
-    return True
+    return not any(
+        (problem & ~(below @ split)).any()
+        for _, problem, below, split in _splitting_masks(L)
+    )
 
 
 def jsd_violation(L: FiniteLattice) -> tuple[int, int, int] | None:
@@ -159,13 +160,6 @@ def is_lower_bounded(L: FiniteLattice) -> bool:
 # -- decompositions ----------------------------------------------------------
 
 
-def _require_atomistic_jsd(L: FiniteLattice, who: str) -> None:
-    if not is_atomistic(L):
-        raise PreconditionFailed(f"{who} needs an atomistic lattice")
-    if not is_join_semidistributive(L):
-        raise PreconditionFailed(f"{who} needs a join-semidistributive lattice")
-
-
 def minimal_decomposition(L: FiniteLattice, a: int) -> tuple[int, ...]:
     """The containment-least set of atoms joining to a.
 
@@ -173,7 +167,17 @@ def minimal_decomposition(L: FiniteLattice, a: int) -> tuple[int, ...]:
     atoms below a; this is sound because in an atomistic join-semidistributive
     lattice the irredundant decomposition is unique and least.
     """
-    _require_atomistic_jsd(L, "minimal_decomposition")
+    if not is_atomistic(L):
+        raise PreconditionFailed("minimal_decomposition needs an atomistic lattice")
+    if not is_join_semidistributive(L):
+        raise PreconditionFailed(
+            "minimal_decomposition needs a join-semidistributive lattice"
+        )
+    return _irredundant_atoms(L, a)
+
+
+def _irredundant_atoms(L: FiniteLattice, a: int) -> tuple[int, ...]:
+    """Greedy irredundant atom decomposition of a; the lattice is not checked."""
     kept = [p for p in L.atoms() if L.leq[p, a]]
     changed = True
     while changed:
@@ -243,20 +247,21 @@ def solve_problem_instance(
 
 
 def biatomicity_problems(L: FiniteLattice) -> list[BiatomicityProblem]:
-    """All problems p <= a v b, deduplicated to a <= b by index, sorted."""
+    """All problems p <= a v b, deduplicated to a <= b by index, sorted.
+
+    A solution is the first atom x <= a, in atom order, that some atom
+    y <= b splits with, paired with the first such y.
+    """
+    atoms = np.array(L.atoms(), dtype=np.int64)
     out = []
-    for p in L.atoms():
-        for a in range(L.n):
-            if a == L.bottom or L.leq[p, a]:
-                continue
-            for b in range(a, L.n):
-                if b == L.bottom or L.leq[p, b]:
-                    continue
-                if not L.leq[p, L.join_table[a, b]]:
-                    continue
-                solution = solve_problem_instance(L, p, a, b)
-                out.append(
-                    BiatomicityProblem(int(p), a, b, solution is not None, solution)
-                )
-    out.sort(key=lambda pr: (pr.p, pr.a, pr.b))
+    for p, problem, below, split in _splitting_masks(L):
+        a_idx, b_idx = np.nonzero(np.triu(problem))
+        # x_ok[k, i]: the i-th atom lies below a_k and splits with some atom below b_k
+        x_ok = below[a_idx] & split[:, b_idx].T
+        xs = atoms[x_ok.argmax(axis=1)]
+        y_ok = below[b_idx] & L.leq[p][L.join_table[np.ix_(xs, atoms)]]
+        ys = atoms[y_ok.argmax(axis=1)]
+        rows = (a_idx, b_idx, x_ok.any(axis=1), xs, ys)
+        for a, b, solved, x, y in zip(*(r.tolist() for r in rows)):
+            out.append(BiatomicityProblem(p, a, b, solved, (x, y) if solved else None))
     return out

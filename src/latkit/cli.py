@@ -8,9 +8,9 @@ across runs on identical inputs; progress and timings go to stderr.
 
 Exit codes: 0 success (for ``eval``: the quasi-identity holds; for ``corpus``:
 no violation), 1 a quasi-identity failed or a corpus suite found a violation,
-2 input parse or validation failure, 3 a construction precondition failed
-(``build`` only: any :class:`PreconditionFailed`), with the error name in the
-report.
+2 input read, parse or validation failure or an unwritable result file, 3 a
+construction precondition failed (``build`` only: any
+:class:`PreconditionFailed`), with the error name in the report.
 """
 
 from __future__ import annotations
@@ -46,7 +46,11 @@ GEN_GRAMMAR = "boolean:n | chain:n | co-chain:n | co-points:<file|paper5> | subs
 
 
 class _InputError(Exception):
-    """Input could not be parsed or validated (exit code 2)."""
+    """Input could not be read, parsed or validated (exit code 2)."""
+
+
+class _OutputError(_InputError):
+    """A result file could not be written (exit code 2)."""
 
 
 def _read_text(path: str) -> str:
@@ -55,6 +59,17 @@ def _read_text(path: str) -> str:
             return handle.read()
     except OSError as exc:
         raise _InputError(f"cannot read {path}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError:
+        raise _InputError(f"cannot read {path}: not UTF-8 text") from None
+
+
+def _write_lines(path: str, lines) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as handle:
+            for line in lines:
+                handle.write(line + "\n")
+    except OSError as exc:
+        raise _OutputError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
 def _int_arg(spec: str, text: str) -> int:
@@ -288,15 +303,13 @@ def cmd_build(args) -> int:
         "jsd": is_join_semidistributive(result),
     }
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(result.to_json() + "\n")
+        _write_lines(args.out, [result.to_json()])
         results["out"] = args.out
     else:
         results["lattice"] = _lattice_json(result)
     if args.trace:
-        with open(args.trace, "w", encoding="utf-8") as handle:
-            for row in trace_rows:
-                handle.write(json.dumps(row, sort_keys=True) + "\n")
+        rows = [json.dumps(row, sort_keys=True) for row in trace_rows]
+        _write_lines(args.trace, rows)
         results["trace"] = args.trace
     elif trace_rows:
         results["trace_rows"] = trace_rows
@@ -543,7 +556,8 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except _InputError as exc:
-        _emit(_error_report(args.command, args, "InputError", str(exc)))
+        kind = type(exc).__name__.lstrip("_")
+        _emit(_error_report(args.command, args, kind, str(exc)))
         _note(f"error: {exc}")
         return 2
     except LatticeError as exc:

@@ -10,7 +10,7 @@ of a bottom and a top.  Instances are immutable.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -160,8 +160,12 @@ class FiniteLattice:
             raise LatticeError(f"invalid JSON: {exc}") from None
         if not isinstance(data, dict) or "elements" not in data or "covers" not in data:
             raise LatticeError("lattice JSON needs 'elements' and 'covers' keys")
-        covers = [(str(a), str(b)) for a, b in data["covers"]]
-        return cls.from_covers([str(x) for x in data["elements"]], covers)
+        elements, covers = data["elements"], data["covers"]
+        if not isinstance(elements, list) or not isinstance(covers, list):
+            raise LatticeError("lattice JSON 'elements' and 'covers' must be lists")
+        if not all(isinstance(c, list) and len(c) == 2 for c in covers):
+            raise LatticeError("each cover must be a [lower, upper] pair")
+        return cls.from_covers(elements, covers)
 
     def to_json(self) -> str:
         data = {
@@ -225,14 +229,8 @@ class FiniteLattice:
             raise LatticeError(f"no element labelled {label!r}") from None
 
     def atoms(self) -> tuple[int, ...]:
-        """Elements covering the bottom."""
-        above_bottom = self.leq[self.bottom] & ~_eye_row(self.n, self.bottom)
-        out = []
-        for x in np.flatnonzero(above_bottom):
-            below_x = self.leq[:, x] & above_bottom
-            if below_x.sum() == 1:  # only x itself sits strictly above bottom
-                out.append(int(x))
-        return tuple(out)
+        """Elements covering the bottom: exactly two elements lie below each."""
+        return tuple(int(x) for x in np.flatnonzero(self.leq.sum(axis=0) == 2))
 
     def covers(self) -> list[tuple[int, int]]:
         """All cover pairs (lower, upper), sorted."""
@@ -241,14 +239,11 @@ class FiniteLattice:
         return [(int(i), int(j)) for i, j in np.argwhere(cov)]
 
     def lower_covers(self, x: int) -> tuple[int, ...]:
-        strict = self.leq[:, x].copy()
-        strict[x] = False
-        out = []
-        for y in np.flatnonzero(strict):
-            between = self.leq[y] & strict
-            if between.sum() == 1:
-                out.append(int(y))
-        return tuple(out)
+        """Elements y < x that are the only z with y <= z < x."""
+        below = np.flatnonzero(self.leq[:, x])
+        below = below[below != x]
+        only_self = self.leq[np.ix_(below, below)].sum(axis=1) == 1
+        return tuple(int(y) for y in below[only_self])
 
     def join_irreducibles(self) -> tuple[int, ...]:
         """Elements with exactly one lower cover."""
@@ -302,10 +297,19 @@ class FiniteLattice:
         return FiniteLattice(sub, labels)
 
 
-def _eye_row(n: int, i: int) -> np.ndarray:
-    row = np.zeros(n, dtype=bool)
-    row[i] = True
-    return row
+def _inclusion_order(masks: Sequence[int]) -> np.ndarray:
+    """Inclusion order of sets given as bitmasks; wide masks stay Python ints."""
+    wide = int(max(masks)).bit_length() >= 63
+    m = np.array(masks, dtype=object if wide else np.int64)
+    return (m[:, None] & ~m[None, :]) == 0
+
+
+def _set_labels(masks: Sequence[int], names: Sequence[str]) -> list[str]:
+    """``{a,b}`` labels of bitmask sets over the named ground elements."""
+    return [
+        "{" + ",".join(name for i, name in enumerate(names) if m >> i & 1) + "}"
+        for m in masks
+    ]
 
 
 def _check_partial_order(leq: np.ndarray) -> None:

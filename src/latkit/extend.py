@@ -29,11 +29,11 @@ from .core import (
     verify_embedding,
 )
 from .analysis import (
+    _irredundant_atoms,
     is_atomistic,
     is_biatomic,
     is_join_semidistributive,
     join_dependency,
-    minimal_decomposition,
     separates,
     solve_problem_instance,
     biatomicity_problems,
@@ -485,7 +485,8 @@ def solve_one_problem(L: FiniteLattice, p: int, q: int, a: int) -> OneAtomExtens
     _ensure(ext_atoms == base_atoms + [star], "extension atoms changed unexpectedly")
     pi = base_atoms.index(p)
     si = ext_atoms.index(star)
-    decomposition = minimal_decomposition(L, a)
+    # the triple was validated on an atomistic jsd base just above
+    decomposition = _irredundant_atoms(L, a)
     for u in decomposition:
         ui = base_atoms.index(u)
         _ensure(bool(dep_base.d[pi, ui]), "p must depend on the decomposition of a")
@@ -585,7 +586,8 @@ def _atom_reaching(K, p, q, bound, steps, context):
 
 
 def _measure(K: FiniteLattice, a: int, b: int) -> int:
-    return len(minimal_decomposition(K, a)) + len(minimal_decomposition(K, b))
+    # every K reached here is atomistic and jsd, so the greedy step suffices
+    return len(_irredundant_atoms(K, a)) + len(_irredundant_atoms(K, b))
 
 
 def _solve_instance(K, p, a, b, steps, limit):
@@ -610,7 +612,7 @@ def _solve_instance(K, p, a, b, steps, limit):
     mine = _measure(K, a, b)
     _ensure(mine <= limit, "decomposition measure failed to decrease")
 
-    dec_b = minimal_decomposition(K, b)
+    dec_b = _irredundant_atoms(K, b)
     q = min(dec_b)
     c = K.join_all(sorted(set(dec_b) - {q}))
     context = {

@@ -2,9 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from itertools import permutations
-from typing import Iterable, Iterator, Sequence
+from itertools import permutations, product
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -13,8 +12,10 @@ from .core import (
     LatticeError,
     NotALattice,
     _check_partial_order,
+    _inclusion_order,
     _lub_table,
     _order_from_covers,
+    _set_labels,
 )
 
 
@@ -31,11 +32,9 @@ def boolean(n: int) -> FiniteLattice:
         raise TooLarge("boolean(n) needs n >= 0")
     if n > 16:
         raise TooLarge("boolean(n) is bounded at n = 16")
-    size = 1 << n
-    masks = np.arange(size, dtype=np.int64)
-    leq = (masks[:, None] & ~masks[None, :]) == 0
-    labels = ["{" + ",".join(str(i) for i in range(n) if m >> i & 1) + "}" for m in masks]
-    return FiniteLattice(leq, labels)
+    masks = range(1 << n)
+    names = [str(i) for i in range(n)]
+    return FiniteLattice(_inclusion_order(masks), _set_labels(masks, names))
 
 
 def chain(n: int) -> FiniteLattice:
@@ -54,22 +53,11 @@ def co_chain(n: int) -> FiniteLattice:
     """
     if n < 1:
         raise TooLarge("co_chain(n) needs n >= 1")
-    intervals = [None] + sorted(
-        ((i, j) for i in range(1, n + 1) for j in range(i, n + 1)),
-        key=lambda ij: (ij[1] - ij[0], ij[0]),
-    )
-    k = len(intervals)
-    leq = np.zeros((k, k), dtype=bool)
-    for s, low in enumerate(intervals):
-        for t, high in enumerate(intervals):
-            if low is None:
-                leq[s, t] = True
-            elif high is None:
-                leq[s, t] = False
-            else:
-                leq[s, t] = high[0] <= low[0] and low[1] <= high[1]
-    labels = ["{}"] + [f"[{i},{j}]" for i, j in intervals[1:]]
-    return FiniteLattice(leq, labels)
+    # by length, then by left end; [i, j] is the mask of bits i-1 .. j-1
+    intervals = [(i, i + d) for d in range(n) for i in range(1, n - d + 1)]
+    masks = [0] + [((1 << (j - i + 1)) - 1) << (i - 1) for i, j in intervals]
+    labels = ["{}"] + [f"[{i},{j}]" for i, j in intervals]
+    return FiniteLattice(_inclusion_order(masks), labels)
 
 
 # -- meet-semilattices --------------------------------------------------------
@@ -146,16 +134,9 @@ def sub_meet_semilattice(P) -> FiniteLattice:
         if all(mask >> meets[x, y] & 1 for x in members for y in members):
             closed_masks.append(mask)
     closed_masks.sort(key=lambda m: (bin(m).count("1"), m))
-    k = len(closed_masks)
-    leq = np.zeros((k, k), dtype=bool)
-    for s, low in enumerate(closed_masks):
-        for t, high in enumerate(closed_masks):
-            leq[s, t] = (low & ~high) == 0
-    labels = [
-        "{" + ",".join(P.labels[i] for i in range(P.n) if m >> i & 1) + "}"
-        for m in closed_masks
-    ]
-    return FiniteLattice(leq, labels)
+    return FiniteLattice(
+        _inclusion_order(closed_masks), _set_labels(closed_masks, P.labels)
+    )
 
 
 # -- exhaustive enumeration ----------------------------------------------------
@@ -200,7 +181,7 @@ def canonical_key(L: FiniteLattice) -> bytes:
     ordered_classes = [classes[c] for c in sorted(classes)]
 
     best = None
-    for perm_parts in _product_permutations(ordered_classes):
+    for perm_parts in product(*map(permutations, ordered_classes)):
         order = [x for part in perm_parts for x in part]
         # order[i] = source element placed at position i
         arr = np.array(order)
@@ -208,16 +189,6 @@ def canonical_key(L: FiniteLattice) -> bytes:
         if best is None or candidate < best:
             best = candidate
     return bytes([n]) + best
-
-
-def _product_permutations(class_lists):
-    if not class_lists:
-        yield []
-        return
-    head, *rest = class_lists
-    for perm in permutations(head):
-        for tail in _product_permutations(rest):
-            yield [list(perm)] + tail
 
 
 def _bounded_meet_semilattices_linear(n: int) -> Iterator[tuple[int, ...]]:
@@ -293,16 +264,10 @@ def enumerate_lattices(n: int) -> Iterator[FiniteLattice]:
         raise TooLarge("enumerate_lattices(n) needs n >= 1")
     if n > 7:
         raise TooLarge("enumerate_lattices is bounded at n = 7")
-    if n == 1:
-        yield FiniteLattice(np.ones((1, 1), dtype=bool), ["e0"])
-        return
     seen: dict[bytes, FiniteLattice] = {}
     for down in _bounded_meet_semilattices_linear(n):
-        leq = np.zeros((n, n), dtype=bool)
-        for j in range(n):
-            for i in range(n):
-                leq[i, j] = bool(down[j] >> i & 1)
-        L = FiniteLattice(leq, [f"e{i}" for i in range(n)])
+        # i <= j iff the down-set of i lies inside the down-set of j
+        L = FiniteLattice(_inclusion_order(down), [f"e{i}" for i in range(n)])
         key = canonical_key(L)
         if key not in seen:
             seen[key] = L

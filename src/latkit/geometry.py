@@ -15,9 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-import numpy as np
-
-from .core import FiniteLattice, LatticeError
+from .core import FiniteLattice, LatticeError, _inclusion_order, _set_labels
 
 
 class TooManyPoints(LatticeError):
@@ -98,19 +96,6 @@ def convex_hull(points: Sequence[RationalPoint]) -> list[RationalPoint]:
     return hull
 
 
-def point_in_hull(p: RationalPoint, points: Sequence[RationalPoint]) -> bool:
-    """Exact test for membership in the closed convex hull of the points."""
-    if not points:
-        return False
-    hull = convex_hull(points)
-    if len(hull) == 1:
-        return p == hull[0]
-    if len(hull) == 2:
-        return on_segment(p, hull[0], hull[1])
-    k = len(hull)
-    return all(orientation(hull[i], hull[(i + 1) % k], p) >= 0 for i in range(k))
-
-
 class PointConfiguration:
     """Finitely many labelled, pairwise distinct points of the plane."""
 
@@ -137,10 +122,12 @@ class PointConfiguration:
             data = json.loads(text)
         except json.JSONDecodeError as exc:
             raise LatticeError(f"invalid JSON: {exc}") from None
-        if not isinstance(data, dict) or "points" not in data:
+        if not isinstance(data, dict) or not isinstance(data.get("points"), list):
             raise LatticeError("point configuration JSON needs a 'points' list")
         labels, points = [], []
         for row in data["points"]:
+            if not isinstance(row, dict) or not {"label", "x", "y"} <= row.keys():
+                raise LatticeError("each point needs 'label', 'x' and 'y' keys")
             labels.append(str(row["label"]))
             points.append(
                 RationalPoint(_parse_rational(row["x"]), _parse_rational(row["y"]))
@@ -156,12 +143,17 @@ class PointConfiguration:
 
     def hull_trace(self, subset: Iterable[int]) -> frozenset[int]:
         """Indices of all configuration points inside the hull of the subset."""
-        chosen = [self.points[i] for i in subset]
-        if not chosen:
+        hull = convex_hull([self.points[i] for i in subset])
+        if not hull:
             return frozenset()
-        return frozenset(
-            i for i, p in enumerate(self.points) if point_in_hull(p, chosen)
-        )
+        if len(hull) <= 2:
+            inside = [on_segment(p, hull[0], hull[-1]) for p in self.points]
+        else:
+            edges = list(zip(hull, hull[1:] + hull[:1]))
+            inside = [
+                all(orientation(a, b, p) >= 0 for a, b in edges) for p in self.points
+            ]
+        return frozenset(i for i, hit in enumerate(inside) if hit)
 
 
 def five_point_configuration() -> PointConfiguration:
@@ -196,14 +188,9 @@ def co_points(config: PointConfiguration) -> FiniteLattice:
         raise TooManyPoints("co_points is bounded at 20 points")
     closed = []
     for mask in range(1 << n):
-        subset = frozenset(i for i in range(n) if mask >> i & 1)
-        if config.hull_trace(subset) == subset:
-            closed.append(subset)
-    closed.sort(key=lambda s: (len(s), sorted(s)))
-    k = len(closed)
-    leq = np.zeros((k, k), dtype=bool)
-    for s, low in enumerate(closed):
-        for t, high in enumerate(closed):
-            leq[s, t] = low <= high
-    labels = ["{" + ",".join(config.labels[i] for i in sorted(s)) + "}" for s in closed]
-    return FiniteLattice(leq, labels)
+        subset = [i for i in range(n) if mask >> i & 1]
+        if config.hull_trace(subset) == frozenset(subset):
+            closed.append((len(subset), subset, mask))
+    # by size, then by the sorted member list
+    masks = [mask for _, _, mask in sorted(closed)]
+    return FiniteLattice(_inclusion_order(masks), _set_labels(masks, config.labels))

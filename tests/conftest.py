@@ -12,6 +12,7 @@ import pytest
 
 from latkit.analysis import is_atomic
 from latkit.core import FiniteLattice
+from latkit.geometry import RationalPoint, convex_hull, on_segment, orientation
 from latkit.qid import QuasiIdentity, Term, Var
 
 
@@ -122,6 +123,34 @@ def biatomic_by_single_atom(L: FiniteLattice) -> bool:
         if (need & ~solvable).any():
             return False
     return True
+
+
+def oracle_biatomicity_problems(L: FiniteLattice) -> list[tuple]:
+    """Every (p, a, b, solution) with p <= a v b and p below neither a nor b.
+
+    Pairs are deduplicated to a <= b by index; the solution is the first atom
+    pair (x, y), x <= a, y <= b, with p <= x v y in atom order, or None.
+    """
+    atoms = oracle_atoms(L)
+    out = []
+    for p in atoms:
+        for a in range(L.n):
+            for b in range(a, L.n):
+                if a == L.bottom or b == L.bottom or L.leq[p, a] or L.leq[p, b]:
+                    continue
+                if not L.leq[p, L.join(a, b)]:
+                    continue
+                solution = next(
+                    (
+                        (x, y)
+                        for x in atoms
+                        for y in atoms
+                        if L.leq[x, a] and L.leq[y, b] and L.leq[p, L.join(x, y)]
+                    ),
+                    None,
+                )
+                out.append((p, a, b, solution))
+    return out
 
 
 def oracle_jsd(L: FiniteLattice) -> bool:
@@ -238,6 +267,22 @@ def oracle_ell(L: FiniteLattice, x: int) -> int | None:
             if oracle_join_all(L, sub) == x:
                 return r
     return None
+
+
+# -- geometry ---------------------------------------------------------------------
+
+
+def point_in_hull(p: RationalPoint, points) -> bool:
+    """Membership in the closed convex hull, with the hull rebuilt per point."""
+    if not points:
+        return False
+    hull = convex_hull(points)
+    if len(hull) == 1:
+        return p == hull[0]
+    if len(hull) == 2:
+        return on_segment(p, hull[0], hull[1])
+    k = len(hull)
+    return all(orientation(hull[i], hull[(i + 1) % k], p) >= 0 for i in range(k))
 
 
 # -- quasi-identities ----------------------------------------------------------------

@@ -23,7 +23,7 @@ from latkit.analysis import (
     minimal_decomposition,
     solve_problem_instance,
 )
-from latkit.core import FiniteLattice, verify_embedding
+from latkit.core import FiniteLattice
 from latkit.extend import (
     BadTriple,
     MinimalityFailed,

@@ -8,6 +8,7 @@ from conftest import (
     oracle_ell,
     oracle_jsd,
     oracle_atomistic,
+    oracle_biatomicity_problems,
     oracle_least_decomposition,
     oracle_lower_bounded,
     oracle_transitive_closure,
@@ -28,7 +29,19 @@ from latkit.analysis import (
     solve_problem_instance,
 )
 from latkit.core import PreconditionFailed
-from latkit.generators import boolean, chain, co_chain, enumerate_lattices
+from latkit.generators import (
+    boolean,
+    chain,
+    co_chain,
+    enumerate_lattices,
+    small_lattices,
+)
+from latkit.geometry import (
+    PointConfiguration,
+    RationalPoint,
+    co_points,
+    five_point_configuration,
+)
 
 
 def corpus(m3, n5):
@@ -269,6 +282,21 @@ def test_biatomicity_problems_shape(m3):
         assert m3.le(pr.p, m3.join(pr.a, pr.b))
     # each atom sits under the join of the other two, and of atom-top pairs
     assert len(problems) >= 3
+
+
+def test_biatomicity_problems_match_oracle():
+    triangle = PointConfiguration(
+        ["a", "b", "c", "m"],
+        [RationalPoint.of(0, 3), RationalPoint.of(-3, -3),
+         RationalPoint.of(3, -3), RationalPoint.of(0, -1)],
+    )
+    lattices = list(small_lattices(6)) + [co_chain(n) for n in range(1, 8)]
+    lattices += [co_points(five_point_configuration()), co_points(triangle)]
+    for L in lattices:
+        problems = biatomicity_problems(L)
+        assert all(pr.solved == (pr.solution is not None) for pr in problems)
+        got = [(pr.p, pr.a, pr.b, pr.solution) for pr in problems]
+        assert got == oracle_biatomicity_problems(L)
 
 
 def test_problem_set_empty_on_boolean_squares():

@@ -150,6 +150,52 @@ def test_missing_file(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "body",
+    [
+        '{"elements": ["a", "b"], "covers": [["a"]]}',
+        '{"elements": ["a", "b"], "covers": "ab"}',
+    ],
+)
+def test_malformed_lattice_file(capsys, tmp_path, body):
+    path = tmp_path / "bad.json"
+    path.write_text(body)
+    code, report, _ = run(capsys, "check", "--file", str(path))
+    assert code == 2
+    assert report["error"]["type"] == "InputError"
+
+
+@pytest.mark.parametrize(
+    "body",
+    ['{"points": [{"label": "a", "x": 0}]}', '{"points": 5}'],
+)
+def test_malformed_point_file(capsys, tmp_path, body):
+    path = tmp_path / "bad.json"
+    path.write_text(body)
+    code, report, _ = run(capsys, "check", "--gen", f"co-points:{path}")
+    assert code == 2
+    assert report["error"]["type"] == "InputError"
+
+
+def test_non_utf8_file(capsys, tmp_path):
+    path = tmp_path / "latin1.json"
+    path.write_bytes('{"elements": ["\u00e9"], "covers": []}'.encode("latin-1"))
+    code, report, _ = run(capsys, "check", "--file", str(path))
+    assert code == 2
+    assert "not UTF-8" in report["error"]["message"]
+
+
+@pytest.mark.parametrize("flag", ["--out", "--trace"])
+def test_unwritable_result_path(capsys, tmp_path, flag):
+    target = str(tmp_path / "missing" / "result.json")
+    code, report, _ = run(
+        capsys, "build", "--gen", "boolean:2", "--op", "biatomize", flag, target
+    )
+    assert code == 2
+    assert report["error"]["type"] == "OutputError"
+    assert report["error"]["message"].startswith(f"cannot write {target}")
+
+
 def test_subsemi_source(capsys, tmp_path):
     path = tmp_path / "chain2.json"
     path.write_text(chain(2).to_json())

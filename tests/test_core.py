@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from conftest import oracle_atoms, oracle_glb, oracle_lub
+from conftest import oracle_atoms, oracle_glb, oracle_join_irreducibles, oracle_lub
 from latkit.core import (
     EmptyInterval,
     FiniteLattice,
@@ -14,7 +14,7 @@ from latkit.core import (
     NotInjective,
     verify_embedding,
 )
-from latkit.generators import boolean, chain, co_chain
+from latkit.generators import boolean, chain, co_chain, small_lattices
 
 
 def sample_lattices(m3, n5):
@@ -133,6 +133,16 @@ def test_covers_and_lower_covers(n5):
     assert got == {("0", "a"), ("a", "b"), ("b", "1"), ("0", "c"), ("c", "1")}
     assert n5.lower_covers(n5.top) == (n5.index("b"), n5.index("c"))
     assert n5.lower_covers(n5.bottom) == ()
+
+
+def test_atoms_and_lower_covers_match_oracles():
+    for L in list(small_lattices(6)) + [boolean(4), co_chain(5)]:
+        assert list(L.atoms()) == oracle_atoms(L)
+        assert list(L.join_irreducibles()) == oracle_join_irreducibles(L)
+        for x in range(L.n):
+            below = [y for y in range(L.n) if L.lt(y, x)]
+            lower = [y for y in below if not any(L.lt(y, z) for z in below)]
+            assert list(L.lower_covers(x)) == lower
 
 
 def test_interval_filter(n5):

@@ -1,6 +1,6 @@
 import pytest
 
-from conftest import oracle_atomistic, oracle_biatomic, oracle_isomorphic, oracle_jsd
+from conftest import oracle_atomistic, oracle_biatomic, oracle_isomorphic
 from latkit.analysis import (
     biatomicity_problems,
     is_atomistic,

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import oracle_isomorphic, oracle_lattice_count
-from latkit.core import FiniteLattice, LatticeError
+from latkit.core import FiniteLattice, LatticeError, _inclusion_order
 from latkit.generators import (
     MeetSemilattice,
     NotAMeetSemilattice,
@@ -16,6 +16,7 @@ from latkit.generators import (
     small_lattices,
     sub_meet_semilattice,
 )
+from latkit.geometry import co_points, five_point_configuration
 
 
 def test_chain():
@@ -170,3 +171,31 @@ def test_sub_meet_semilattice_of_chain_is_a_powerset():
     P = MeetSemilattice.from_lattice(chain(3))
     L = sub_meet_semilattice(P)
     assert oracle_isomorphic(L, boolean(3))
+
+
+def members(label: str) -> frozenset:
+    """The set an element label names: ``{a,b}`` or the interval ``[i,j]``."""
+    if label.startswith("["):
+        i, j = map(int, label.strip("[]").split(","))
+        return frozenset(map(str, range(i, j + 1)))
+    return frozenset(label.strip("{}").split(",")) - {""}
+
+
+def test_set_lattices_are_inclusion_orders():
+    lattices = [boolean(n) for n in range(0, 5)] + [co_chain(n) for n in range(1, 7)]
+    for n in range(1, 5):
+        lattices += [sub_meet_semilattice(P) for P in meet_semilattices(n)]
+    lattices.append(co_points(five_point_configuration()))
+    for L in lattices:
+        sets = [members(label) for label in L.labels]
+        assert len(set(sets)) == L.n
+        for s in range(L.n):
+            for t in range(L.n):
+                assert L.leq[s, t] == (sets[s] <= sets[t])
+
+
+def test_inclusion_order_keeps_wide_masks_exact():
+    wide = [0, 1 << 70, 1 << 63, (1 << 71) - 1]
+    expected = [[True, True, True, True], [False, True, False, True],
+                [False, False, True, True], [False, False, False, True]]
+    assert _inclusion_order(wide).tolist() == expected

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import oracle_isomorphic
+from conftest import oracle_isomorphic, point_in_hull
 from latkit.analysis import (
     biatomicity_problems,
     is_atomistic,
@@ -22,7 +22,6 @@ from latkit.geometry import (
     five_point_configuration,
     on_segment,
     orientation,
-    point_in_hull,
 )
 
 
@@ -79,12 +78,13 @@ def test_convex_hull_degenerate():
     assert P(Fraction(1, 2), Fraction(1, 2)) not in hull
 
 
-def test_point_in_hull():
-    tri = [P(0, 0), P(4, 0), P(0, 4)]
-    assert point_in_hull(P(1, 1), tri)
-    assert point_in_hull(P(2, 2), tri)  # on the hypotenuse
-    assert not point_in_hull(P(3, 3), tri)
-    assert not point_in_hull(P(0, 0), [])
+def test_hull_trace_edge_outside_empty_collinear():
+    cfg = config_of([(0, 0), (4, 0), (0, 4), (1, 1), (2, 2), (3, 3)])
+    assert cfg.hull_trace([0, 1, 2]) == {0, 1, 2, 3, 4}  # (2, 2) on the hypotenuse
+    assert 5 not in cfg.hull_trace([0, 1, 2])  # (3, 3) outside
+    assert cfg.hull_trace([]) == frozenset()
+    assert cfg.hull_trace([0, 5]) == {0, 3, 4, 5}  # a collinear subset: its segment
+    assert cfg.hull_trace([3]) == {3}
 
 
 # -- configurations -----------------------------------------------------------
@@ -136,6 +136,8 @@ def test_hull_trace_is_a_closure_operator(coords, data):
     subset = data.draw(st.sets(st.integers(0, n - 1)))
     bigger = data.draw(st.sets(st.integers(0, n - 1)))
     tr = cfg.hull_trace(subset)
+    chosen = [cfg.points[i] for i in subset]
+    assert tr == {i for i, p in enumerate(cfg.points) if point_in_hull(p, chosen)}
     assert subset <= tr  # extensive
     assert cfg.hull_trace(tr) == tr  # idempotent
     if subset <= bigger:
