@@ -19,6 +19,8 @@ import re
 from dataclasses import dataclass
 from typing import Union
 
+import numpy as np
+
 from .core import FiniteLattice
 
 
@@ -68,9 +70,10 @@ class QuasiIdentity:
 class Verdict:
     """Outcome of evaluating a quasi-identity over one lattice.
 
-    ``assignments_checked`` counts the complete assignments examined; whole
-    blocks pruned by a premise failing before all variables were bound are
-    not counted individually.
+    ``assignments_checked`` counts the complete assignments that satisfy
+    every premise, in lexicographic order, up to and including the
+    counterexample if there is one; assignments a premise rules out are not
+    counted.
     """
 
     holds: bool
@@ -265,15 +268,10 @@ BUILTINS = {"theta": theta, "sd-join": sd_join}
 
 # -- evaluation ----------------------------------------------------------------
 
-
-def _compile(t: Term, index: dict[str, int], join, meet):
-    if isinstance(t, Var):
-        i = index[t.name]
-        return lambda env: env[i]
-    left = _compile(t.left, index, join, meet)
-    right = _compile(t.right, index, join, meet)
-    table = join if t.kind == "join" else meet
-    return lambda env: table[left(env)][right(env)]
+# Rows one block of the frontier may hold.  A block whose extension would pass
+# it is split into consecutive sub-blocks, so memory grows with the budget
+# times the number of variables, not with n ** k.
+_ROW_BUDGET = 1 << 15
 
 
 def _term_vars(t: Term) -> frozenset[str]:
@@ -282,72 +280,79 @@ def _term_vars(t: Term) -> frozenset[str]:
     return _term_vars(t.left) | _term_vars(t.right)
 
 
+def _last_var(eq: Equation, index: dict[str, int]) -> int:
+    """Position of the last declared variable the equation uses."""
+    return max(index[v] for v in _term_vars(eq.lhs) | _term_vars(eq.rhs))
+
+
+def _values(t: Term, index: dict[str, int], block, tables, n: int) -> np.ndarray:
+    """The value of ``t`` on every row of ``block``, by table gathers."""
+    if isinstance(t, Var):
+        return block[index[t.name]]
+    left = _values(t.left, index, block, tables, n)
+    right = _values(t.right, index, block, tables, n)
+    return tables[t.kind].take(left * n + right)
+
+
+def _holds(eq: Equation, index: dict[str, int], block, tables, n: int) -> np.ndarray:
+    return _values(eq.lhs, index, block, tables, n) == _values(eq.rhs, index, block, tables, n)
+
+
 def evaluate(L: FiniteLattice, q: QuasiIdentity) -> Verdict:
     """Exhaustively evaluate a quasi-identity over every assignment.
 
-    Assignments run in lexicographic order of the declared variables; a
-    premise is checked as soon as its variables are bound, pruning the
-    subtree when it fails.  The counterexample returned, if any, is the
-    lexicographically first among complete assignments.
+    The search holds blocks of partial assignments, one integer array per
+    bound variable, with rows in lexicographic order of the declared
+    variables.  Extending a block binds its next variable on every row at
+    once; each premise is checked, by gathers from the join and meet tables,
+    at the depth that binds its last variable, and the rows failing it are
+    dropped.  A block that would grow past ``_ROW_BUDGET`` rows is split into
+    consecutive sub-blocks searched in order, depth first, so complete
+    assignments are reached in lexicographic order and the search stops at
+    the first block whose conclusion fails.  The counterexample returned, if
+    any, is therefore the lexicographically first among complete
+    assignments, and ``assignments_checked`` counts the complete assignments
+    satisfying every premise, in that order, up to and including it.
     """
     names = q.variables
     k = len(names)
     index = {name: i for i, name in enumerate(names)}
-    join = [list(map(int, row)) for row in L.join_table]
-    meet = [list(map(int, row)) for row in L.meet_table]
+    premises_at: list[list[Equation]] = [[] for _ in range(k)]
+    for eq in q.premises:
+        premises_at[_last_var(eq, index)].append(eq)
+    _last_var(q.conclusion, index)  # an undeclared name fails before any search
 
-    depth_of = {}
-    for pi, eq in enumerate(q.premises):
-        used = _term_vars(eq.lhs) | _term_vars(eq.rhs)
-        depth = max((index[v] for v in used), default=0)
-        depth_of.setdefault(depth, []).append(eq)
-    compiled: dict[int, list] = {
-        depth: [
-            (_compile(eq.lhs, index, join, meet), _compile(eq.rhs, index, join, meet))
-            for eq in eqs
-        ]
-        for depth, eqs in depth_of.items()
-    }
-    conc = (
-        _compile(q.conclusion.lhs, index, join, meet),
-        _compile(q.conclusion.rhs, index, join, meet),
-    )
-
-    env = [0] * k
     n = L.n
+    # flat table positions l * n + r must not wrap around
+    dtype = np.int32 if n * n <= np.iinfo(np.int32).max else np.int64
+    tables = {
+        "join": L.join_table.astype(dtype, copy=False).ravel(),
+        "meet": L.meet_table.astype(dtype, copy=False).ravel(),
+    }
+    values = np.arange(n, dtype=dtype)
+    rows_per_block = max(1, _ROW_BUDGET // n)
     checked = 0
-    counterexample: dict[str, int] | None = None
-
-    def descend(depth: int) -> bool:
-        nonlocal checked, counterexample
-        if depth == k:
-            # variables all bound; premises were filtered on the way down
-            checked += 1
-            lhs, rhs = conc
-            if lhs(env) != rhs(env):
-                counterexample = {name: env[index[name]] for name in names}
-                return True
-            return False
-        for value in range(n):
-            env[depth] = value
-            ok = True
-            for lhs, rhs in compiled.get(depth, ()):
-                if lhs(env) != rhs(env):
-                    ok = False
-                    break
-            if ok and descend(depth + 1):
-                return True
-        return False
-
-    if k == 0:
-        # no variables: degenerate but legal; evaluate the closed formulas
-        checked = 1
-        lhs, rhs = conc
-        holds = lhs(env) == rhs(env) or any(
-            l(env) != r(env) for pairs in compiled.values() for l, r in pairs
-        )
-        return Verdict(holds, None if holds else {}, checked)
-
-    if descend(0):
-        return Verdict(False, counterexample, checked)
+    stack: list[list[np.ndarray]] = [[]]
+    while stack:
+        block = stack.pop()
+        rows = len(block[0]) if block else 1
+        if len(block) == k:
+            fails = np.flatnonzero(~_holds(q.conclusion, index, block, tables, n))
+            if fails.size:
+                first = int(fails[0])
+                counterexample = {name: int(col[first]) for name, col in zip(names, block)}
+                return Verdict(False, counterexample, checked + first + 1)
+            checked += rows
+        elif rows > rows_per_block:
+            stack.extend(
+                [col[start:start + rows_per_block] for col in block]
+                for start in reversed(range(0, rows, rows_per_block))
+            )
+        else:
+            block = [np.repeat(col, n) for col in block] + [np.tile(values, rows)]
+            for eq in premises_at[len(block) - 1]:
+                keep = np.flatnonzero(_holds(eq, index, block, tables, n))
+                block = [col.take(keep) for col in block]
+            if len(block[0]):
+                stack.append(block)
     return Verdict(True, None, checked)

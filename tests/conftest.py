@@ -13,7 +13,7 @@ import pytest
 from latkit.analysis import is_atomic
 from latkit.core import FiniteLattice
 from latkit.geometry import RationalPoint, convex_hull, on_segment, orientation
-from latkit.qid import QuasiIdentity, Term, Var
+from latkit.qid import QuasiIdentity, Term, Var, Verdict
 
 
 # -- well-known small lattices ----------------------------------------------------
@@ -310,6 +310,94 @@ def check_assignment(
         == eval_term(L, q.conclusion.rhs, assignment)
     )
     return premises_ok, conclusion_ok
+
+
+def _compile(t: Term, index: dict[str, int], join, meet):
+    if isinstance(t, Var):
+        i = index[t.name]
+        return lambda env: env[i]
+    left = _compile(t.left, index, join, meet)
+    right = _compile(t.right, index, join, meet)
+    table = join if t.kind == "join" else meet
+    return lambda env: table[left(env)][right(env)]
+
+
+def _term_vars(t: Term) -> frozenset[str]:
+    if isinstance(t, Var):
+        return frozenset((t.name,))
+    return _term_vars(t.left) | _term_vars(t.right)
+
+
+def oracle_evaluate(L: FiniteLattice, q: QuasiIdentity) -> Verdict:
+    """Depth-first evaluation, one assignment at a time through closures.
+
+    Assignments run in lexicographic order of the declared variables; a
+    premise is checked as soon as its variables are bound, pruning the
+    subtree when it fails.  ``assignments_checked`` counts the complete
+    assignments reached, so those passing every premise, up to and
+    including the first counterexample.
+    """
+    names = q.variables
+    k = len(names)
+    index = {name: i for i, name in enumerate(names)}
+    join = [list(map(int, row)) for row in L.join_table]
+    meet = [list(map(int, row)) for row in L.meet_table]
+
+    depth_of = {}
+    for pi, eq in enumerate(q.premises):
+        used = _term_vars(eq.lhs) | _term_vars(eq.rhs)
+        depth = max((index[v] for v in used), default=0)
+        depth_of.setdefault(depth, []).append(eq)
+    compiled: dict[int, list] = {
+        depth: [
+            (_compile(eq.lhs, index, join, meet), _compile(eq.rhs, index, join, meet))
+            for eq in eqs
+        ]
+        for depth, eqs in depth_of.items()
+    }
+    conc = (
+        _compile(q.conclusion.lhs, index, join, meet),
+        _compile(q.conclusion.rhs, index, join, meet),
+    )
+
+    env = [0] * k
+    n = L.n
+    checked = 0
+    counterexample: dict[str, int] | None = None
+
+    def descend(depth: int) -> bool:
+        nonlocal checked, counterexample
+        if depth == k:
+            # variables all bound; premises were filtered on the way down
+            checked += 1
+            lhs, rhs = conc
+            if lhs(env) != rhs(env):
+                counterexample = {name: env[index[name]] for name in names}
+                return True
+            return False
+        for value in range(n):
+            env[depth] = value
+            ok = True
+            for lhs, rhs in compiled.get(depth, ()):
+                if lhs(env) != rhs(env):
+                    ok = False
+                    break
+            if ok and descend(depth + 1):
+                return True
+        return False
+
+    if k == 0:
+        # no variables: degenerate but legal; evaluate the closed formulas
+        checked = 1
+        lhs, rhs = conc
+        holds = lhs(env) == rhs(env) or any(
+            l(env) != r(env) for pairs in compiled.values() for l, r in pairs
+        )
+        return Verdict(holds, None if holds else {}, checked)
+
+    if descend(0):
+        return Verdict(False, counterexample, checked)
+    return Verdict(True, None, checked)
 
 
 # -- isomorphism and exhaustive enumeration ----------------------------------------

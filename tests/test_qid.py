@@ -1,16 +1,27 @@
+import tracemalloc
 from itertools import product
 
 import pytest
 
-from conftest import check_assignment, eval_term
-from latkit.analysis import is_join_semidistributive
-from latkit.generators import boolean, chain, co_chain, enumerate_lattices
+from conftest import check_assignment, eval_term, oracle_evaluate
+from latkit.analysis import is_atomistic, is_biatomic, is_join_semidistributive
+from latkit.generators import (
+    boolean,
+    chain,
+    co_chain,
+    enumerate_lattices,
+    meet_semilattices,
+    sub_meet_semilattice,
+)
+from latkit.geometry import PointConfiguration, RationalPoint, co_points, five_point_configuration
 from latkit.qid import (
     Equation,
     Op,
     QidSyntaxError,
+    QuasiIdentity,
     UndeclaredVariable,
     Var,
+    Verdict,
     evaluate,
     format_qid,
     parse_qid,
@@ -119,13 +130,21 @@ def test_theta_shape():
 
 
 def brute_evaluate(L, q):
-    """Independent route: try every assignment with the term evaluator."""
+    """Independent route: try every assignment with the term evaluator.
+
+    Returns (holds, first counterexample, count), where count is the number
+    of assignments, in lexicographic order, whose premises all hold, up to
+    and including the first counterexample.
+    """
+    count = 0
     for values in product(range(L.n), repeat=len(q.variables)):
         assignment = dict(zip(q.variables, values))
         premises_ok, conclusion_ok = check_assignment(L, q, assignment)
-        if premises_ok and not conclusion_ok:
-            return False, assignment
-    return True, None
+        if premises_ok:
+            count += 1
+            if not conclusion_ok:
+                return False, assignment, count
+    return True, None, count
 
 
 def test_eval_term():
@@ -153,13 +172,10 @@ def test_evaluate_agrees_with_brute_force(m3, n5):
     for L in [chain(3), boolean(2), m3, n5, co_chain(3)]:
         for q in qids:
             verdict = evaluate(L, q)
-            brute_holds, brute_cex = brute_evaluate(L, q)
-            assert verdict.holds == brute_holds
+            assert verdict == Verdict(*brute_evaluate(L, q))
             if not verdict.holds:
                 premises_ok, conclusion_ok = check_assignment(L, q, verdict.counterexample)
                 assert premises_ok and not conclusion_ok
-            else:
-                assert verdict.counterexample is None
 
 
 def test_sd_join_matches_analyzer(m3, n5):
@@ -196,3 +212,66 @@ def test_trivial_identity_holds_everywhere(m3):
     verdict = evaluate(m3, q)
     assert verdict.holds
     assert verdict.assignments_checked == m3.n
+
+
+def _relabelled(config, order):
+    return PointConfiguration(
+        [config.labels[i] for i in order], [config.points[i] for i in order]
+    )
+
+
+def test_evaluate_matches_depth_first_oracle():
+    config = five_point_configuration()
+    # relabellings whose theta searches check from 962 to 12,736 assignments
+    orders = [(0, 1, 2, 3, 4), (0, 2, 1, 4, 3), (1, 0, 2, 3, 4), (1, 2, 0, 3, 4),
+              (2, 3, 1, 0, 4), (1, 2, 3, 4, 0), (4, 3, 2, 1, 0)]
+    lattices = [co_points(_relabelled(config, order)) for order in orders]
+    lattices += [boolean(n) for n in range(4)] + [co_chain(n) for n in range(1, 6)]
+    for n in range(1, 7):
+        lattices.extend(enumerate_lattices(n))
+    for n in range(1, 5):
+        lattices.extend(sub_meet_semilattice(P) for P in meet_semilattices(n))
+    qids = [
+        theta(),
+        sd_join(),
+        parse_qid("x,y | => x v y <= y"),
+        parse_qid("x,y,z | x ^ x = x v x => x ^ y <= z"),
+        parse_qid("u,v,w | u v v = w => v <= w ^ u"),
+    ]
+    for L in lattices:
+        for q in qids:
+            assert evaluate(L, q) == oracle_evaluate(L, q)
+
+
+def test_evaluate_without_variables_rejects_every_term(m3):
+    # every term names a variable, so a qid declaring none has no legal term
+    q = QuasiIdentity((), (), Equation(Var("x"), Var("x")))
+    for route in (evaluate, oracle_evaluate):
+        with pytest.raises(KeyError):
+            route(m3, q)
+
+
+def test_frontier_memory_stays_bounded():
+    hexagon_and_centre = PointConfiguration(
+        [f"p{i}" for i in range(7)],
+        [RationalPoint.of(x, y)
+         for x, y in [(0, 0), (6, 0), (9, 4), (6, 8), (0, 8), (-3, 4), (3, 4)]],
+    )
+    cases = [(co_chain(7), theta()), (co_points(hexagon_and_centre), sd_join())]
+    assert cases[1][0].n == 89
+    for L, q in cases:
+        tracemalloc.start()
+        try:
+            verdict = evaluate(L, q)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert verdict.holds
+        # a frontier of all n ** k assignments would take gigabytes
+        assert peak < 8 * 2**20
+
+
+def test_theta_holds_on_larger_biatomic_lattices():
+    for L in [co_chain(6), co_chain(7), boolean(4)]:
+        assert is_atomistic(L) and is_biatomic(L) and is_join_semidistributive(L)
+        assert evaluate(L, theta()).holds
