@@ -269,8 +269,8 @@ BUILTINS = {"theta": theta, "sd-join": sd_join}
 # -- evaluation ----------------------------------------------------------------
 
 # Rows one block of the frontier may hold.  A block whose extension would pass
-# it is split into consecutive sub-blocks, so memory grows with the budget
-# times the number of variables, not with n ** k.
+# it is split into consecutive sub-blocks, so memory is bounded by the budget
+# and the number of variables, not by n ** k.
 _ROW_BUDGET = 1 << 15
 
 

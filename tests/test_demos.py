@@ -1,4 +1,4 @@
-"""The demo scripts run and print what they printed when last reviewed."""
+"""The demo scripts run and print exactly the output pinned here."""
 
 import hashlib
 import runpy

@@ -267,7 +267,7 @@ def test_frontier_memory_stays_bounded():
         finally:
             tracemalloc.stop()
         assert verdict.holds
-        # a frontier of all n ** k assignments would take gigabytes
+        # with no row budget, theta on co_chain(7) alone needs more
         assert peak < 8 * 2**20
 
 
