@@ -164,10 +164,10 @@ def _run_props(L: FiniteLattice, props) -> dict:
         elif prop == "biatomic":
             out["biatomic"] = is_biatomic(L)
         elif prop == "jsd":
-            verdict = is_join_semidistributive(L)
-            out["jsd"] = verdict
-            if not verdict:
-                x, y, z = jsd_violation(L)
+            witness = jsd_violation(L)
+            out["jsd"] = witness is None
+            if witness is not None:
+                x, y, z = witness
                 out["jsd_witness"] = {
                     "x": L.labels[x],
                     "y": L.labels[y],

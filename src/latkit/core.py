@@ -312,6 +312,16 @@ def _set_labels(masks: Sequence[int], names: Sequence[str]) -> list[str]:
     ]
 
 
+def _closed_sets(n: int, rules: Iterable[tuple[int, int]]) -> list[int]:
+    """Ascending bitmasks of the subsets of ``range(n)`` that hold all of h
+    whenever they hold all of t, for every rule (t, h) of bitmasks."""
+    masks = np.arange(1 << n, dtype=np.int64)
+    for t, h in rules:
+        if h & ~t:  # a head inside its premise rejects nothing
+            masks = masks[((masks & t) != t) | ((masks & h) == h)]
+    return masks.tolist()
+
+
 def _check_partial_order(leq: np.ndarray) -> None:
     n = leq.shape[0]
     if not leq.diagonal().all():

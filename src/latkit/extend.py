@@ -317,14 +317,11 @@ def one_atom_extension(pair: ExtensionPair) -> OneAtomExtension:
     n = L.n
     in_filter = L.leq[apex]
     fresh = [m for m in members if not in_filter[m]]
-    reps = [(x, 1 if in_filter[x] else 0) for x in range(n)]
-    reps += [(m, 1) for m in fresh]
-    k = len(reps)
-
-    leq = np.zeros((k, k), dtype=bool)
-    for i, (x, s) in enumerate(reps):
-        for j, (y, t) in enumerate(reps):
-            leq[i, j] = bool(L.leq[x, y]) and s <= t
+    # element i is (xs[i], side[i]): each base x, on side 1 iff in the filter,
+    # then (m, 1) for each fresh m
+    xs = np.array(list(range(n)) + fresh, dtype=np.int64)
+    side = np.concatenate([in_filter, np.ones(len(fresh), dtype=bool)])
+    leq = L.leq[np.ix_(xs, xs)] & (side[:, None] <= side[None, :])
 
     labels = list(L.labels)
     used = set(labels)

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -12,6 +12,7 @@ from .core import (
     LatticeError,
     NotALattice,
     _check_partial_order,
+    _closed_sets,
     _inclusion_order,
     _lub_table,
     _order_from_covers,
@@ -102,10 +103,6 @@ class MeetSemilattice:
         self.leq = leq
 
     @classmethod
-    def from_lattice(cls, L: FiniteLattice) -> "MeetSemilattice":
-        return cls(L.leq, L.labels)
-
-    @classmethod
     def from_covers(cls, labels, covers) -> "MeetSemilattice":
         labels, leq = _order_from_covers(labels, covers)
         return cls(leq, labels)
@@ -123,20 +120,12 @@ def sub_meet_semilattice(P) -> FiniteLattice:
     The empty set is meet-closed, so it is the bottom.  The input may be a
     :class:`MeetSemilattice` or any :class:`FiniteLattice`.
     """
-    if isinstance(P, FiniteLattice):
-        P = MeetSemilattice.from_lattice(P)
     if P.n > 5:
         raise TooLarge("sub_meet_semilattice is bounded at 5 generators")
-    meets = P.meet_table
-    closed_masks = []
-    for mask in range(1 << P.n):
-        members = [i for i in range(P.n) if mask >> i & 1]
-        if all(mask >> meets[x, y] & 1 for x in members for y in members):
-            closed_masks.append(mask)
-    closed_masks.sort(key=lambda m: (bin(m).count("1"), m))
-    return FiniteLattice(
-        _inclusion_order(closed_masks), _set_labels(closed_masks, P.labels)
-    )
+    pairs = combinations(range(P.n), 2)
+    rules = [((1 << x) | (1 << y), 1 << int(P.meet_table[x, y])) for x, y in pairs]
+    masks = sorted(_closed_sets(P.n, rules), key=lambda m: (bin(m).count("1"), m))
+    return FiniteLattice(_inclusion_order(masks), _set_labels(masks, P.labels))
 
 
 # -- exhaustive enumeration ----------------------------------------------------
@@ -207,8 +196,9 @@ def _bounded_meet_semilattices_linear(n: int) -> Iterator[tuple[int, ...]]:
         if k == 0:
             yield from extend([1])
             return
-        full = (1 << k) - 1
-        choices = [full] if k == n - 1 else _downward_closed_masks(down, full)
+        # the top holds everything; the others take a down-set holding the bottom
+        rules = [(0, 1)] + [(1 << i, d) for i, d in enumerate(down)]
+        choices = [(1 << k) - 1] if k == n - 1 else _closed_sets(k, rules)
         for mask in choices:
             ok = True
             newdown = mask | (1 << k)
@@ -221,25 +211,6 @@ def _bounded_meet_semilattices_linear(n: int) -> Iterator[tuple[int, ...]]:
                 yield from extend(down + [newdown])
 
     yield from extend([])
-
-
-def _downward_closed_masks(down: list[int], full: int) -> list[int]:
-    k = len(down)
-    out = []
-    for mask in range(1, full + 1):
-        if not mask & 1:  # must contain the bottom
-            continue
-        closed = True
-        m = mask
-        while m:
-            i = (m & -m).bit_length() - 1
-            if down[i] & ~mask:
-                closed = False
-                break
-            m &= m - 1
-        if closed:
-            out.append(mask)
-    return out
 
 
 def _has_maximum(common: int, down: list[int]) -> bool:

@@ -4,18 +4,22 @@ A finite point configuration in the plane induces a closure operator: the
 trace of a subset is every configuration point inside its convex hull.
 The hull-closed subsets ordered by inclusion form a lattice in which the
 meet is intersection and the join is the trace of the union.  All predicates
-are signed-area orientation tests on ``fractions.Fraction``; there is no
-floating point anywhere in this module.
+are signed-area orientation tests on ``fractions.Fraction``, except that
+:func:`co_points` runs them on a copy of the configuration scaled to integer
+coordinates; there is no floating point anywhere in this module.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from typing import Iterable, Sequence
 
-from .core import FiniteLattice, LatticeError, _inclusion_order, _set_labels
+from .core import FiniteLattice, LatticeError
+from .core import _closed_sets, _inclusion_order, _set_labels
 
 
 class TooManyPoints(LatticeError):
@@ -181,16 +185,23 @@ def co_points(config: PointConfiguration) -> FiniteLattice:
     Elements are exactly the subsets equal to their hull trace, ordered by
     inclusion; the bottom is the empty set and the top the full set.  Joins
     are hull traces of unions and meets are intersections, both recovered
-    automatically from the inclusion order.
+    automatically from the inclusion order.  By Carathéodory, a point lies in
+    the hull of a set iff it lies in the hull of at most three of its points,
+    so a set is closed iff it holds the traces of its pairs and triples.
     """
     n = len(config)
     if n > 20:
         raise TooManyPoints("co_points is bounded at 20 points")
-    closed = []
-    for mask in range(1 << n):
-        subset = [i for i in range(n) if mask >> i & 1]
-        if config.hull_trace(subset) == frozenset(subset):
-            closed.append((len(subset), subset, mask))
+    # a positive scale keeps every orientation sign, so the traces stay exact
+    scale = math.lcm(*(q.denominator for p in config.points for q in (p.x, p.y)))
+    pts = [RationalPoint(int(p.x * scale), int(p.y * scale)) for p in config.points]
+    scaled = PointConfiguration(config.labels, pts)
+    rules = [
+        (sum(1 << i for i in t), sum(1 << i for i in scaled.hull_trace(t)))
+        for r in (2, 3)
+        for t in combinations(range(n), r)
+    ]
+    members = {m: [i for i in range(n) if m >> i & 1] for m in _closed_sets(n, rules)}
     # by size, then by the sorted member list
-    masks = [mask for _, _, mask in sorted(closed)]
+    masks = sorted(members, key=lambda m: (len(members[m]), members[m]))
     return FiniteLattice(_inclusion_order(masks), _set_labels(masks, config.labels))

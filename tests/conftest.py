@@ -285,6 +285,44 @@ def point_in_hull(p: RationalPoint, points) -> bool:
     return all(orientation(hull[i], hull[(i + 1) % k], p) >= 0 for i in range(k))
 
 
+def _set_lattice(names, sets) -> tuple[list[str], np.ndarray]:
+    """Labels and inclusion order of a list of index sets."""
+    labels = ["{" + ",".join(names[i] for i in s) + "}" for s in sets]
+    leq = np.array([[set(a) <= set(b) for b in sets] for a in sets], dtype=bool)
+    return labels, leq
+
+
+def oracle_co_points(config) -> tuple[list[str], np.ndarray]:
+    """Labels and order of the hull-closed sets, by size and then members.
+
+    A subset is kept when its hull, rebuilt on the original coordinates for
+    each other point, contains no other point.
+    """
+    pts = config.points
+    n = len(pts)
+    closed = [
+        s
+        for r in range(n + 1)
+        for s in combinations(range(n), r)
+        if not any(
+            point_in_hull(pts[p], [pts[i] for i in s]) for p in range(n) if p not in s
+        )
+    ]
+    return _set_lattice(config.labels, closed)
+
+
+def oracle_sub_meet_semilattice(P) -> tuple[list[str], np.ndarray]:
+    """Labels and order of the meet-closed subsets, by size and then bitmask."""
+    closed = [
+        s
+        for r in range(P.n + 1)
+        for s in combinations(range(P.n), r)
+        if all(oracle_glb(P, x, y) in s for x in s for y in s)
+    ]
+    closed.sort(key=lambda s: (len(s), sum(1 << i for i in s)))
+    return _set_lattice(P.labels, closed)
+
+
 # -- quasi-identities ----------------------------------------------------------------
 
 

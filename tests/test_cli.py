@@ -128,6 +128,25 @@ def test_readme_examples_stdout_pinned(capsys, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# stdout of generator checks, which pins each generator's element order
+GENERATOR_CHECKS = [
+    ("enum:6", "0c8f9dc7726c1c95a319040ac82007d35ceb2c87594733295ec365a898014092"),
+    ("co-points:paper5",
+     "222548a0d4a63e7e06a452f4ef21c1ef09f5049e57c1efa8aef5ab94fab4c2e4"),
+    ("subsemi:b2.json",
+     "2709e9b5794d94672cec123dc5c89e486d6565d567c725a45409ea7103e29bdd"),
+]
+
+
+@pytest.mark.parametrize("gen,digest", GENERATOR_CHECKS)
+def test_generator_check_stdout_pinned(capsys, monkeypatch, tmp_path, gen, digest):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "b2.json").write_text(boolean(2).to_json())
+    main(["check", "--gen", gen])
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 # -- lattice sources -----------------------------------------------------------
 
 

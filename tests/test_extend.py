@@ -192,6 +192,20 @@ def test_one_atom_extension_join_law():
             assert ext.result.le(y, lifted) == b3.le(y, f(x))
 
 
+def test_one_atom_extension_order_matches_pair_loop():
+    # elements (x, side) ordered componentwise, rebuilt one pair at a time
+    for L in list(atomistic_jsd_corpus(5)) + [boolean(3), co_chain(3)]:
+        for pair in extension_pairs(L):
+            in_filter = L.leq[pair.apex]
+            fresh = [m for m in sorted(pair.subsemilattice) if not in_filter[m]]
+            reps = [(x, 1 if in_filter[x] else 0) for x in range(L.n)]
+            reps += [(m, 1) for m in fresh]
+            leq = one_atom_extension(pair).result.leq
+            for i, (x, s) in enumerate(reps):
+                for j, (y, t) in enumerate(reps):
+                    assert leq[i, j] == (bool(L.leq[x, y]) and s <= t)
+
+
 def test_criteria_match_reality_on_small_lattices():
     checked = 0
     targets = list(atomistic_jsd_corpus(5)) + [boolean(3), co_chain(3)]

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import oracle_isomorphic, oracle_lattice_count
+from conftest import oracle_isomorphic, oracle_lattice_count, oracle_sub_meet_semilattice
 from latkit.core import FiniteLattice, LatticeError, _inclusion_order
 from latkit.generators import (
     MeetSemilattice,
@@ -168,9 +168,20 @@ def test_sub_meet_semilattice_accepts_lattices():
 
 def test_sub_meet_semilattice_of_chain_is_a_powerset():
     # every subset of a chain is meet-closed, so the result is boolean
-    P = MeetSemilattice.from_lattice(chain(3))
+    C = chain(3)
+    P = MeetSemilattice(C.leq, C.labels)
     L = sub_meet_semilattice(P)
     assert oracle_isomorphic(L, boolean(3))
+
+
+def test_sub_meet_semilattice_matches_oracle():
+    sources = [P for n in range(1, 6) for P in meet_semilattices(n)]
+    sources += list(small_lattices(5))
+    for P in sources:
+        L = sub_meet_semilattice(P)
+        labels, leq = oracle_sub_meet_semilattice(P)
+        assert list(L.labels) == labels
+        assert np.array_equal(L.leq, leq)
 
 
 def members(label: str) -> frozenset:

@@ -1,9 +1,10 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import oracle_isomorphic, point_in_hull
+from conftest import oracle_co_points, oracle_isomorphic, point_in_hull
 from latkit.analysis import (
     biatomicity_problems,
     is_atomistic,
@@ -218,6 +219,50 @@ def test_lattice_order_is_inclusion():
             sx = set(L.label(x).strip("{}").split(",")) - {""}
             sy = set(L.label(y).strip("{}").split(",")) - {""}
             assert L.le(x, y) == (sx <= sy)
+
+
+rationals = st.builds(Fraction, st.integers(-6, 6), st.sampled_from([1, 2, 3, 7]))
+steps = st.sampled_from([Fraction(-1), Fraction(1, 2), Fraction(1, 3), Fraction(2)])
+
+
+@st.composite
+def configurations(draw):
+    """Up to 7 points with integer or rational coordinates; past the first
+    four, each one lies on the line through two earlier points."""
+    size = draw(st.sampled_from(range(1, 8)))
+    pts = draw(st.lists(st.tuples(rationals, rationals), min_size=min(size, 2),
+                        max_size=min(size, 4), unique=True))
+    for _ in range(size - len(pts)):
+        i, j = draw(st.lists(st.integers(0, len(pts) - 1), min_size=2, max_size=2,
+                             unique=True))
+        (ax, ay), (bx, by) = pts[i], pts[j]
+        lam = draw(steps)
+        p = (ax + lam * (bx - ax), ay + lam * (by - ay))
+        if p not in pts:
+            pts.append(p)
+    return config_of(pts)
+
+
+def assert_matches_oracle(cfg):
+    L = co_points(cfg)
+    labels, leq = oracle_co_points(cfg)
+    assert list(L.labels) == labels
+    assert np.array_equal(L.leq, leq)
+
+
+@settings(max_examples=60, deadline=None)
+@given(configurations())
+def test_co_points_matches_oracle(cfg):
+    assert_matches_oracle(cfg)
+
+
+@pytest.mark.parametrize("cfg", [
+    five_point_configuration(),
+    triangle_with_center(),
+    config_of([(k, k * k) for k in range(9)]),  # convex 9-gon
+], ids=["paper5", "triangle-centre", "9-gon"])
+def test_co_points_matches_oracle_on_named_configurations(cfg):
+    assert_matches_oracle(cfg)
 
 
 def test_too_many_points():

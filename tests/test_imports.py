@@ -1,4 +1,5 @@
-"""Every import in the package and the tests is used."""
+"""Every import in the package and the tests is used, and so is every private
+module-level function of the package."""
 
 import ast
 from pathlib import Path
@@ -6,9 +7,8 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-SOURCES = sorted((ROOT / "src" / "latkit").glob("*.py")) + sorted(
-    (ROOT / "tests").glob("*.py")
-)
+PACKAGE = sorted((ROOT / "src" / "latkit").glob("*.py"))
+SOURCES = PACKAGE + sorted((ROOT / "tests").glob("*.py"))
 
 
 def unused_imports(tree: ast.Module) -> list[str]:
@@ -44,3 +44,41 @@ def test_no_unused_imports(path):
 def test_detector_flags_an_unused_import():
     tree = ast.parse("import os\nfrom sys import argv, path\n__all__ = ['path']\n")
     assert unused_imports(tree) == ["os (line 1)", "argv (line 2)"]
+
+
+def unused_private_functions(trees: list[ast.Module]) -> list[str]:
+    """Private module-level functions that no module of the package reads.
+
+    A function counts as read when its name appears as a bare name or as an
+    attribute anywhere in the given modules.
+    """
+    defined = [
+        node.name
+        for tree in trees
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef)
+        and node.name.startswith("_")
+        and not node.name.startswith("__")
+    ]
+    read = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    return [name for name in defined if name not in read]
+
+
+def test_no_unused_private_functions():
+    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in PACKAGE]
+    assert unused_private_functions(trees) == []
+
+
+def test_detector_flags_an_unused_private_function():
+    trees = [
+        ast.parse("def _used():\n    pass\n\ndef _dead():\n    pass\n"),
+        ast.parse("from a import _used\n\ndef public():\n    return _used()\n"),
+        ast.parse("import a\n\nx = a._via_attribute\n\ndef _via_attribute():\n    pass\n"),
+    ]
+    assert unused_private_functions(trees) == ["_dead"]
