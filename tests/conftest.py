@@ -2,7 +2,9 @@
 
 The oracles here recompute everything from first principles with plain
 loops so that the vectorized library code is checked against an
-independent route.
+independent route.  ``assert_solved_triple`` instead holds the per-step
+postconditions of the biatomization solver, which the library proves once
+and no longer re-checks at runtime.
 """
 
 from itertools import combinations, permutations, product
@@ -10,8 +12,15 @@ from itertools import combinations, permutations, product
 import numpy as np
 import pytest
 
-from latkit.analysis import is_atomic
+from latkit.analysis import (
+    _irredundant_atoms,
+    is_atomic,
+    is_atomistic,
+    is_join_semidistributive,
+    join_dependency,
+)
 from latkit.core import FiniteLattice
+from latkit.extend import closure_from_map, make_extension_pair
 from latkit.geometry import RationalPoint, convex_hull, on_segment, orientation
 from latkit.qid import QuasiIdentity, Term, Var, Verdict
 
@@ -267,6 +276,62 @@ def oracle_ell(L: FiniteLattice, x: int) -> int | None:
             if oracle_join_all(L, sub) == x:
                 return r
     return None
+
+
+# -- constructions -----------------------------------------------------------------
+
+
+def assert_solved_triple(L: FiniteLattice, p: int, q: int, a: int, ext) -> None:
+    """Every postcondition the paper proves for one solved problem triple.
+
+    ``ext`` is ``solve_one_problem(L, p, q, a)`` on a valid triple.  Its
+    closure must be a closure map onto a valid extension pair with apex a,
+    send q to p v q and fix the apex filter; the extension must be atomistic
+    and join-semidistributive with p < p* v q and p* < a; p and p* depend on
+    the decomposition of a; the dependency order between original atoms is
+    unchanged; p* depends on itself exactly when the decomposition reaches
+    p; and lower-boundedness carries over.
+    """
+    closure = ext.pair.closure
+    assert closure_from_map(L, closure.map).image == closure.image
+    assert make_extension_pair(L, a, closure.image).closure.map == closure.map
+    assert closure.map[q] == L.join(p, q), "closure must send q to p v q"
+    assert all(
+        closure.map[x] == x for x in L.filter(a)
+    ), "closure must fix the apex filter"
+
+    R = ext.result
+    star = ext.new_atom
+    assert is_join_semidistributive(R), "extension lost join-semidistributivity"
+    assert is_atomistic(R), "extension lost atomisticity"
+    assert R.lt(p, R.join(star, q)), "p must lie strictly below p* v q"
+    assert R.lt(star, a), "the fresh atom must lie strictly below the apex"
+
+    dep_base = join_dependency(L, on="atoms")
+    dep_ext = join_dependency(R, on="atoms")
+    base_atoms = list(dep_base.elements)
+    ext_atoms = list(dep_ext.elements)
+    assert ext_atoms == base_atoms + [star], "extension atoms changed unexpectedly"
+    pi = base_atoms.index(p)
+    si = ext_atoms.index(star)
+    decomposition = _irredundant_atoms(L, a)
+    for u in decomposition:
+        ui = base_atoms.index(u)
+        assert dep_base.d[pi, ui], "p must depend on the decomposition of a"
+        assert dep_ext.d[si, ui], "p* must depend on the decomposition of a"
+
+    m = len(base_atoms)
+    assert np.array_equal(
+        dep_ext.strict_tc[:m, :m], dep_base.strict_tc
+    ), "dependency order between original atoms changed"
+    reaches_p = any(
+        bool(dep_base.strict_tc[base_atoms.index(u), pi]) for u in decomposition
+    )
+    assert (
+        bool(dep_ext.strict_tc[si, si]) == reaches_p
+    ), "self-dependency of the fresh atom mismatches the base"
+    if not dep_base.strict_tc.diagonal().any():
+        assert not dep_ext.strict_tc.diagonal().any(), "lower-boundedness was lost"
 
 
 # -- geometry ---------------------------------------------------------------------

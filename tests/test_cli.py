@@ -320,7 +320,6 @@ def test_build_precondition_exit_code(capsys):
         "MinimalityFailed",
         "NotJsdBase",
         "BadTriple",
-        "ReValidationFailed",
     ],
 )
 def test_extension_errors_are_preconditions(name):
@@ -408,8 +407,7 @@ def test_build_biatomize_with_steps(capsys, tmp_path):
     rows = [json.loads(line) for line in trace.read_text().splitlines()]
     assert len(rows) == 3
     for row in rows:
-        assert set(row) == {"problem", "decomposition", "apex", "new_atom", "checks"}
-        assert all(row["checks"].values())
+        assert set(row) == {"problem", "decomposition", "apex", "new_atom"}
 
 
 def test_build_biatomize_inline_trace(capsys, tmp_path):

@@ -1,7 +1,9 @@
-"""Every import in the package and the tests is used, and so is every private
-module-level function of the package."""
+"""Every import in the package and the tests is used, so is every private
+module-level function of the package, and every exception class of the
+package is raised."""
 
 import ast
+import builtins
 from pathlib import Path
 
 import pytest
@@ -82,3 +84,70 @@ def test_detector_flags_an_unused_private_function():
         ast.parse("import a\n\nx = a._via_attribute\n\ndef _via_attribute():\n    pass\n"),
     ]
     assert unused_private_functions(trees) == ["_dead"]
+
+
+def unraised_exceptions(trees: list[ast.Module]) -> list[str]:
+    """Exception classes of the modules that nothing raises.
+
+    A class is an exception class when a base is a builtin exception or
+    another exception class of the modules.  It counts as raised when a
+    ``raise`` statement names it, called or bare, or when it is a base of a
+    class that is raised.
+    """
+    bases = {
+        node.name: [b.id for b in node.bases if isinstance(b, ast.Name)]
+        for tree in trees
+        for node in tree.body
+        if isinstance(node, ast.ClassDef)
+    }
+    builtin = {
+        name
+        for name, obj in vars(builtins).items()
+        if isinstance(obj, type) and issubclass(obj, BaseException)
+    }
+    exceptions: set[str] = set()
+    grown = True
+    while grown:
+        found = {c for c, bs in bases.items() if any(b in builtin | exceptions for b in bs)}
+        grown = found != exceptions
+        exceptions = found
+    raised = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(exc, ast.Name):
+                    raised.add(exc.id)
+                elif isinstance(exc, ast.Attribute):
+                    raised.add(exc.attr)
+    frontier = list(raised)
+    while frontier:
+        for base in bases.get(frontier.pop(), []):
+            if base not in raised:
+                raised.add(base)
+                frontier.append(base)
+    return sorted(exceptions - raised)
+
+
+def test_every_exception_class_is_raised():
+    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in PACKAGE]
+    assert unraised_exceptions(trees) == []
+
+
+def test_detector_flags_an_unraised_exception():
+    trees = [
+        ast.parse(
+            "class Base(Exception):\n    pass\n\n"
+            "class Used(Base):\n    pass\n\n"
+            "class Dead(Base):\n    pass\n\n"
+            "class Bare(ValueError):\n    pass\n\n"
+            "class Plain:\n    pass\n"
+        ),
+        ast.parse(
+            "import a\n\n"
+            "def f(x):\n"
+            "    if x:\n        raise a.Used('no')\n"
+            "    raise Bare\n"
+        ),
+    ]
+    assert unraised_exceptions(trees) == ["Dead"]
