@@ -12,7 +12,13 @@ from itertools import combinations
 
 import numpy as np
 
-from .core import FiniteLattice, LatticeError, PreconditionFailed, _bool_closure
+from .core import (
+    FiniteLattice,
+    LatticeError,
+    PreconditionFailed,
+    _bool_closure,
+    _bool_product,
+)
 
 
 # -- basic predicates -------------------------------------------------------
@@ -45,7 +51,8 @@ def _splitting_masks(L: FiniteLattice):
     problem[a, b]: p <= a v b, p below neither a nor b (so both are nonzero);
     below[a, i]: the i-th atom lies below a (the same array for every p);
     split[i, b]: some atom y <= b has p <= x v y for x the i-th atom.
-    So some atoms x <= a, y <= b have p <= x v y iff (below @ split)[a, b].
+    So some atoms x <= a, y <= b have p <= x v y iff the boolean product
+    ``_bool_product(below, split)`` holds at [a, b].
     """
     atoms = np.array(L.atoms(), dtype=np.int64)
     below = L.leq[atoms, :].T
@@ -53,7 +60,7 @@ def _splitting_masks(L: FiniteLattice):
     for p in atoms:
         up = L.leq[p]
         problem = up[L.join_table] & ~up[:, None] & ~up[None, :]
-        yield int(p), problem, below, up[atom_join] @ below.T
+        yield int(p), problem, below, _bool_product(up[atom_join], below.T)
 
 
 def is_biatomic(L: FiniteLattice) -> bool:
@@ -66,7 +73,7 @@ def is_biatomic(L: FiniteLattice) -> bool:
     if not is_atomic(L):
         return False
     return not any(
-        (problem & ~(below @ split)).any()
+        (problem & ~_bool_product(below, split)).any()
         for _, problem, below, split in _splitting_masks(L)
     )
 
@@ -144,7 +151,7 @@ def join_dependency(L: FiniteLattice, on: str = "atoms") -> DependencyRelation:
                 d[i, j] = True
                 witnesses[i, j] = int(np.argmax(hits))
     # a step of d followed by any number of further steps
-    strict_tc = d @ _bool_closure(d)
+    strict_tc = _bool_product(d, _bool_closure(d))
     d.setflags(write=False)
     strict_tc.setflags(write=False)
     witnesses.setflags(write=False)

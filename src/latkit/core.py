@@ -5,6 +5,13 @@ precomputed join and meet tables, so every lattice operation after
 construction is a constant-time lookup.  Construction validates everything:
 the order axioms, existence of all binary joins and meets, and the presence
 of a bottom and a top.  Instances are immutable.
+
+Every boolean matrix product and both tables are computed on rows packed
+into 64-bit words (:func:`_packed_rows`), a block of at most
+``_BLOCK_WORDS`` words at a time (one row, where a row alone is larger),
+so the temporaries stay small.  The dense n x n arrays bound the size: an
+order on more than ``MAX_ELEMENTS`` elements raises :class:`TooLarge`
+before any of them is allocated.
 """
 
 from __future__ import annotations
@@ -44,10 +51,72 @@ class PreconditionFailed(LatticeError):
     """An operation was applied to a lattice outside its stated domain."""
 
 
+class TooLarge(LatticeError):
+    """An input exceeds a documented size bound, such as ``MAX_ELEMENTS``."""
+
+
+# The largest element count: boolean(12), co_chain(90) and chain(4096) fit.
+# At this size ``leq`` takes 16 MB and each of the two tables 64 MB.
+MAX_ELEMENTS = 4096
+
+# Upper bound on the uint64 words of one block of a packed-row kernel.
+_BLOCK_WORDS = 1 << 14
+
+
+def _check_size(count: int, what: str) -> None:
+    """Raise TooLarge if ``what`` has more than MAX_ELEMENTS elements."""
+    if count > MAX_ELEMENTS:
+        raise TooLarge(f"{what} has {count} elements, above the ceiling of {MAX_ELEMENTS}")
+
+
 def _ensure(condition: bool, message: str) -> None:
     # Internal consistency checks; these guard invariants, not user input.
     if not condition:
         raise LatticeError(message)
+
+
+def _packed_rows(rel: np.ndarray) -> np.ndarray:
+    """The rows of a boolean matrix packed into little-endian uint64 words.
+
+    ``words[w, i]`` holds entries ``64w .. 64w + 63`` of row ``i``, entry
+    ``64w + b`` in bit ``b``; the last word is padded with zero bits.  The
+    word index comes first, so a kernel reduces over words slab by slab.
+    """
+    rows, cols = rel.shape
+    packed = np.packbits(rel, axis=1, bitorder="little")
+    width = -(-cols // 64)
+    if packed.shape[1] == 8 * width and packed.flags.c_contiguous:
+        words = packed.view("<u8")
+    else:
+        words = np.zeros((rows, width), dtype="<u8")
+        words.view(np.uint8)[:, : packed.shape[1]] = packed
+    return np.ascontiguousarray(words.T)
+
+
+def _bool_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Boolean matrix product: ``out[i, j]`` iff ``a[i, k]`` and ``b[k, j]`` for some k.
+
+    Row i of ``a`` and column j of ``b`` are packed into words, both in one
+    packing, and ANDed word by word.  A block of rows of ``a`` is done
+    against all of ``b`` at once; it holds at most ``_BLOCK_WORDS`` words,
+    or one row of ``a`` if a row alone takes more.
+    """
+    m = a.shape[0]
+    words = _packed_rows(np.concatenate((a, b.T)))
+    rows, cols = np.ascontiguousarray(words[:, :m]), np.ascontiguousarray(words[:, m:])
+    width, n = cols.shape
+    out = np.empty((m, n), dtype=bool)
+    step = max(1, _BLOCK_WORDS // max(1, width * n))
+    for i in range(0, m, step):
+        block = rows[:, i : i + step, None] & cols[:, None, :]
+        np.logical_or.reduce(block, axis=0, out=out[i : i + step])
+    return out
+
+
+def _cover_matrix(leq: np.ndarray) -> np.ndarray:
+    """``cov[i, j]`` iff j covers i: i < j with nothing strictly between."""
+    strict = leq & ~np.eye(leq.shape[0], dtype=bool)
+    return strict & ~_bool_product(strict, strict)
 
 
 def _bool_closure(rel: np.ndarray) -> np.ndarray:
@@ -55,7 +124,7 @@ def _bool_closure(rel: np.ndarray) -> np.ndarray:
     n = rel.shape[0]
     closure = rel | np.eye(n, dtype=bool)
     while True:
-        nxt = closure | (closure @ closure)
+        nxt = closure | _bool_product(closure, closure)
         if np.array_equal(nxt, closure):
             return closure
         closure = nxt
@@ -75,6 +144,7 @@ def _order_from_covers(
         raise LatticeError("labels must be pairwise distinct")
     index = {lab: i for i, lab in enumerate(labels)}
     n = len(labels)
+    _check_size(n, "the cover list")
     rel = np.zeros((n, n), dtype=bool)
     for low, high in covers:
         low, high = str(low), str(high)
@@ -99,15 +169,19 @@ class FiniteLattice:
     labels from the labels of the inputs.
     """
 
-    __slots__ = ("n", "leq", "join_table", "meet_table", "bottom", "top", "labels")
+    __slots__ = (
+        "n", "leq", "join_table", "meet_table", "bottom", "top", "labels", "_cov"
+    )
 
     def __init__(self, leq: np.ndarray, labels: Sequence[str] | None = None):
-        leq = np.array(leq, dtype=bool)
+        leq = np.asarray(leq)
         if leq.ndim != 2 or leq.shape[0] != leq.shape[1]:
             raise NotAPoset("order matrix must be square")
         n = leq.shape[0]
         if n == 0:
             raise NotBounded("a bounded lattice cannot be empty")
+        _check_size(n, "the order")
+        leq = np.array(leq, dtype=bool)
         self.n = n
         _check_partial_order(leq)
         if labels is None:
@@ -132,6 +206,7 @@ class FiniteLattice:
         for arr in (leq, self.join_table, self.meet_table):
             arr.setflags(write=False)
         self.leq = leq
+        self._cov = None
 
     # -- constructors -----------------------------------------------------
 
@@ -232,22 +307,25 @@ class FiniteLattice:
         """Elements covering the bottom: exactly two elements lie below each."""
         return tuple(int(x) for x in np.flatnonzero(self.leq.sum(axis=0) == 2))
 
+    def cover_matrix(self) -> np.ndarray:
+        """``cov[i, j]`` iff j covers i; computed on first use, read-only."""
+        if self._cov is None:
+            self._cov = _cover_matrix(self.leq)
+            self._cov.setflags(write=False)
+        return self._cov
+
     def covers(self) -> list[tuple[int, int]]:
         """All cover pairs (lower, upper), sorted."""
-        strict = self.leq & ~np.eye(self.n, dtype=bool)
-        cov = strict & ~(strict @ strict)
-        return [(int(i), int(j)) for i, j in np.argwhere(cov)]
+        return [(int(i), int(j)) for i, j in np.argwhere(self.cover_matrix())]
 
     def lower_covers(self, x: int) -> tuple[int, ...]:
         """Elements y < x that are the only z with y <= z < x."""
-        below = np.flatnonzero(self.leq[:, x])
-        below = below[below != x]
-        only_self = self.leq[np.ix_(below, below)].sum(axis=1) == 1
-        return tuple(int(y) for y in below[only_self])
+        return tuple(int(y) for y in np.flatnonzero(self.cover_matrix()[:, x]))
 
     def join_irreducibles(self) -> tuple[int, ...]:
         """Elements with exactly one lower cover."""
-        return tuple(x for x in range(self.n) if len(self.lower_covers(x)) == 1)
+        counts = self.cover_matrix().sum(axis=0)
+        return tuple(int(x) for x in np.flatnonzero(counts == 1))
 
     def interval(self, a: int, b: int) -> tuple[int, ...]:
         """All x with a <= x <= b; raises if the interval is empty."""
@@ -330,26 +408,47 @@ def _check_partial_order(leq: np.ndarray) -> None:
     if sym.any():
         i, j = map(int, np.argwhere(sym)[0])
         raise NotAPoset(f"order is not antisymmetric at ({i}, {j})")
-    if ((leq @ leq) & ~leq).any():
+    if (_bool_product(leq, leq) & ~leq).any():
         raise NotAPoset("order is not transitive")
 
 
 def _lub_table(leq: np.ndarray) -> np.ndarray:
-    """Least upper bounds of all pairs, or NotALattice.
+    """Least upper bounds of all pairs of a partial order, or NotALattice.
 
-    The common upper bounds of x and y form the up-set of their join when
-    the join exists, so the table can be read off a signature index of rows.
+    The elements are listed by decreasing up-set size, a linear extension
+    read from the bottom up, and each up-set is packed in that order.  The
+    AND of the rows of x and y holds their common upper bounds; a join lies
+    below all of them, so the lowest set bit is the only candidate z.  By
+    transitivity the up-set of z lies inside the common bounds, so z is the
+    join iff the two sets have the same size.  A block of rows x is done
+    against every y from the block's first row on, with the word bound of
+    :func:`_bool_product`; the error names the first pair x <= y without a
+    join in row-major order.
     """
     n = leq.shape[0]
-    row_of = {leq[i].tobytes(): i for i in range(n)}
+    size = leq.sum(axis=1)
+    order = np.argsort(-size)
+    up = _packed_rows(leq[:, order])
+    width = up.shape[0]
+    offset = np.arange(0, 64 * width, 64, dtype=np.int16)[:, None, None]
     table = np.empty((n, n), dtype=np.int32)
-    for x in range(n):
-        for y in range(x, n):
-            bounds = leq[x] & leq[y]
-            z = row_of.get(bounds.tobytes())
-            if z is None:
-                raise NotALattice(f"elements {x} and {y} have no least upper bound")
-            table[x, y] = table[y, x] = z
+    x0 = 0
+    while x0 < n:
+        x1 = min(n, x0 + max(1, _BLOCK_WORDS // (width * (n - x0))))
+        common = up[:, x0:x1, None] & up[:, None, x0:]
+        # the lowest set bit of each word, as a position in ``order``
+        low = np.bitwise_count((common & -common) - np.uint64(1)) + offset
+        z = order[np.where(common != 0, low, n - 1).min(axis=0)]
+        missing = np.bitwise_count(common).sum(axis=0, dtype=np.int64) != size[z]
+        if missing.any():
+            # the block is symmetric in its own rows, so the first hit has x <= y
+            x, y = map(int, np.argwhere(missing)[0])
+            raise NotALattice(
+                f"elements {x0 + x} and {x0 + y} have no least upper bound"
+            )
+        table[x0:x1, x0:] = z
+        table[x0:, x0:x1] = z.T
+        x0 = x1
     return table
 
 

@@ -8,20 +8,19 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .core import (
+    MAX_ELEMENTS,
     FiniteLattice,
     LatticeError,
     NotALattice,
+    TooLarge,
     _check_partial_order,
+    _check_size,
     _closed_sets,
     _inclusion_order,
     _lub_table,
     _order_from_covers,
     _set_labels,
 )
-
-
-class TooLarge(LatticeError):
-    """A generator was asked for more than its documented size bound."""
 
 
 # -- named families ----------------------------------------------------------
@@ -31,8 +30,10 @@ def boolean(n: int) -> FiniteLattice:
     """The boolean lattice of all subsets of an n-element set."""
     if n < 0:
         raise TooLarge("boolean(n) needs n >= 0")
-    if n > 16:
-        raise TooLarge("boolean(n) is bounded at n = 16")
+    if n >= MAX_ELEMENTS.bit_length():
+        raise TooLarge(
+            f"boolean({n}) has 2^{n} elements, above the ceiling of {MAX_ELEMENTS}"
+        )
     masks = range(1 << n)
     names = [str(i) for i in range(n)]
     return FiniteLattice(_inclusion_order(masks), _set_labels(masks, names))
@@ -42,6 +43,7 @@ def chain(n: int) -> FiniteLattice:
     """The n-element chain 0 < 1 < ... < n-1."""
     if n < 1:
         raise TooLarge("chain(n) needs n >= 1")
+    _check_size(n, f"chain({n})")
     leq = np.triu(np.ones((n, n), dtype=bool))
     return FiniteLattice(leq, [str(i) for i in range(n)])
 
@@ -54,6 +56,7 @@ def co_chain(n: int) -> FiniteLattice:
     """
     if n < 1:
         raise TooLarge("co_chain(n) needs n >= 1")
+    _check_size(1 + n * (n + 1) // 2, f"co_chain({n})")
     # by length, then by left end; [i, j] is the mask of bits i-1 .. j-1
     intervals = [(i, i + d) for d in range(n) for i in range(1, n - d + 1)]
     masks = [0] + [((1 << (j - i + 1)) - 1) << (i - 1) for i, j in intervals]
@@ -81,8 +84,9 @@ class MeetSemilattice:
         leq = np.array(leq, dtype=bool)
         if leq.ndim != 2 or leq.shape[0] != leq.shape[1] or leq.shape[0] == 0:
             raise NotAMeetSemilattice("order matrix must be square and nonempty")
-        _check_partial_order(leq)
         n = leq.shape[0]
+        _check_size(n, "the order")
+        _check_partial_order(leq)
         try:
             table = _lub_table(leq.T).T
         except NotALattice:
@@ -139,8 +143,7 @@ def canonical_key(L: FiniteLattice) -> bytes:
     iteratively refined coloring, which keeps the search tiny at these sizes.
     """
     n = L.n
-    strict = L.leq & ~np.eye(n, dtype=bool)
-    cov = strict & ~(strict @ strict)
+    cov = L.cover_matrix()
 
     colors = [
         (int(L.leq[:, x].sum()), int(L.leq[x].sum()), int(cov[:, x].sum()), int(cov[x].sum()))

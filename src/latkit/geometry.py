@@ -18,11 +18,11 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Sequence
 
-from .core import FiniteLattice, LatticeError
-from .core import _closed_sets, _inclusion_order, _set_labels
+from .core import FiniteLattice, LatticeError, TooLarge
+from .core import _check_size, _closed_sets, _inclusion_order, _set_labels
 
 
-class TooManyPoints(LatticeError):
+class TooManyPoints(TooLarge):
     """co_points is bounded at 20 points (the element count is exponential)."""
 
 
@@ -201,7 +201,9 @@ def co_points(config: PointConfiguration) -> FiniteLattice:
         for r in (2, 3)
         for t in combinations(range(n), r)
     ]
-    members = {m: [i for i in range(n) if m >> i & 1] for m in _closed_sets(n, rules)}
+    closed = _closed_sets(n, rules)
+    _check_size(len(closed), f"co_points on {n} points")
+    members = {m: [i for i in range(n) if m >> i & 1] for m in closed}
     # by size, then by the sorted member list
     masks = sorted(members, key=lambda m: (len(members[m]), members[m]))
     return FiniteLattice(_inclusion_order(masks), _set_labels(masks, config.labels))

@@ -2,7 +2,9 @@
 
 The oracles here recompute everything from first principles with plain
 loops so that the vectorized library code is checked against an
-independent route.  ``assert_solved_triple`` instead holds the per-step
+independent route.  ``oracle_lub_table``, ``oracle_check_partial_order``
+and ``oracle_cover_matrix`` keep the pair scan and numpy's boolean ``@``
+that the packed-row kernels of ``latkit.core`` replaced.  ``assert_solved_triple`` instead holds the per-step
 postconditions of the biatomization solver, which the library proves once
 and no longer re-checks at runtime.
 """
@@ -19,7 +21,7 @@ from latkit.analysis import (
     is_join_semidistributive,
     join_dependency,
 )
-from latkit.core import FiniteLattice
+from latkit.core import FiniteLattice, NotALattice, NotAPoset
 from latkit.extend import closure_from_map, make_extension_pair
 from latkit.geometry import RationalPoint, convex_hull, on_segment, orientation
 from latkit.qid import QuasiIdentity, Term, Var, Verdict
@@ -45,6 +47,43 @@ def n5() -> FiniteLattice:
 
 
 # -- order-theoretic oracles -------------------------------------------------------
+
+
+def oracle_check_partial_order(leq: np.ndarray) -> None:
+    """The order axioms, with transitivity through numpy's boolean ``@``."""
+    n = leq.shape[0]
+    if not leq.diagonal().all():
+        raise NotAPoset("order is not reflexive")
+    sym = leq & leq.T & ~np.eye(n, dtype=bool)
+    if sym.any():
+        i, j = map(int, np.argwhere(sym)[0])
+        raise NotAPoset(f"order is not antisymmetric at ({i}, {j})")
+    if ((leq @ leq) & ~leq).any():
+        raise NotAPoset("order is not transitive")
+
+
+def oracle_lub_table(leq: np.ndarray) -> np.ndarray:
+    """Least upper bounds by a scan of the pairs x <= y in row-major order.
+
+    The common upper bounds of x and y are the up-set of their join when
+    the join exists, so each pair is looked up in an index of the rows.
+    """
+    n = leq.shape[0]
+    row_of = {leq[i].tobytes(): i for i in range(n)}
+    table = np.empty((n, n), dtype=np.int32)
+    for x in range(n):
+        for y in range(x, n):
+            z = row_of.get((leq[x] & leq[y]).tobytes())
+            if z is None:
+                raise NotALattice(f"elements {x} and {y} have no least upper bound")
+            table[x, y] = table[y, x] = z
+    return table
+
+
+def oracle_cover_matrix(leq: np.ndarray) -> np.ndarray:
+    """Strict pairs with no element strictly between, through ``@``."""
+    strict = leq & ~np.eye(leq.shape[0], dtype=bool)
+    return strict & ~(strict @ strict)
 
 
 def oracle_lub(L: FiniteLattice, x: int, y: int) -> int | None:

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import time
 
 import pytest
 
@@ -162,6 +163,23 @@ def test_bad_generator_specs(capsys):
         code, report, _ = run(capsys, "check", "--gen", spec)
         assert code == 2, spec
         assert report["error"]["type"] == "InputError"
+
+
+@pytest.mark.parametrize("spec", [
+    "co-chain:100000", "chain:1000000000", "boolean:13", "co-points:convex13",
+])
+def test_oversized_sources_fail_fast(capsys, tmp_path, spec):
+    if spec.endswith("convex13"):
+        path = tmp_path / "convex13.json"
+        rows = [{"label": f"p{k}", "x": k, "y": k * k} for k in range(13)]
+        path.write_text(json.dumps({"points": rows}))
+        spec = f"co-points:{path}"
+    start = time.perf_counter()
+    code, report, _ = run(capsys, "check", "--gen", spec)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert report["error"]["type"] == "InputError"
+    assert "above the ceiling of 4096" in report["error"]["message"]
 
 
 def test_missing_file(capsys):

@@ -5,6 +5,7 @@ import pytest
 
 from conftest import oracle_atoms, oracle_glb, oracle_join_irreducibles, oracle_lub
 from latkit.core import (
+    MAX_ELEMENTS,
     EmptyInterval,
     FiniteLattice,
     LatticeError,
@@ -12,6 +13,7 @@ from latkit.core import (
     NotAPoset,
     NotBounded,
     NotInjective,
+    TooLarge,
     verify_embedding,
 )
 from latkit.generators import boolean, chain, co_chain, small_lattices
@@ -112,6 +114,14 @@ def test_missing_bounds_or_joins():
     ]
     with pytest.raises(NotALattice):
         FiniteLattice.from_covers(labels, covers)
+
+
+def test_order_size_ceiling():
+    # checked first: this identity order would otherwise fail as unbounded
+    with pytest.raises(TooLarge, match="above the ceiling of 4096"):
+        FiniteLattice.from_order(np.eye(MAX_ELEMENTS + 1, dtype=bool))
+    with pytest.raises(TooLarge, match="above the ceiling of 4096"):
+        FiniteLattice.from_covers([str(i) for i in range(MAX_ELEMENTS + 1)], [])
 
 
 def test_duplicate_labels_rejected():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import oracle_isomorphic, oracle_lattice_count, oracle_sub_meet_semilattice
-from latkit.core import FiniteLattice, LatticeError, _inclusion_order
+from latkit.core import MAX_ELEMENTS, FiniteLattice, LatticeError, _inclusion_order
 from latkit.generators import (
     MeetSemilattice,
     NotAMeetSemilattice,
@@ -49,6 +49,20 @@ def test_boolean_joins_are_bitwise():
 def test_boolean_size_guard():
     with pytest.raises(TooLarge):
         boolean(17)
+
+
+@pytest.mark.parametrize("make,n", [
+    (boolean, 13), (boolean, 10**9), (chain, MAX_ELEMENTS + 1), (chain, 10**9),
+    (co_chain, 91), (co_chain, 10**5),
+])
+def test_generators_stop_at_the_element_ceiling(make, n):
+    with pytest.raises(TooLarge, match="above the ceiling of 4096"):
+        make(n)
+
+
+def test_meet_semilattice_size_ceiling():
+    with pytest.raises(TooLarge, match="above the ceiling of 4096"):
+        MeetSemilattice(np.eye(MAX_ELEMENTS + 1, dtype=bool))
 
 
 def test_co_chain_shape():

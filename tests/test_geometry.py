@@ -12,7 +12,7 @@ from latkit.analysis import (
     is_join_semidistributive,
     is_lower_bounded,
 )
-from latkit.core import LatticeError
+from latkit.core import LatticeError, TooLarge
 from latkit.generators import boolean, co_chain
 from latkit.geometry import (
     PointConfiguration,
@@ -268,4 +268,11 @@ def test_co_points_matches_oracle_on_named_configurations(cfg):
 def test_too_many_points():
     cfg = config_of([(i, i * i) for i in range(21)])
     with pytest.raises(TooManyPoints):
+        co_points(cfg)
+
+
+def test_too_many_closed_sets():
+    # 13 points in convex position: every one of the 2^13 subsets is closed
+    cfg = config_of([(i, i * i) for i in range(13)])
+    with pytest.raises(TooLarge, match="has 8192 elements, above the ceiling of 4096"):
         co_points(cfg)

@@ -1,6 +1,7 @@
 """Every import in the package and the tests is used, so is every private
-module-level function of the package, and every exception class of the
-package is raised."""
+module-level function of the package, every exception class of the
+package is raised, and the package has no matrix product ``@``: every
+boolean product goes through the packed-row kernel ``core._bool_product``."""
 
 import ast
 import builtins
@@ -151,3 +152,22 @@ def test_detector_flags_an_unraised_exception():
         ),
     ]
     assert unraised_exceptions(trees) == ["Dead"]
+
+
+def matmul_sites(tree: ast.Module) -> list[int]:
+    """Sorted line numbers of every ``@`` and ``@=`` in a module."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult)
+    )
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_no_matrix_product_in_the_package(path):
+    assert matmul_sites(ast.parse(path.read_text(encoding="utf-8"))) == []
+
+
+def test_detector_flags_a_matrix_product():
+    tree = ast.parse("c = a & b\nd = (a @ b).any()\nc @= d\n")
+    assert matmul_sites(tree) == [2, 3]
