@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from typing import NamedTuple
 
 import numpy as np
 
@@ -18,6 +19,7 @@ from .core import (
     PreconditionFailed,
     _bool_closure,
     _bool_product,
+    _check_indices,
 )
 
 
@@ -101,7 +103,7 @@ def is_join_semidistributive(L: FiniteLattice) -> bool:
 
 @dataclass(frozen=True)
 class DependencyRelation:
-    """The join-dependency relation on atoms or join-irreducible elements.
+    """The join-dependency relation on the join-irreducible elements.
 
     ``d[i, j]`` says elements[i] depends on elements[j]; ``witnesses[i, j]``
     stores one witnessing u (or -1).  ``strict_tc`` is the transitive
@@ -109,7 +111,6 @@ class DependencyRelation:
     """
 
     lattice: FiniteLattice
-    on: str
     elements: tuple[int, ...]
     d: np.ndarray
     strict_tc: np.ndarray
@@ -119,34 +120,25 @@ class DependencyRelation:
         return self.elements.index(element)
 
 
-def join_dependency(L: FiniteLattice, on: str = "atoms") -> DependencyRelation:
-    """Compute join-dependency with one witness per related pair.
+def join_dependency(L: FiniteLattice) -> DependencyRelation:
+    """Compute join-dependency on join-irreducibles with one witness per related pair.
 
-    For atoms x, y: x depends on y iff x != y and some u has x <= y v u
-    with x not below u.  On join-irreducibles the lower cover y_* of y
-    replaces the bottom: x <= y v u with x not below y_* v u.  The two
-    shapes coincide on atoms.
+    For join-irreducibles x, y, with y_* the lower cover of y: x depends on y
+    iff x != y and some u has x <= y v u with x not below y_* v u.  In an
+    atomistic lattice the join-irreducibles are the atoms and y_* is the
+    bottom, so this is the atom relation: x <= y v u with x not below u.
     """
-    if on == "atoms":
-        elements = L.atoms()
-    elif on == "join_irreducibles":
-        elements = L.join_irreducibles()
-    else:
-        raise ValueError(f"unknown carrier {on!r}")
+    elements = L.join_irreducibles()
     k = len(elements)
     d = np.zeros((k, k), dtype=bool)
     witnesses = np.full((k, k), -1, dtype=np.int32)
     for j, y in enumerate(elements):
-        if on == "atoms":
-            star_row = L.leq  # y_* = bottom, so x <= y_* v u is just x <= u
-        else:
-            (y_star,) = L.lower_covers(y)
-            star_row = L.leq[:, L.join_table[y_star]]
-        join_y = L.join_table[y]
+        (y_star,) = L.lower_covers(y)
+        join_y, join_star = L.join_table[y], L.join_table[y_star]
         for i, x in enumerate(elements):
             if x == y:
                 continue
-            hits = L.leq[x][join_y] & ~star_row[x]
+            hits = L.leq[x][join_y] & ~L.leq[x][join_star]
             if hits.any():
                 d[i, j] = True
                 witnesses[i, j] = int(np.argmax(hits))
@@ -155,12 +147,12 @@ def join_dependency(L: FiniteLattice, on: str = "atoms") -> DependencyRelation:
     d.setflags(write=False)
     strict_tc.setflags(write=False)
     witnesses.setflags(write=False)
-    return DependencyRelation(L, on, elements, d, strict_tc, witnesses)
+    return DependencyRelation(L, elements, d, strict_tc, witnesses)
 
 
 def is_lower_bounded(L: FiniteLattice) -> bool:
     """Finite characterization: no cycle in join-dependency on join-irreducibles."""
-    rel = join_dependency(L, on="join_irreducibles")
+    rel = join_dependency(L)
     return not bool(rel.strict_tc.diagonal().any())
 
 
@@ -174,6 +166,7 @@ def minimal_decomposition(L: FiniteLattice, a: int) -> tuple[int, ...]:
     atoms below a; this is sound because in an atomistic join-semidistributive
     lattice the irredundant decomposition is unique and least.
     """
+    _check_indices(L, "element", [a])
     if not is_atomistic(L):
         raise PreconditionFailed("minimal_decomposition needs an atomistic lattice")
     if not is_join_semidistributive(L):
@@ -199,6 +192,7 @@ def _irredundant_atoms(L: FiniteLattice, a: int) -> tuple[int, ...]:
 
 def ell(L: FiniteLattice, x: int) -> int:
     """Least cardinality of a set of atoms joining to x."""
+    _check_indices(L, "element", [x])
     if not is_atomistic(L):
         raise PreconditionFailed("ell needs an atomistic lattice")
     below = [p for p in L.atoms() if L.leq[p, x]]
@@ -224,8 +218,7 @@ def separates(L: FiniteLattice, probes, among) -> bool:
 # -- biatomicity problems ----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BiatomicityProblem:
+class BiatomicityProblem(NamedTuple):
     """An instance p <= a v b with the atom p below neither a nor b.
 
     ``solution`` holds atoms (x, y) with x <= a, y <= b, p <= x v y when
@@ -243,6 +236,7 @@ def solve_problem_instance(
     L: FiniteLattice, p: int, a: int, b: int
 ) -> tuple[int, int] | None:
     """First atom pair (x, y), x <= a, y <= b, with p <= x v y, if any."""
+    _check_indices(L, "p, a or b", (p, a, b))
     atoms = L.atoms()
     for x in atoms:
         if not L.leq[x, a]:

@@ -3,14 +3,18 @@
 Four subcommands: ``check`` runs analyzers over a lattice, ``build`` runs an
 extension construction and writes the result, ``eval`` decides a
 quasi-identity by exhaustive search, ``corpus`` sweeps enumerated lattices
-through a property suite.  Reports go to stdout as JSON and are byte-identical
-across runs on identical inputs; progress and timings go to stderr.
+through a property suite.  Every invocation, a usage error included, prints
+exactly one JSON report to stdout, byte-identical across runs on identical
+inputs; progress and timings go to stderr.  Each ``cmd_*`` returns its
+report body, exit code and closing stderr line; ``main`` alone times, wraps,
+writes and reports the errors of every command.
 
 Exit codes: 0 success (for ``eval``: the quasi-identity holds; for ``corpus``:
 no violation), 1 a quasi-identity failed or a corpus suite found a violation,
 2 input read, parse or validation failure or an unwritable result file, 3 a
 construction precondition failed (``build`` only: any
-:class:`PreconditionFailed`), with the error name in the report.
+:class:`PreconditionFailed`), with the error name in the report.  A usage
+error exits 2 with ``command: null`` and empty ``inputs``.
 """
 
 from __future__ import annotations
@@ -43,6 +47,7 @@ from .extend import (
 )
 
 GEN_GRAMMAR = "boolean:n | chain:n | co-chain:n | co-points:<file|paper5> | subsemi:<file> | enum:n"
+SIZED_FAMILIES = {"boolean": boolean, "chain": chain, "co-chain": co_chain}
 
 
 class _InputError(Exception):
@@ -87,21 +92,14 @@ def load_lattices(gen: str | None, file: str | None) -> list[tuple[str, FiniteLa
     """
     if (gen is None) == (file is None):
         raise _InputError("exactly one of --gen and --file is required")
-    if file is not None:
-        try:
-            return [(file, FiniteLattice.from_json(_read_text(file)))]
-        except LatticeError as exc:
-            raise _InputError(str(exc)) from None
-    head, sep, tail = gen.partition(":")
-    if not sep:
-        raise _InputError(f"bad generator spec {gen!r}; grammar: {GEN_GRAMMAR}")
     try:
-        if head == "boolean":
-            return [(gen, boolean(_int_arg(gen, tail)))]
-        if head == "chain":
-            return [(gen, chain(_int_arg(gen, tail)))]
-        if head == "co-chain":
-            return [(gen, co_chain(_int_arg(gen, tail)))]
+        if file is not None:
+            return [(file, FiniteLattice.from_json(_read_text(file)))]
+        head, sep, tail = gen.partition(":")
+        if not sep:
+            raise _InputError(f"bad generator spec {gen!r}; grammar: {GEN_GRAMMAR}")
+        if head in SIZED_FAMILIES:
+            return [(gen, SIZED_FAMILIES[head](_int_arg(gen, tail)))]
         if head == "co-points":
             if tail == "paper5":
                 cfg = five_point_configuration()
@@ -129,15 +127,6 @@ def _note(message: str) -> None:
     sys.stderr.write(message + "\n")
 
 
-def _error_report(command: str, args, kind: str, message: str) -> dict:
-    return {
-        "command": command,
-        "error": {"type": kind, "message": message},
-        "inputs": _inputs(args),
-        "version": __version__,
-    }
-
-
 def _inputs(args) -> dict:
     skip = {"func", "command"}
     return {
@@ -145,10 +134,6 @@ def _inputs(args) -> dict:
         for key, value in sorted(vars(args).items())
         if key not in skip and value is not None
     }
-
-
-def _lattice_json(L: FiniteLattice) -> dict:
-    return json.loads(L.to_json())
 
 
 # -- check ----------------------------------------------------------------------
@@ -196,24 +181,14 @@ def _run_props(L: FiniteLattice, props) -> dict:
     return out
 
 
-def cmd_check(args) -> int:
-    t0 = time.monotonic()
+def cmd_check(args):
     props = [p.strip() for p in args.props.split(",") if p.strip()]
     lattices = load_lattices(args.gen, args.file)
     results = {}
     for name, L in lattices:
         results[name] = _run_props(L, props)
         _note(f"check {name}: n={L.n}")
-    _emit(
-        {
-            "command": "check",
-            "inputs": _inputs(args),
-            "results": results,
-            "version": __version__,
-        }
-    )
-    _note(f"checked {len(lattices)} lattice(s) in {time.monotonic() - t0:.2f}s")
-    return 0
+    return {"results": results}, 0, f"checked {len(lattices)} lattice(s)"
 
 
 # -- build ----------------------------------------------------------------------
@@ -246,8 +221,7 @@ def _parse_label_list(L: FiniteLattice, text: str) -> list[int]:
     return out
 
 
-def cmd_build(args) -> int:
-    t0 = time.monotonic()
+def cmd_build(args):
     lattices = load_lattices(args.gen, args.file)
     if len(lattices) != 1:
         raise _InputError("build needs a source naming exactly one lattice")
@@ -288,12 +262,10 @@ def cmd_build(args) -> int:
                 witness[0],
                 *[L.labels[x] for x in witness[1:]],
             ]
-    elif args.op == "biatomize":
+    else:  # biatomize; argparse restricts the choices
         result, emb, steps = partial_biatomization(L)
         trace_rows = [step.as_dict() for step in steps]
         results["steps"] = len(steps)
-    else:  # pragma: no cover - argparse restricts choices
-        raise _InputError(f"unknown construction {args.op!r}")
 
     results["output_size"] = result.n
     results["embedding_preserves"] = emb.preserved.as_dict()
@@ -306,27 +278,15 @@ def cmd_build(args) -> int:
         _write_lines(args.out, [result.to_json()])
         results["out"] = args.out
     else:
-        results["lattice"] = _lattice_json(result)
+        results["lattice"] = result.to_dict()
     if args.trace:
         rows = [json.dumps(row, sort_keys=True) for row in trace_rows]
         _write_lines(args.trace, rows)
         results["trace"] = args.trace
     elif trace_rows:
         results["trace_rows"] = trace_rows
-
-    _emit(
-        {
-            "command": "build",
-            "inputs": _inputs(args),
-            "results": results,
-            "version": __version__,
-        }
-    )
-    _note(
-        f"build {args.op} on {name}: {L.n} -> {result.n} elements "
-        f"in {time.monotonic() - t0:.2f}s"
-    )
-    return 0
+    summary = f"build {args.op} on {name}: {L.n} -> {result.n} elements"
+    return {"results": results}, 0, summary
 
 
 # -- eval -----------------------------------------------------------------------
@@ -349,8 +309,7 @@ def _load_qid(spec: str):
     raise _InputError(f"bad qid spec {spec!r}; use builtin:<name> or file:<path>")
 
 
-def cmd_eval(args) -> int:
-    t0 = time.monotonic()
+def cmd_eval(args):
     qid = _load_qid(args.qid)
     lattices = load_lattices(args.gen, args.file)
     results = {}
@@ -368,17 +327,8 @@ def cmd_eval(args) -> int:
             }
         results[name] = row
         _note(f"eval {name}: {'holds' if verdict.holds else 'fails'}")
-    _emit(
-        {
-            "command": "eval",
-            "inputs": _inputs(args),
-            "qid": format_qid(qid),
-            "results": results,
-            "version": __version__,
-        }
-    )
-    _note(f"evaluated on {len(lattices)} lattice(s) in {time.monotonic() - t0:.2f}s")
-    return 0 if all_hold else 1
+    body = {"qid": format_qid(qid), "results": results}
+    return body, 0 if all_hold else 1, f"evaluated on {len(lattices)} lattice(s)"
 
 
 # -- corpus ---------------------------------------------------------------------
@@ -406,7 +356,7 @@ def _suite_completion(max_size: int, found: dict) -> dict | None:
                 and is_biatomic(result)
             )
             if not ok:
-                return {"lattice": _lattice_json(L), "detail": "completion contract failed"}
+                return {"lattice": L.to_dict(), "detail": "completion contract failed"}
     found["lattices_checked"] = checked
     return None
 
@@ -421,7 +371,7 @@ def _suite_extension_jsd(max_size: int, found: dict) -> dict | None:
             actual = is_join_semidistributive(one_atom_extension(pair).result)
             if verdict != actual:
                 return {
-                    "lattice": _lattice_json(L),
+                    "lattice": L.to_dict(),
                     "detail": {
                         "apex": L.labels[pair.apex],
                         "subsemilattice": [
@@ -449,7 +399,7 @@ def _suite_theta_bi(max_size: int, found: dict) -> dict | None:
         verdict = evaluate(L, qid)
         if not verdict.holds:
             return {
-                "lattice": _lattice_json(L),
+                "lattice": L.to_dict(),
                 "detail": {
                     "counterexample": {
                         var: L.labels[idx]
@@ -469,29 +419,19 @@ SUITES = {
 }
 
 
-def cmd_corpus(args) -> int:
-    t0 = time.monotonic()
+def cmd_corpus(args):
     if args.max > 7:
         raise _InputError("--max above 7 is not supported")
     if args.max < 1:
         raise _InputError("--max must be at least 1")
     stats: dict = {}
     violation = SUITES[args.suite](args.max, stats)
-    report = {
-        "command": "corpus",
-        "inputs": _inputs(args),
-        "results": {"suite": args.suite, **stats},
-        "version": __version__,
-    }
+    results = {"suite": args.suite, **stats}
     if violation is not None:
-        report["results"]["violation"] = violation
-    _emit(report)
-    _note(
-        f"corpus {args.suite} max={args.max}: "
-        f"{'violation found' if violation else 'all pass'} "
-        f"in {time.monotonic() - t0:.2f}s"
-    )
-    return 1 if violation else 0
+        results["violation"] = violation
+    verdict = "violation found" if violation else "all pass"
+    summary = f"corpus {args.suite} max={args.max}: {verdict}"
+    return {"results": results}, 1 if violation else 0, summary
 
 
 # -- entry point ------------------------------------------------------------------
@@ -502,8 +442,16 @@ def _add_source(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--file", help="lattice JSON file")
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors become JSON error reports."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise _InputError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="latkit",
         description="Finite lattice analysis, extension, and quasi-identity checking.",
     )
@@ -552,21 +500,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    """Run one command line: print its JSON report and return its exit code."""
+    t0 = time.monotonic()
+    args = None
     try:
-        return args.func(args)
-    except _InputError as exc:
+        args = build_parser().parse_args(argv)
+        body, code, summary = args.func(args)
+    except (_InputError, LatticeError) as exc:
         kind = type(exc).__name__.lstrip("_")
-        _emit(_error_report(args.command, args, kind, str(exc)))
-        _note(f"error: {exc}")
-        return 2
-    except LatticeError as exc:
-        kind = type(exc).__name__
-        _emit(_error_report(args.command, args, kind, str(exc)))
-        _note(f"error ({kind}): {exc}")
-        if args.command == "build" and isinstance(exc, PreconditionFailed):
-            return 3
-        return 2
+        body = {"error": {"type": kind, "message": str(exc)}}
+        precondition = isinstance(exc, PreconditionFailed) and args.command == "build"
+        code, summary = (3 if precondition else 2), f"error ({kind}): {exc}"
+    inputs = {} if args is None else _inputs(args)
+    command = getattr(args, "command", None)
+    _emit({"command": command, "inputs": inputs, **body, "version": __version__})
+    _note(summary if "error" in body else f"{summary} in {time.monotonic() - t0:.2f}s")
+    return code
 
 
 if __name__ == "__main__":

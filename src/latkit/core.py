@@ -69,6 +69,12 @@ def _check_size(count: int, what: str) -> None:
         raise TooLarge(f"{what} has {count} elements, above the ceiling of {MAX_ELEMENTS}")
 
 
+def _check_indices(L: FiniteLattice, what: str, xs) -> None:
+    """Raise LatticeError unless every caller-given index names an element of L."""
+    if any(not 0 <= x < L.n for x in xs):
+        raise LatticeError(f"{what} leaves the lattice")
+
+
 def _ensure(condition: bool, message: str) -> None:
     # Internal consistency checks; these guard invariants, not user input.
     if not condition:
@@ -242,12 +248,15 @@ class FiniteLattice:
             raise LatticeError("each cover must be a [lower, upper] pair")
         return cls.from_covers(elements, covers)
 
-    def to_json(self) -> str:
-        data = {
+    def to_dict(self) -> dict:
+        """The lattice interchange format as a dict (``elements`` + ``covers``)."""
+        return {
             "elements": list(self.labels),
             "covers": [[self.labels[i], self.labels[j]] for i, j in self.covers()],
         }
-        return json.dumps(data, sort_keys=True)
+
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), sort_keys=True)
 
     # -- basic queries -----------------------------------------------------
 
@@ -329,6 +338,7 @@ class FiniteLattice:
 
     def interval(self, a: int, b: int) -> tuple[int, ...]:
         """All x with a <= x <= b; raises if the interval is empty."""
+        _check_indices(self, "interval end", (a, b))
         if not self.leq[a, b]:
             raise EmptyInterval(
                 f"interval [{self.labels[a]}, {self.labels[b]}] is empty"
@@ -337,15 +347,18 @@ class FiniteLattice:
 
     def filter(self, a: int) -> tuple[int, ...]:
         """The principal filter: all x above a."""
+        _check_indices(self, "filter base", [a])
         return tuple(int(x) for x in np.flatnonzero(self.leq[a]))
 
     def complement_filter(self, a: int) -> tuple[int, ...]:
         """All x not above a."""
+        _check_indices(self, "filter base", [a])
         return tuple(int(x) for x in np.flatnonzero(~self.leq[a]))
 
     def is_meet_subsemilattice(self, subset: Iterable[int]) -> bool:
         """True iff the subset is closed under binary meets."""
         elems = sorted(set(int(x) for x in subset))
+        _check_indices(self, "subset", elems)
         members = set(elems)
         return all(
             int(self.meet_table[x, y]) in members for x in elems for y in elems
@@ -354,6 +367,7 @@ class FiniteLattice:
     def is_sublattice(self, subset: Iterable[int]) -> bool:
         """True iff the subset is closed under binary meets and joins."""
         elems = sorted(set(int(x) for x in subset))
+        _check_indices(self, "subset", elems)
         members = set(elems)
         return all(
             int(self.meet_table[x, y]) in members
@@ -370,6 +384,7 @@ class FiniteLattice:
         whose meets differ from the ambient ones.
         """
         elems = sorted(set(int(x) for x in subset))
+        _check_indices(self, "subset", elems)
         sub = self.leq[np.ix_(elems, elems)]
         labels = [self.labels[i] for i in elems] if relabel is None else relabel
         return FiniteLattice(sub, labels)

@@ -34,6 +34,7 @@ from .core import (
     FiniteLattice,
     LatticeError,
     PreconditionFailed,
+    _check_indices,
     _ensure,
     verify_embedding,
 )
@@ -76,11 +77,6 @@ class NotJsdBase(PreconditionFailed):
 
 class BadTriple(PreconditionFailed):
     """A problem triple must consist of two distinct atoms and a proper apex."""
-
-
-def _check_indices(L: FiniteLattice, what: str, xs) -> None:
-    if any(not 0 <= x < L.n for x in xs):
-        raise LatticeError(f"{what} leaves the lattice")
 
 
 # -- atom-doubling completion --------------------------------------------------
@@ -130,6 +126,7 @@ def atom_restriction(L: FiniteLattice, a: int) -> tuple[FiniteLattice, tuple[int
     common lower bounds of a pair are join-closed, so their join is the
     greatest one).  Returns the lattice and the element map into L.
     """
+    _check_indices(L, "element", [a])
     below = [p for p in L.atoms() if L.leq[p, a]]
     closed: set[int] = set(below)
     frontier = list(below)
@@ -156,6 +153,7 @@ def separating_reembedding(M: FiniteLattice, sub) -> EmbeddingMap:
     where 1_L is the largest element of the sublattice.
     """
     elements = tuple(sorted(set(int(x) for x in sub)))
+    _check_indices(M, "element set", elements)
     if not elements:
         raise PreconditionFailed("cannot re-embed an empty set")
     if not M.is_sublattice(elements):

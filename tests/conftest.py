@@ -346,8 +346,8 @@ def assert_solved_triple(L: FiniteLattice, p: int, q: int, a: int, ext) -> None:
     assert R.lt(p, R.join(star, q)), "p must lie strictly below p* v q"
     assert R.lt(star, a), "the fresh atom must lie strictly below the apex"
 
-    dep_base = join_dependency(L, on="atoms")
-    dep_ext = join_dependency(R, on="atoms")
+    dep_base = join_dependency(L)
+    dep_ext = join_dependency(R)
     base_atoms = list(dep_base.elements)
     ext_atoms = list(dep_ext.elements)
     assert ext_atoms == base_atoms + [star], "extension atoms changed unexpectedly"

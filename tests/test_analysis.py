@@ -14,6 +14,7 @@ from conftest import (
     oracle_transitive_closure,
 )
 from latkit.analysis import (
+    BiatomicityProblem,
     atomistic_violation,
     biatomicity_problems,
     ell,
@@ -134,7 +135,7 @@ def test_lower_bounded_matches_oracle(m3, n5):
 
 def test_dependency_entries_have_valid_witnesses(m3):
     for L in [m3, boolean(3), co_chain(3), co_chain(4)]:
-        rel = join_dependency(L, on="atoms")
+        rel = join_dependency(L)
         k = len(rel.elements)
         for i in range(k):
             for j in range(k):
@@ -157,26 +158,20 @@ def test_dependency_closures(m3):
     assert rel.d.sum() == k * (k - 1)
     assert rel.strict_tc.all()
     for L in [m3, boolean(3), co_chain(3), co_chain(4)]:
-        for on in ("atoms", "join_irreducibles"):
-            rel = join_dependency(L, on=on)
-            want = np.array(oracle_transitive_closure(rel.d), dtype=bool)
-            assert np.array_equal(rel.strict_tc, want.reshape(rel.d.shape))
+        rel = join_dependency(L)
+        want = np.array(oracle_transitive_closure(rel.d), dtype=bool)
+        assert np.array_equal(rel.strict_tc, want.reshape(rel.d.shape))
 
 
 def test_dependency_on_join_irreducibles(n5):
-    rel = join_dependency(n5, on="join_irreducibles")
+    rel = join_dependency(n5)
     assert set(rel.elements) == set(n5.join_irreducibles())
     assert not rel.strict_tc.diagonal().any()  # matches lower-boundedness
-    with pytest.raises(ValueError):
-        join_dependency(n5, on="antichains")
 
 
 def test_dependency_carriers_coincide_on_atomistic(m3):
     for L in [m3, boolean(3), co_chain(3)]:
         assert L.join_irreducibles() == L.atoms()
-        a = join_dependency(L, on="atoms")
-        j = join_dependency(L, on="join_irreducibles")
-        assert np.array_equal(a.d, j.d)
 
 
 def test_index_of(m3):
@@ -297,6 +292,15 @@ def test_biatomicity_problems_match_oracle():
         assert all(pr.solved == (pr.solution is not None) for pr in problems)
         got = [(pr.p, pr.a, pr.b, pr.solution) for pr in problems]
         assert got == oracle_biatomicity_problems(L)
+
+
+def test_biatomicity_problem_is_an_immutable_record():
+    pr = BiatomicityProblem(p=1, a=2, b=3, solved=True, solution=(4, 5))
+    assert (pr.p, pr.a, pr.b, pr.solved, pr.solution) == (1, 2, 3, True, (4, 5))
+    assert pr == BiatomicityProblem(1, 2, 3, True, (4, 5))
+    assert pr != BiatomicityProblem(1, 2, 3, False, None)
+    with pytest.raises(AttributeError):
+        pr.solved = False
 
 
 def test_problem_set_empty_on_boolean_squares():

@@ -540,6 +540,28 @@ def test_split_labels():
     assert _split_labels("") == []
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "--props"],
+        ["build", "--gen", "chain:2"],
+        ["corpus", "--suite", "theta-bi", "--max", "x"],
+        ["check", "--gen", "chain:2", "--bogus"],
+        ["frob"],
+        [],
+    ],
+    ids=lambda argv: " ".join(argv) or "no-arguments",
+)
+def test_usage_errors_print_one_json_report(capsys, argv):
+    code = main(argv)
+    out = capsys.readouterr().out
+    report, end = json.JSONDecoder().raw_decode(out)
+    assert code == 2
+    assert out[end:] == "\n"  # exactly one object
+    assert report["error"]["type"] == "InputError"
+    assert report["command"] is None and report["inputs"] == {}
+
+
 def test_error_report_shape(capsys):
     code, report, _ = run(capsys, "check", "--gen", "boolean")
     assert code == 2

@@ -16,6 +16,8 @@ from latkit.core import (
     TooLarge,
     verify_embedding,
 )
+from latkit.analysis import ell, minimal_decomposition, solve_problem_instance
+from latkit.extend import atom_restriction, separating_reembedding
 from latkit.generators import boolean, chain, co_chain, small_lattices
 
 
@@ -178,6 +180,32 @@ def test_restrict(m3):
     assert sub.n == 3
     assert sub.labels == ("0", "p", "1")
     assert sub.join(sub.index("0"), sub.index("p")) == sub.index("p")
+
+
+INDEX_ENTRIES = {
+    "restrict": lambda L, i: L.restrict([L.bottom, i]),
+    "interval_low": lambda L, i: L.interval(i, L.top),
+    "interval_high": lambda L, i: L.interval(L.bottom, i),
+    "filter": lambda L, i: L.filter(i),
+    "complement_filter": lambda L, i: L.complement_filter(i),
+    "is_sublattice": lambda L, i: L.is_sublattice([L.bottom, i]),
+    "is_meet_subsemilattice": lambda L, i: L.is_meet_subsemilattice([L.bottom, i]),
+    "minimal_decomposition": lambda L, i: minimal_decomposition(L, i),
+    "ell": lambda L, i: ell(L, i),
+    "solve_problem_instance_p": lambda L, i: solve_problem_instance(L, i, L.top, L.top),
+    "solve_problem_instance_a": lambda L, i: solve_problem_instance(L, 1, i, L.top),
+    "solve_problem_instance_b": lambda L, i: solve_problem_instance(L, 1, L.top, i),
+    "atom_restriction": lambda L, i: atom_restriction(L, i),
+    "separating_reembedding": lambda L, i: separating_reembedding(L, [L.bottom, i]),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(INDEX_ENTRIES))
+@pytest.mark.parametrize("side", ["below", "above"])
+def test_entry_indices_are_range_checked(entry, side):
+    L = boolean(2)
+    with pytest.raises(LatticeError, match="leaves the lattice"):
+        INDEX_ENTRIES[entry](L, -1 if side == "below" else L.n)
 
 
 def test_label_index_roundtrip(m3):

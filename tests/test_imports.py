@@ -1,7 +1,9 @@
 """Every import in the package and the tests is used, so is every private
 module-level function of the package, every exception class of the
 package is raised, and the package has no matrix product ``@``: every
-boolean product goes through the packed-row kernel ``core._bool_product``."""
+boolean product goes through the packed-row kernel ``core._bool_product``.
+The command line has one report path: only ``main`` writes a report, and
+only it reads the clock."""
 
 import ast
 import builtins
@@ -171,3 +173,47 @@ def test_no_matrix_product_in_the_package(path):
 def test_detector_flags_a_matrix_product():
     tree = ast.parse("c = a & b\nd = (a @ b).any()\nc @= d\n")
     assert matmul_sites(tree) == [2, 3]
+
+
+def report_path_breaches(tree: ast.Module) -> list[str]:
+    """Where a module strays from the command line's one report path.
+
+    Only ``main`` calls ``_emit``, only ``_emit`` touches ``sys.stdout``,
+    and no ``cmd_*`` function reads the clock module ``time``.  Each breach
+    is named by the module-level function it sits in, or ``<module>``;
+    the list is sorted.
+    """
+    found = []
+    for stmt in tree.body:
+        owner = stmt.name if isinstance(stmt, ast.FunctionDef) else "<module>"
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+                if node.func.id == "_emit" and owner != "main":
+                    found.append(f"{owner} calls _emit")
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                if (node.value.id, node.attr) == ("sys", "stdout") and owner != "_emit":
+                    found.append(f"{owner} uses sys.stdout")
+            elif isinstance(node, ast.Name) and node.id == "time":
+                if owner.startswith("cmd_"):
+                    found.append(f"{owner} reads time")
+    return sorted(found)
+
+
+def test_cli_has_one_report_path():
+    tree = ast.parse((ROOT / "src" / "latkit" / "cli.py").read_text(encoding="utf-8"))
+    assert report_path_breaches(tree) == []
+
+
+def test_detector_flags_a_second_report_path():
+    tree = ast.parse(
+        "import sys, time\n\n"
+        "def _emit(report):\n    sys.stdout.write(report)\n\n"
+        "def cmd_x(args):\n    t0 = time.monotonic()\n    _emit({})\n\n"
+        "def _print(text):\n    sys.stdout.write(text)\n\n"
+        "def main(argv=None):\n    _emit({'t': time.monotonic()})\n"
+    )
+    assert report_path_breaches(tree) == [
+        "_print uses sys.stdout",
+        "cmd_x calls _emit",
+        "cmd_x reads time",
+    ]
