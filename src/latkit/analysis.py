@@ -3,6 +3,13 @@
 Predicates (atomic, atomistic, biatomic, join-semidistributive, lower
 bounded), the join-dependency relation with its closures, minimal join
 decompositions into atoms, and the enumeration of biatomicity problems.
+
+The biatomicity verdict is read off one table per lattice: the set of atoms
+below each element, packed into 64-bit words.  Unions of these sets over
+the atoms below a and below b, taken a block of pairs at a time, give every
+pair (a, b) at once the atoms that some atom pair below them reaches.  The
+problem list instead goes atom by atom, since it reports each problem with
+its first solution.
 """
 
 from __future__ import annotations
@@ -20,7 +27,14 @@ from .core import (
     _bool_closure,
     _bool_product,
     _check_indices,
+    _packed_rows,
 )
+
+# Upper bound on the uint64 words of one block of atom-set unions in
+# is_biatomic: 256 KB.  Twice the block of core's kernels, since a block
+# of unions often has rows of only a few words, and the per-block numpy
+# calls would otherwise cost as much as the work.
+_SET_BLOCK_WORDS = 1 << 15
 
 
 # -- basic predicates -------------------------------------------------------
@@ -34,12 +48,16 @@ def is_atomic(L: FiniteLattice) -> bool:
 
 
 def atomistic_violation(L: FiniteLattice) -> int | None:
-    """Least element that is not the join of the atoms below it."""
-    atoms = L.atoms()
-    for x in range(L.n):
-        if L.join_all(p for p in atoms if L.leq[p, x]) != x:
-            return x
-    return None
+    """Least element that is not the join of the atoms below it.
+
+    One step per atom joins it into every element above it, so ``joined[x]``
+    ends as the join of the atoms below x.
+    """
+    joined = np.full(L.n, L.bottom)
+    for p in L.atoms():
+        joined = np.where(L.leq[p], L.join_table[joined, p], joined)
+    wrong = np.flatnonzero(joined != np.arange(L.n))
+    return int(wrong[0]) if len(wrong) else None
 
 
 def is_atomistic(L: FiniteLattice) -> bool:
@@ -47,37 +65,52 @@ def is_atomistic(L: FiniteLattice) -> bool:
     return atomistic_violation(L) is None
 
 
-def _splitting_masks(L: FiniteLattice):
-    """Per atom p, yield (p, problem, below, split) over elements a, b.
-
-    problem[a, b]: p <= a v b, p below neither a nor b (so both are nonzero);
-    below[a, i]: the i-th atom lies below a (the same array for every p);
-    split[i, b]: some atom y <= b has p <= x v y for x the i-th atom.
-    So some atoms x <= a, y <= b have p <= x v y iff the boolean product
-    ``_bool_product(below, split)`` holds at [a, b].
-    """
-    atoms = np.array(L.atoms(), dtype=np.int64)
-    below = L.leq[atoms, :].T
-    atom_join = L.join_table[np.ix_(atoms, atoms)]
-    for p in atoms:
-        up = L.leq[p]
-        problem = up[L.join_table] & ~up[:, None] & ~up[None, :]
-        yield int(p), problem, below, _bool_product(up[atom_join], below.T)
-
-
 def is_biatomic(L: FiniteLattice) -> bool:
-    """Biatomicity, checked against its definition.
+    """Biatomicity, decided on the table of atom sets.
 
     For every atom p and nonzero a, b with p <= a v b there must be atoms
-    x <= a and y <= b with p <= x v y.  In an atomic lattice this holds
-    whenever p lies below a or b, so only the problems need checking.
+    x <= a and y <= b with p <= x v y.  Let A(e) be the set of atoms below
+    e, T(x, b) the union of A(x v y) over atoms y <= b, and U(a, b) the
+    union of T(x, b) over atoms x <= a: the atoms that some pair of atoms
+    below a and b reaches.  U(a, b) lies inside A(a v b), and for nonzero a
+    and b it holds A(a) and A(b) (take x or y to be that atom).  So an
+    atomic lattice is biatomic iff U(a, b) = A(a v b) for all nonzero a, b.
+
+    The sets are packed into words (:func:`_packed_rows`) and all unions
+    are ``bitwise_or.reduceat`` over the (element, atom) pairs with the atom
+    below the element.  The nonzero elements b are taken a block at a time;
+    by symmetry only the a before the block's end are paired with it.  A
+    block's temporaries hold about ``_SET_BLOCK_WORDS`` words, or one column
+    b where that alone takes more; T is built a few rows x at a time within
+    the same bound.  The first block with an unsolved atom ends the search.
     """
     if not is_atomic(L):
         return False
-    return not any(
-        (problem & ~_bool_product(below, split)).any()
-        for _, problem, below, split in _splitting_masks(L)
-    )
+    atoms = np.array(L.atoms(), dtype=np.int64)
+    nonzero = np.flatnonzero(np.arange(L.n) != L.bottom)
+    # sets[e]: the atoms below e, atom i in bit i % 64 of word i // 64
+    sets = np.ascontiguousarray(_packed_rows(L.leq[atoms].T).T)
+    width = sets.shape[1]
+    # the pairs (j, i) with atom i below nonzero[j], grouped by j; none is empty
+    owner, atom = np.nonzero(L.leq[np.ix_(atoms, nonzero)].T)
+    starts = np.searchsorted(owner, np.arange(len(nonzero) + 1))
+    step = max(1, _SET_BLOCK_WORDS // max(1, width * len(owner)))
+    for j0 in range(0, len(nonzero), step):
+        j1 = min(j0 + step, len(nonzero))
+        lo, hi = starts[j0], starts[j1]
+        ys, segments = atoms[atom[lo:hi]], starts[j0:j1] - lo
+        # t[i, j]: T(x, b) for x the i-th atom and b = nonzero[j0 + j]
+        t = np.empty((len(atoms), j1 - j0, width), dtype=sets.dtype)
+        rows = max(1, _SET_BLOCK_WORDS // (width * (hi - lo)))
+        for i in range(0, len(atoms), rows):
+            xy = L.join_table[np.ix_(atoms[i : i + rows], ys)]
+            t[i : i + rows] = np.bitwise_or.reduceat(sets[xy], segments, axis=1)
+        # u[j, j']: U(a, b) for a = nonzero[j] and b = nonzero[j0 + j']
+        u = np.bitwise_or.reduceat(t[atom[:hi]], starts[:j1], axis=0)
+        ab = L.join_table[np.ix_(nonzero[:j1], nonzero[j0:j1])]
+        if (sets[ab] != u).any():
+            return False
+    return True
 
 
 def jsd_violation(L: FiniteLattice) -> tuple[int, int, int] | None:
@@ -254,13 +287,21 @@ def biatomicity_problems(L: FiniteLattice) -> list[BiatomicityProblem]:
     y <= b splits with, paired with the first such y.
     """
     atoms = np.array(L.atoms(), dtype=np.int64)
+    # below[a, i]: the i-th atom lies below a
+    below = L.leq[atoms, :].T
+    atom_join = L.join_table[np.ix_(atoms, atoms)]
     out = []
-    for p, problem, below, split in _splitting_masks(L):
+    for p in atoms.tolist():
+        up = L.leq[p]
+        # problem[a, b]: p <= a v b, p below neither a nor b (so both are nonzero)
+        problem = up[L.join_table] & ~up[:, None] & ~up[None, :]
+        # split[i, b]: some atom y <= b has p <= x v y for x the i-th atom
+        split = _bool_product(up[atom_join], below.T)
         a_idx, b_idx = np.nonzero(np.triu(problem))
         # x_ok[k, i]: the i-th atom lies below a_k and splits with some atom below b_k
         x_ok = below[a_idx] & split[:, b_idx].T
         xs = atoms[x_ok.argmax(axis=1)]
-        y_ok = below[b_idx] & L.leq[p][L.join_table[np.ix_(xs, atoms)]]
+        y_ok = below[b_idx] & up[L.join_table[np.ix_(xs, atoms)]]
         ys = atoms[y_ok.argmax(axis=1)]
         rows = (a_idx, b_idx, x_ok.any(axis=1), xs, ys)
         for a, b, solved, x, y in zip(*(r.tolist() for r in rows)):

@@ -176,7 +176,8 @@ class FiniteLattice:
     """
 
     __slots__ = (
-        "n", "leq", "join_table", "meet_table", "bottom", "top", "labels", "_cov"
+        "n", "leq", "join_table", "meet_table", "bottom", "top", "labels", "_cov",
+        "_atoms",
     )
 
     def __init__(self, leq: np.ndarray, labels: Sequence[str] | None = None):
@@ -213,6 +214,7 @@ class FiniteLattice:
             arr.setflags(write=False)
         self.leq = leq
         self._cov = None
+        self._atoms = None
 
     # -- constructors -----------------------------------------------------
 
@@ -313,8 +315,13 @@ class FiniteLattice:
             raise LatticeError(f"no element labelled {label!r}") from None
 
     def atoms(self) -> tuple[int, ...]:
-        """Elements covering the bottom: exactly two elements lie below each."""
-        return tuple(int(x) for x in np.flatnonzero(self.leq.sum(axis=0) == 2))
+        """Elements covering the bottom: exactly two elements lie below each.
+
+        Computed on first use and kept.
+        """
+        if self._atoms is None:
+            self._atoms = tuple(int(x) for x in np.flatnonzero(self.leq.sum(axis=0) == 2))
+        return self._atoms
 
     def cover_matrix(self) -> np.ndarray:
         """``cov[i, j]`` iff j covers i; computed on first use, read-only."""

@@ -4,9 +4,11 @@ The oracles here recompute everything from first principles with plain
 loops so that the vectorized library code is checked against an
 independent route.  ``oracle_lub_table``, ``oracle_check_partial_order``
 and ``oracle_cover_matrix`` keep the pair scan and numpy's boolean ``@``
-that the packed-row kernels of ``latkit.core`` replaced.  ``assert_solved_triple`` instead holds the per-step
-postconditions of the biatomization solver, which the library proves once
-and no longer re-checks at runtime.
+that the packed-row kernels of ``latkit.core`` replaced;
+``biatomic_by_splitting`` and ``oracle_atomistic_violation`` keep the
+per-atom loops that ``latkit.analysis`` replaced.  ``assert_solved_triple``
+instead holds the per-step postconditions of the biatomization solver,
+which the library proves once and no longer re-checks at runtime.
 """
 
 from itertools import combinations, permutations, product
@@ -23,7 +25,14 @@ from latkit.analysis import (
 )
 from latkit.core import FiniteLattice, NotALattice, NotAPoset
 from latkit.extend import closure_from_map, make_extension_pair
-from latkit.geometry import RationalPoint, convex_hull, on_segment, orientation
+from latkit.geometry import (
+    PointConfiguration,
+    RationalPoint,
+    co_points,
+    convex_hull,
+    on_segment,
+    orientation,
+)
 from latkit.qid import QuasiIdentity, Term, Var, Verdict
 
 
@@ -141,6 +150,37 @@ def oracle_biatomic(L: FiniteLattice) -> bool:
                     continue
                 return False
     return True
+
+
+def biatomic_by_splitting(L: FiniteLattice) -> bool:
+    """Biatomicity atom by atom, the route the library took before its atom-set table.
+
+    For each atom p, ``problem[a, b]`` marks p <= a v b with p below neither
+    a nor b, and ``split[i, b]`` that some atom y <= b has p <= x v y for x
+    the i-th atom; a problem is solved iff some atom below a splits with b.
+    Both products use numpy's boolean ``@``.
+    """
+    if not is_atomic(L):
+        return False
+    atoms = np.array(L.atoms(), dtype=np.int64)
+    below = L.leq[atoms, :].T
+    atom_join = L.join_table[np.ix_(atoms, atoms)]
+    for p in atoms:
+        up = L.leq[p]
+        problem = up[L.join_table] & ~up[:, None] & ~up[None, :]
+        split = up[atom_join] @ below.T
+        if (problem & ~(below @ split)).any():
+            return False
+    return True
+
+
+def oracle_atomistic_violation(L: FiniteLattice) -> int | None:
+    """The least x that the join of the atoms below it misses, one element at a time."""
+    atoms = L.atoms()
+    for x in range(L.n):
+        if L.join_all(p for p in atoms if L.leq[p, x]) != x:
+            return x
+    return None
 
 
 def biatomic_by_single_atom(L: FiniteLattice) -> bool:
@@ -425,6 +465,30 @@ def oracle_sub_meet_semilattice(P) -> tuple[list[str], np.ndarray]:
     ]
     closed.sort(key=lambda s: (len(s), sum(1 << i for i in s)))
     return _set_lattice(P.labels, closed)
+
+
+def triangle_with_center_lattice() -> FiniteLattice:
+    cfg = PointConfiguration(
+        ["a", "b", "c", "m"],
+        [RationalPoint.of(0, 3), RationalPoint.of(-3, -3),
+         RationalPoint.of(3, -3), RationalPoint.of(0, -1)],
+    )
+    return co_points(cfg)
+
+
+def hull_lattices(seed: int = 5) -> list[FiniteLattice]:
+    """Lattices of seeded point sets: on a grid, on a parabola (convex) and on a line."""
+    rng = np.random.default_rng(seed)
+    shapes = [lambda x, y: (x, y), lambda x, y: (x, x * x), lambda x, y: (x, 2 * x)]
+    out = []
+    for size in (3, 4, 5, 6, 7, 8):
+        for shape in shapes:
+            coords = set()
+            while len(coords) < size:
+                coords.add(shape(*(int(v) for v in rng.integers(-6, 7, size=2))))
+            pts = [RationalPoint.of(x, y) for x, y in sorted(coords)]
+            out.append(co_points(PointConfiguration([str(i) for i in range(size)], pts)))
+    return out
 
 
 # -- quasi-identities ----------------------------------------------------------------

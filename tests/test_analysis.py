@@ -3,6 +3,8 @@ import pytest
 
 from conftest import (
     biatomic_by_single_atom,
+    biatomic_by_splitting,
+    hull_lattices,
     join_prime_decomposition,
     oracle_biatomic,
     oracle_ell,
@@ -12,6 +14,7 @@ from conftest import (
     oracle_least_decomposition,
     oracle_lower_bounded,
     oracle_transitive_closure,
+    triangle_with_center_lattice,
 )
 from latkit.analysis import (
     BiatomicityProblem,
@@ -37,12 +40,7 @@ from latkit.generators import (
     enumerate_lattices,
     small_lattices,
 )
-from latkit.geometry import (
-    PointConfiguration,
-    RationalPoint,
-    co_points,
-    five_point_configuration,
-)
+from latkit.geometry import co_points, five_point_configuration
 
 
 def corpus(m3, n5):
@@ -122,6 +120,7 @@ def test_biatomic_routes_agree_and_match_oracle(m3, n5):
     for L in corpus(m3, n5):
         verdict = is_biatomic(L)
         assert verdict == biatomic_by_single_atom(L), L.to_json()
+        assert verdict == biatomic_by_splitting(L), L.to_json()
         assert verdict == oracle_biatomic(L), L.to_json()
 
 
@@ -280,18 +279,26 @@ def test_biatomicity_problems_shape(m3):
 
 
 def test_biatomicity_problems_match_oracle():
-    triangle = PointConfiguration(
-        ["a", "b", "c", "m"],
-        [RationalPoint.of(0, 3), RationalPoint.of(-3, -3),
-         RationalPoint.of(3, -3), RationalPoint.of(0, -1)],
-    )
     lattices = list(small_lattices(6)) + [co_chain(n) for n in range(1, 8)]
-    lattices += [co_points(five_point_configuration()), co_points(triangle)]
+    lattices += [co_points(five_point_configuration()), triangle_with_center_lattice()]
     for L in lattices:
         problems = biatomicity_problems(L)
         assert all(pr.solved == (pr.solution is not None) for pr in problems)
         got = [(pr.p, pr.a, pr.b, pr.solution) for pr in problems]
         assert got == oracle_biatomicity_problems(L)
+
+
+def test_biatomic_verdict_is_the_problem_list_all_solved():
+    lattices = list(small_lattices(7)) + [co_chain(n) for n in range(1, 11)]
+    lattices += [boolean(n) for n in range(7)]
+    lattices += [co_points(five_point_configuration()), triangle_with_center_lattice()]
+    lattices += hull_lattices(seed=2026) + hull_lattices(seed=2027)
+    verdicts = set()
+    for L in lattices:
+        verdict = is_biatomic(L)
+        assert verdict == all(pr.solved for pr in biatomicity_problems(L)), L.to_json()
+        verdicts.add(verdict)
+    assert verdicts == {True, False}
 
 
 def test_biatomicity_problem_is_an_immutable_record():

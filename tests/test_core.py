@@ -157,6 +157,13 @@ def test_atoms_and_lower_covers_match_oracles():
             assert list(L.lower_covers(x)) == lower
 
 
+def test_atoms_are_computed_once():
+    for L in [boolean(3), co_chain(4), chain(1)]:
+        atoms = L.atoms()
+        assert L.atoms() is atoms
+        assert list(atoms) == oracle_atoms(L)
+
+
 def test_interval_filter(n5):
     a, b = n5.index("a"), n5.index("b")
     assert n5.interval(a, n5.top) == (a, b, n5.top)

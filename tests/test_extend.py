@@ -7,6 +7,7 @@ from conftest import (
     oracle_atomistic,
     oracle_biatomic,
     oracle_isomorphic,
+    triangle_with_center_lattice,
 )
 from latkit import extend
 from latkit.analysis import (
@@ -16,7 +17,7 @@ from latkit.analysis import (
     is_join_semidistributive,
     join_dependency,
 )
-from latkit.core import FiniteLattice, LatticeError, PreconditionFailed
+from latkit.core import LatticeError, PreconditionFailed
 from latkit.extend import (
     BadApex,
     BadTriple,
@@ -39,21 +40,7 @@ from latkit.extend import (
     solve_one_problem,
 )
 from latkit.generators import boolean, chain, co_chain, enumerate_lattices
-from latkit.geometry import (
-    PointConfiguration,
-    RationalPoint,
-    co_points,
-    five_point_configuration,
-)
-
-
-def triangle_with_center_lattice() -> FiniteLattice:
-    cfg = PointConfiguration(
-        ["a", "b", "c", "m"],
-        [RationalPoint.of(0, 3), RationalPoint.of(-3, -3),
-         RationalPoint.of(3, -3), RationalPoint.of(0, -1)],
-    )
-    return co_points(cfg)
+from latkit.geometry import co_points, five_point_configuration
 
 
 def atomistic_jsd_corpus(max_n: int):

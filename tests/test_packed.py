@@ -1,26 +1,35 @@
-"""The packed-row kernels of ``latkit.core`` against their reference routes.
+"""The packed-row kernels of ``latkit.core`` and ``latkit.analysis`` against
+their reference routes.
 
 ``_bool_product`` is checked against numpy's boolean ``@``; ``_lub_table``,
 ``_check_partial_order`` and the cover matrix against the pair scan and the
-``@`` routes of ``conftest``.  Each comparison asks for the same table, or
-for the same error type with the same message.  Every test runs twice: with
-the default block size, and with one word per block, so that the search for
-the first failing pair crosses every block edge.
+``@`` routes of ``conftest``; ``is_biatomic`` against the per-atom product
+routes and the brute-force oracle of ``conftest``.  Each comparison asks for
+the same table, verdict or element, or for the same error type with the
+same message.  The table, product and biatomicity tests run twice: with the
+default block sizes, and with one word per block, so that the search for the
+first failing pair crosses every block edge.
 """
 
 import functools
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from conftest import (
     biatomic_by_single_atom,
+    biatomic_by_splitting,
+    hull_lattices,
+    oracle_atomistic_violation,
+    oracle_biatomic,
+    oracle_biatomicity_problems,
     oracle_check_partial_order,
     oracle_cover_matrix,
     oracle_lub_table,
 )
-from latkit import core
-from latkit.analysis import is_biatomic
+from latkit import analysis, core
+from latkit.analysis import atomistic_violation, is_biatomic
 from latkit.core import (
     FiniteLattice,
     LatticeError,
@@ -30,8 +39,14 @@ from latkit.core import (
     _lub_table,
     _packed_rows,
 )
-from latkit.generators import MeetSemilattice, co_chain, meet_semilattices, small_lattices
-from latkit.geometry import PointConfiguration, RationalPoint, co_points
+from latkit.extend import biatomic_completion
+from latkit.generators import (
+    MeetSemilattice,
+    boolean,
+    co_chain,
+    meet_semilattices,
+    small_lattices,
+)
 
 # sizes around one and two 64-bit words, and a few between
 SIZES = [1, 2, 5, 20, 63, 64, 65, 127, 128, 129, 200]
@@ -41,6 +56,7 @@ SIZES = [1, 2, 5, 20, 63, 64, 65, 127, 128, 129, 200]
 def blocks(request, monkeypatch):
     if request.param is not None:
         monkeypatch.setattr(core, "_BLOCK_WORDS", request.param)
+        monkeypatch.setattr(analysis, "_SET_BLOCK_WORDS", request.param)
 
 
 def outcome(f, *args):
@@ -218,26 +234,102 @@ def test_meet_semilattices_match_the_pair_scan(blocks):
     assert 0 < made < len(orders)
 
 
-def hull_lattices() -> list[FiniteLattice]:
-    """Seeded point sets: on a grid, on a parabola (convex) and on a line."""
-    rng = np.random.default_rng(5)
-    shapes = [lambda x, y: (x, y), lambda x, y: (x, x * x), lambda x, y: (x, 2 * x)]
-    out = []
-    for size in (3, 4, 5, 6, 7, 8):
-        for shape in shapes:
-            coords = set()
-            while len(coords) < size:
-                coords.add(shape(*(int(v) for v in rng.integers(-6, 7, size=2))))
-            pts = [RationalPoint.of(x, y) for x, y in sorted(coords)]
-            out.append(co_points(PointConfiguration([str(i) for i in range(size)], pts)))
-    return out
-
-
 def test_is_biatomic_matches_the_product_route(blocks):
     lattices = hull_lattices()
     verdicts = [is_biatomic(L) for L in lattices]
     assert verdicts == [biatomic_by_single_atom(L) for L in lattices]
+    assert verdicts == [biatomic_by_splitting(L) for L in lattices]
     assert set(verdicts) == {True, False}
+
+
+# atom counts on both sides of one, two and three 64-bit words
+ATOM_COUNTS = [0, 1, 63, 64, 65, 127, 128, 129]
+
+
+def diamond(k: int, rng) -> FiniteLattice:
+    """M_k, k atoms between a bottom and a top, on shuffled indices."""
+    atoms = [f"a{i}" for i in range(k)]
+    covers = [("0", a) for a in atoms] + [(a, "1") for a in atoms]
+    labels = ["0", *atoms, "1"] if k else ["0"]
+    return FiniteLattice.from_covers([str(v) for v in rng.permutation(labels)], covers)
+
+
+def one_unsolved_atom(k: int, rng) -> FiniteLattice:
+    """A lattice on k >= 5 atoms, not biatomic through its last atom only.
+
+    The atoms are q1 .. q(k-4), x, y, z and p; the other elements are the
+    atom sets {x, z}, Y = {y, q1, ..}, Y + x, Y + z and the top.  Then
+    p <= {x, z} v y, but neither x v y = Y + x nor z v y = Y + z holds p.
+    The elements are shuffled with the atoms kept in this order, so p is the
+    last atom: its bit ends or starts a word for k = 64, 65, 128 and 129.
+    """
+    qs = [f"q{i}" for i in range(1, k - 3)]
+    atoms = qs + ["x", "y", "z", "p"]
+    covers = [("0", a) for a in atoms] + [(q, "Y") for q in qs]
+    covers += [("x", "xz"), ("z", "xz"), ("y", "Y"), ("Y", "Yx"), ("x", "Yx")]
+    covers += [("Y", "Yz"), ("z", "Yz")] + [(e, "1") for e in ("xz", "Yx", "Yz", "p")]
+    labels = [str(v) for v in rng.permutation(["0", *atoms, "xz", "Y", "Yx", "Yz", "1"])]
+    slots = [i for i, label in enumerate(labels) if label in atoms]
+    for i, label in zip(slots, atoms):
+        labels[i] = label
+    return FiniteLattice.from_covers(labels, covers)
+
+
+@functools.cache
+def boundary_cases() -> list[tuple]:
+    """Lattices around the word sizes, each with its verdicts by the two
+    per-atom routes and, where the lattice is small, by the brute-force oracle
+    (its loops grow as the fifth power of the atoms)."""
+    rng = np.random.default_rng(64)
+    lattices = [diamond(k, rng) for k in ATOM_COUNTS]
+    lattices += [one_unsolved_atom(k, rng) for k in [5, 6] + ATOM_COUNTS[2:]]
+    # biatomic completions with 64 and 81 atoms
+    lattices += [biatomic_completion(co_chain(m))[0] for m in (8, 9)]
+    return [
+        (L, biatomic_by_splitting(L), biatomic_by_single_atom(L),
+         oracle_biatomic(L) if L.n <= 20 else None)
+        for L in lattices
+    ]
+
+
+def test_is_biatomic_across_word_boundaries(blocks):
+    verdicts = []
+    for L, by_splitting, by_single_atom, by_oracle in boundary_cases():
+        verdict = is_biatomic(L)
+        assert verdict == by_splitting == by_single_atom
+        assert by_oracle in (None, verdict)
+        verdicts.append((len(L.atoms()), verdict))
+    assert {k for k, _ in verdicts} >= set(ATOM_COUNTS)
+    assert (129, False) in verdicts and (129, True) in verdicts
+    assert (65, False) in verdicts and (5, False) in verdicts
+
+
+def test_one_unsolved_atom_has_its_problems_at_the_last_atom():
+    L = one_unsolved_atom(6, np.random.default_rng(0))
+    unsolved = {p for p, a, b, solution in oracle_biatomicity_problems(L) if solution is None}
+    assert unsolved == {L.atoms()[-1]} == {L.index("p")}
+
+
+def test_is_biatomic_memory_stays_below_the_per_atom_route():
+    L = boolean(10)
+    tracemalloc.start()
+    try:
+        assert is_biatomic(L)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the per-atom products peaked at 3.0 MB here, with 1 MB tables per atom
+    assert peak <= 3.0e6
+
+
+def test_atomistic_violation_matches_the_element_loop():
+    lattices = list(small_lattices(7)) + [
+        FiniteLattice(leq) for leq, joins, meets in scanned("seeded")
+        if joins[0] == meets[0] == "ok"
+    ]
+    got = [atomistic_violation(L) for L in lattices]
+    assert got == [oracle_atomistic_violation(L) for L in lattices]
+    assert None in got and sum(x is not None for x in got) > len(lattices) // 2
 
 
 @pytest.mark.parametrize("m,k,n", [
