@@ -41,7 +41,8 @@ _SET_BLOCK_WORDS = 1 << 15
 
 
 def is_atomic(L: FiniteLattice) -> bool:
-    """True iff every nonzero element lies above an atom."""
+    """True iff every nonzero element lies above an atom: always, on a
+    ``FiniteLattice``, since a minimal nonzero element below x is an atom."""
     covered = L.leq[list(L.atoms())].any(axis=0)
     covered[L.bottom] = True
     return bool(covered.all())
@@ -73,8 +74,9 @@ def is_biatomic(L: FiniteLattice) -> bool:
     e, T(x, b) the union of A(x v y) over atoms y <= b, and U(a, b) the
     union of T(x, b) over atoms x <= a: the atoms that some pair of atoms
     below a and b reaches.  U(a, b) lies inside A(a v b), and for nonzero a
-    and b it holds A(a) and A(b) (take x or y to be that atom).  So an
-    atomic lattice is biatomic iff U(a, b) = A(a v b) for all nonzero a, b.
+    and b it holds A(a) and A(b): take x or y to be that atom and the other
+    any atom below its side, which exists as every finite lattice is atomic.
+    So L is biatomic iff U(a, b) = A(a v b) for all nonzero a, b.
 
     The sets are packed into words (:func:`_packed_rows`) and all unions
     are ``bitwise_or.reduceat`` over the (element, atom) pairs with the atom
@@ -84,8 +86,6 @@ def is_biatomic(L: FiniteLattice) -> bool:
     b where that alone takes more; T is built a few rows x at a time within
     the same bound.  The first block with an unsolved atom ends the search.
     """
-    if not is_atomic(L):
-        return False
     atoms = np.array(L.atoms(), dtype=np.int64)
     nonzero = np.flatnonzero(np.arange(L.n) != L.bottom)
     # sets[e]: the atoms below e, atom i in bit i % 64 of word i // 64

@@ -136,18 +136,29 @@ def _bool_closure(rel: np.ndarray) -> np.ndarray:
         closure = nxt
 
 
+def _checked_labels(labels: Sequence[str] | None, n: int | None = None) -> tuple[str, ...]:
+    """Labels as strings, ``0 .. n-1`` if None; pairwise distinct, and n of
+    them when n is given."""
+    if labels is None:
+        return tuple(str(i) for i in range(n))
+    labels = tuple(str(x) for x in labels)
+    if n is not None and len(labels) != n:
+        raise LatticeError("label count does not match element count")
+    if len(set(labels)) != len(labels):
+        raise LatticeError("labels must be pairwise distinct")
+    return labels
+
+
 def _order_from_covers(
     labels: Sequence[str], covers: Iterable[tuple[str, str]]
-) -> tuple[list[str], np.ndarray]:
+) -> tuple[tuple[str, ...], np.ndarray]:
     """Labels and the closed order matrix of a cover list of (lower, upper) pairs.
 
     The cover relation is closed reflexively and transitively.  Duplicate
     labels and covers naming an unknown element raise :class:`LatticeError`;
     a loop or a cycle raises :class:`NotAPoset`.
     """
-    labels = [str(x) for x in labels]
-    if len(set(labels)) != len(labels):
-        raise LatticeError("labels must be pairwise distinct")
+    labels = _checked_labels(labels)
     index = {lab: i for i, lab in enumerate(labels)}
     n = len(labels)
     _check_size(n, "the cover list")
@@ -191,15 +202,7 @@ class FiniteLattice:
         leq = np.array(leq, dtype=bool)
         self.n = n
         _check_partial_order(leq)
-        if labels is None:
-            labels = tuple(str(i) for i in range(n))
-        else:
-            labels = tuple(str(x) for x in labels)
-            if len(labels) != n:
-                raise LatticeError("label count does not match element count")
-            if len(set(labels)) != n:
-                raise LatticeError("labels must be pairwise distinct")
-        self.labels = labels
+        self.labels = _checked_labels(labels, n)
 
         bottoms = np.flatnonzero(leq.all(axis=1))
         tops = np.flatnonzero(leq.all(axis=0))
@@ -383,7 +386,7 @@ class FiniteLattice:
             for y in elems
         )
 
-    def restrict(self, subset: Iterable[int], relabel=None) -> "FiniteLattice":
+    def restrict(self, subset: Iterable[int]) -> "FiniteLattice":
         """The induced order on a subset, revalidated as a lattice.
 
         Meets and joins are recomputed inside the subset, so this is the
@@ -393,8 +396,7 @@ class FiniteLattice:
         elems = sorted(set(int(x) for x in subset))
         _check_indices(self, "subset", elems)
         sub = self.leq[np.ix_(elems, elems)]
-        labels = [self.labels[i] for i in elems] if relabel is None else relabel
-        return FiniteLattice(sub, labels)
+        return FiniteLattice(sub, [self.labels[i] for i in elems])
 
 
 def _inclusion_order(masks: Sequence[int]) -> np.ndarray:

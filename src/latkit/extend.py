@@ -2,8 +2,9 @@
 
 Three constructions: the one-shot atom-doubling completion that makes any
 finite lattice sit inside an atomistic biatomic one; the single-atom
-extension L(a; M) driven by a closure operator, together with the criterion
-for when it preserves join-semidistributivity; and the iterated solver that
+extension L(a; M), recorded as an ``ExtensionPair`` of the apex a and the
+closure map onto M, together with the criterion for when it preserves
+join-semidistributivity; and the iterated solver that
 removes every biatomicity problem of a finite atomistic join-semidistributive
 lattice while preserving join-semidistributivity, atom dependencies, and
 lower-boundedness.
@@ -102,11 +103,7 @@ def biatomic_completion(L: FiniteLattice) -> tuple[FiniteLattice, EmbeddingMap]:
     for t, a in enumerate(doubled):
         for offset, prefix in ((0, "p"), (1, "q")):
             idx = n + 2 * t + offset
-            fresh = f"{prefix}({L.labels[a]})"
-            while fresh in used:
-                fresh += "'"
-            used.add(fresh)
-            labels.append(fresh)
+            labels.append(_fresh_label(used, f"{prefix}({L.labels[a]})"))
             leq[idx, idx] = True
             leq[L.bottom, idx] = True
             leq[idx, :n] = L.leq[a]
@@ -114,6 +111,14 @@ def biatomic_completion(L: FiniteLattice) -> tuple[FiniteLattice, EmbeddingMap]:
     emb = verify_embedding(L, result, tuple(range(n)))
     _ensure(emb.preserved.all_flags(), "completion embedding lost structure")
     return result, emb
+
+
+def _fresh_label(used: set[str], label: str) -> str:
+    """``label`` primed until no element of ``used`` has it; it joins ``used``."""
+    while label in used:
+        label += "'"
+    used.add(label)
+    return label
 
 
 # -- atom restriction and re-embedding ------------------------------------------
@@ -182,18 +187,21 @@ def separating_reembedding(M: FiniteLattice, sub) -> EmbeddingMap:
     return emb
 
 
-# -- extension pairs and closure operators ---------------------------------------
+# -- extension pairs ----------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class ExtensionPair:
-    """A validated pair (apex; subsemilattice) describing a one-atom extension,
-    with the closure whose image is the subsemilattice."""
+    """A validated pair (apex; M) describing a one-atom extension, held as
+    the closure onto M: ``closure[x]`` is the least element of M above x."""
 
     lattice: FiniteLattice
     apex: int
-    subsemilattice: frozenset[int]
-    closure: ClosureOperator
+    closure: tuple[int, ...]
+
+    @property
+    def subsemilattice(self) -> frozenset[int]:
+        return frozenset(self.closure)
 
 
 def make_extension_pair(L: FiniteLattice, apex: int, subset) -> ExtensionPair:
@@ -212,11 +220,12 @@ def make_extension_pair(L: FiniteLattice, apex: int, subset) -> ExtensionPair:
         )
     if not L.is_meet_subsemilattice(members):
         raise NotMeetClosed("element set is not closed under meets")
-    return ExtensionPair(L, int(apex), members, _closure_onto(L, members))
+    return ExtensionPair(L, int(apex), _closure_onto(L, members))
 
 
 def extension_pairs(L: FiniteLattice):
-    """Every valid extension pair of L, apexes ascending, element sets by size."""
+    """Every valid extension pair of L: apexes ascending, then element sets by
+    size, then lexicographically.  The enumeration makes each pair valid."""
     atom_set = set(L.atoms())
     for apex in range(L.n):
         if apex == L.bottom or apex in atom_set:
@@ -227,66 +236,14 @@ def extension_pairs(L: FiniteLattice):
             for extra in combinations(optional, r):
                 members = must | set(extra)
                 if L.is_meet_subsemilattice(members):
-                    yield make_extension_pair(L, apex, members)
+                    yield ExtensionPair(L, apex, _closure_onto(L, members))
 
 
-@dataclass(frozen=True)
-class ClosureOperator:
-    """An extensive, monotone, idempotent self-map with its image."""
-
-    lattice: FiniteLattice
-    image: frozenset[int]
-    map: tuple[int, ...]
-
-    def __call__(self, x: int) -> int:
-        return self.map[x]
-
-
-def closure_from_image(L: FiniteLattice, image) -> ClosureOperator:
-    """The closure sending x to the least element of the image above x.
-
-    The image must be meet-closed and contain the top, which makes the least
-    upper element exist: the meet of all image elements above x.
-    """
-    members = frozenset(int(x) for x in image)
-    if L.top not in members:
-        raise MissingFilter("closure image must contain the top")
-    if not L.is_meet_subsemilattice(members):
-        raise NotMeetClosed("closure image must be closed under meets")
-    return _closure_onto(L, members)
-
-
-def _closure_onto(L: FiniteLattice, members: frozenset[int]) -> ClosureOperator:
+def _closure_onto(
+    L: FiniteLattice, members: set[int] | frozenset[int]
+) -> tuple[int, ...]:
     """The closure onto a meet-closed set that holds the top; neither is checked."""
-    mapping = tuple(L.meet_all(y for y in members if L.leq[x, y]) for x in range(L.n))
-    return ClosureOperator(L, members, mapping)
-
-
-def closure_from_map(L: FiniteLattice, mapping) -> ClosureOperator:
-    """Wrap and validate an explicit closure map; its image is computed."""
-    mapping = tuple(int(x) for x in mapping)
-    if len(mapping) != L.n:
-        raise LatticeError("closure map must be total")
-    _check_indices(L, "closure map", mapping)
-    out = ClosureOperator(L, frozenset(mapping), mapping)
-    _validate_closure(out)
-    return out
-
-
-def _validate_closure(c: ClosureOperator) -> None:
-    L = c.lattice
-    f = c.map
-    for x in range(L.n):
-        if not L.leq[x, f[x]]:
-            raise LatticeError("closure must be extensive")
-        if f[f[x]] != f[x]:
-            raise LatticeError("closure must be idempotent")
-    for x in range(L.n):
-        for y in range(L.n):
-            if L.leq[x, y] and not L.leq[f[x], f[y]]:
-                raise LatticeError("closure must be monotone")
-    if frozenset(f) != c.image:
-        raise LatticeError("closure image does not match its fixed points")
+    return tuple(L.meet_all(y for y in members if L.leq[x, y]) for x in range(L.n))
 
 
 # -- the one-atom extension -------------------------------------------------------
@@ -297,7 +254,7 @@ class OneAtomExtension:
     """A base lattice extended by one fresh atom below the apex.
 
     ``embedding`` is the identity on base indices; ``new_atom`` is the fresh
-    atom's index in the result; ``pair.closure`` is the operator the
+    atom's index in the result; ``pair.closure`` is the closure map the
     extension was built from.
     """
 
@@ -339,14 +296,9 @@ def one_atom_extension(pair: ExtensionPair) -> OneAtomExtension:
         m += 1
     used.add(star)
     for m in fresh:
-        if m == L.bottom:
-            labels.append(star)
-        else:
-            lab = f"{star} v {L.labels[m]}"
-            while lab in used:
-                lab += "'"
-            used.add(lab)
-            labels.append(lab)
+        labels.append(
+            star if m == L.bottom else _fresh_label(used, f"{star} v {L.labels[m]}")
+        )
 
     result = FiniteLattice(leq, labels)
     emb = verify_embedding(L, result, tuple(range(n)))
@@ -363,7 +315,7 @@ def one_atom_extension(pair: ExtensionPair) -> OneAtomExtension:
     # x <= p* v y in the result iff x <= f(y) in the base
     star_join = result.join_table[new_atom][:n]
     lhs = result.leq[:n, :][:, star_join]
-    rhs = L.leq[:, pair.closure.map]
+    rhs = L.leq[:, pair.closure]
     _ensure(bool(np.array_equal(lhs, rhs)), "closure law failed in the extension")
     # every element is an original or the join of the fresh atom with one
     for pos, m in enumerate(fresh):
@@ -399,7 +351,7 @@ def jsd_extension_criteria(pair: ExtensionPair):
             continue
         if x not in pair.subsemilattice:
             return False, ("maximal_outside_not_in_m", int(x))
-    f = np.array(pair.closure.map)
+    f = np.array(pair.closure)
     atoms = np.array(L.atoms(), dtype=np.int64)
     for x in range(L.n):
         fu = f[L.join_table[x, atoms]]
@@ -440,11 +392,9 @@ def _validate_problem_triple(L: FiniteLattice, p: int, q: int, a: int) -> None:
         raise BadTriple("the apex must be neither the bottom nor an atom")
     if not L.leq[p, L.join(a, q)]:
         raise BadTriple("p must lie below apex v q")
-    for x in range(L.n):
-        if L.lt(x, a) and L.leq[p, L.join_table[x, q]]:
-            raise MinimalityFailed(
-                f"p <= {L.labels[x]} v q with {L.labels[x]} < apex"
-            )
+    x = minimal_apex(L, p, q, a)
+    if x != a:
+        raise MinimalityFailed(f"p <= {L.labels[x]} v q with {L.labels[x]} < apex")
 
 
 def solve_one_problem(L: FiniteLattice, p: int, q: int, a: int) -> OneAtomExtension:
@@ -470,9 +420,8 @@ def solve_one_problem(L: FiniteLattice, p: int, q: int, a: int) -> OneAtomExtens
 def _adjoin_atom(L: FiniteLattice, p: int, q: int, a: int) -> OneAtomExtension:
     """The extension of ``solve_one_problem`` for a triple known to be valid."""
     join_p = L.join_table[p]
-    mapping = tuple(np.where(L.leq[q][join_p], join_p, np.arange(L.n)).tolist())
-    closure = ClosureOperator(L, frozenset(mapping), mapping)
-    return one_atom_extension(ExtensionPair(L, int(a), closure.image, closure))
+    closure = tuple(np.where(L.leq[q][join_p], join_p, np.arange(L.n)).tolist())
+    return one_atom_extension(ExtensionPair(L, int(a), closure))
 
 
 # -- the full biatomization loop -----------------------------------------------------

@@ -15,6 +15,7 @@ from .core import (
     TooLarge,
     _check_partial_order,
     _check_size,
+    _checked_labels,
     _closed_sets,
     _inclusion_order,
     _lub_table,
@@ -94,13 +95,7 @@ class MeetSemilattice:
                 "some pair of elements has no greatest lower bound"
             ) from None
         self.n = n
-        if labels is None:
-            labels = tuple(str(i) for i in range(n))
-        else:
-            labels = tuple(str(x) for x in labels)
-            if len(labels) != n or len(set(labels)) != n:
-                raise LatticeError("labels must be distinct and match the size")
-        self.labels = labels
+        self.labels = _checked_labels(labels, n)
         self.meet_table = table
         leq.setflags(write=False)
         table.setflags(write=False)

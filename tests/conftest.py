@@ -6,7 +6,9 @@ independent route.  ``oracle_lub_table``, ``oracle_check_partial_order``
 and ``oracle_cover_matrix`` keep the pair scan and numpy's boolean ``@``
 that the packed-row kernels of ``latkit.core`` replaced;
 ``biatomic_by_splitting`` and ``oracle_atomistic_violation`` keep the
-per-atom loops that ``latkit.analysis`` replaced.  ``assert_solved_triple``
+per-atom loops that ``latkit.analysis`` replaced.  ``oracle_closure_violation``
+checks the closure laws of a map by a pair scan, which the library, building
+every closure from its image, never re-checks.  ``assert_solved_triple``
 instead holds the per-step postconditions of the biatomization solver,
 which the library proves once and no longer re-checks at runtime.
 """
@@ -18,13 +20,12 @@ import pytest
 
 from latkit.analysis import (
     _irredundant_atoms,
-    is_atomic,
     is_atomistic,
     is_join_semidistributive,
     join_dependency,
 )
 from latkit.core import FiniteLattice, NotALattice, NotAPoset
-from latkit.extend import closure_from_map, make_extension_pair
+from latkit.extend import make_extension_pair
 from latkit.geometry import (
     PointConfiguration,
     RationalPoint,
@@ -160,8 +161,6 @@ def biatomic_by_splitting(L: FiniteLattice) -> bool:
     the i-th atom; a problem is solved iff some atom below a splits with b.
     Both products use numpy's boolean ``@``.
     """
-    if not is_atomic(L):
-        return False
     atoms = np.array(L.atoms(), dtype=np.int64)
     below = L.leq[atoms, :].T
     atom_join = L.join_table[np.ix_(atoms, atoms)]
@@ -186,12 +185,10 @@ def oracle_atomistic_violation(L: FiniteLattice) -> int | None:
 def biatomic_by_single_atom(L: FiniteLattice) -> bool:
     """Biatomicity through the one-sided atom criterion, a second route.
 
-    Equivalent reduction: L is atomic, and whenever an atom p satisfies
+    Equivalent reduction, as L is atomic: whenever an atom p satisfies
     p <= a v b with p not below a and not below b, some atom q <= a
     already has p <= q v b.
     """
-    if not is_atomic(L):
-        return False
     atoms = np.array(L.atoms(), dtype=np.int64)
     if len(atoms) == 0:
         return True
@@ -360,24 +357,46 @@ def oracle_ell(L: FiniteLattice, x: int) -> int | None:
 # -- constructions -----------------------------------------------------------------
 
 
+def oracle_closure_violation(L: FiniteLattice, mapping) -> str | None:
+    """The first closure law a self-map of L breaks, or None for a closure.
+
+    The map must be total on L and stay in it, and be extensive,
+    idempotent and monotone.
+    """
+    f = [int(x) for x in mapping]
+    if len(f) != L.n:
+        return "not total"
+    if any(not 0 <= y < L.n for y in f):
+        return "leaves the lattice"
+    for x in range(L.n):
+        if not L.leq[x, f[x]]:
+            return "not extensive"
+        if f[f[x]] != f[x]:
+            return "not idempotent"
+    for x in range(L.n):
+        for y in range(L.n):
+            if L.leq[x, y] and not L.leq[f[x], f[y]]:
+                return "not monotone"
+    return None
+
+
 def assert_solved_triple(L: FiniteLattice, p: int, q: int, a: int, ext) -> None:
     """Every postcondition the paper proves for one solved problem triple.
 
     ``ext`` is ``solve_one_problem(L, p, q, a)`` on a valid triple.  Its
-    closure must be a closure map onto a valid extension pair with apex a,
-    send q to p v q and fix the apex filter; the extension must be atomistic
-    and join-semidistributive with p < p* v q and p* < a; p and p* depend on
+    closure must obey the closure laws, be the closure that
+    ``make_extension_pair`` builds for apex a and its image, send q to
+    p v q and fix the apex filter; the extension must be atomistic and
+    join-semidistributive with p < p* v q and p* < a; p and p* depend on
     the decomposition of a; the dependency order between original atoms is
     unchanged; p* depends on itself exactly when the decomposition reaches
     p; and lower-boundedness carries over.
     """
     closure = ext.pair.closure
-    assert closure_from_map(L, closure.map).image == closure.image
-    assert make_extension_pair(L, a, closure.image).closure.map == closure.map
-    assert closure.map[q] == L.join(p, q), "closure must send q to p v q"
-    assert all(
-        closure.map[x] == x for x in L.filter(a)
-    ), "closure must fix the apex filter"
+    assert oracle_closure_violation(L, closure) is None
+    assert make_extension_pair(L, a, ext.pair.subsemilattice).closure == closure
+    assert closure[q] == L.join(p, q), "closure must send q to p v q"
+    assert all(closure[x] == x for x in L.filter(a)), "closure must fix the apex filter"
 
     R = ext.result
     star = ext.new_atom

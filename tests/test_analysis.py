@@ -124,6 +124,13 @@ def test_biatomic_routes_agree_and_match_oracle(m3, n5):
         assert verdict == oracle_biatomic(L), L.to_json()
 
 
+def test_every_finite_lattice_is_atomic():
+    # is_biatomic relies on this instead of checking it
+    lattices = [L for n in range(1, 8) for L in enumerate_lattices(n)]
+    for L in lattices + hull_lattices():
+        assert is_atomic(L), L.to_json()
+
+
 def test_lower_bounded_matches_oracle(m3, n5):
     for L in corpus(m3, n5):
         assert is_lower_bounded(L) == oracle_lower_bounded(L), L.to_json()

@@ -1,9 +1,11 @@
+from dataclasses import fields
 from itertools import combinations
 
 import pytest
 
 from conftest import (
     assert_solved_triple,
+    oracle_closure_violation,
     oracle_atomistic,
     oracle_biatomic,
     oracle_isomorphic,
@@ -21,6 +23,7 @@ from latkit.core import LatticeError, PreconditionFailed
 from latkit.extend import (
     BadApex,
     BadTriple,
+    ExtensionPair,
     MinimalityFailed,
     MissingFilter,
     NotJsdBase,
@@ -28,8 +31,6 @@ from latkit.extend import (
     SeparationFailed,
     atom_restriction,
     biatomic_completion,
-    closure_from_image,
-    closure_from_map,
     extension_pairs,
     jsd_extension_criteria,
     make_extension_pair,
@@ -111,59 +112,65 @@ def test_make_extension_pair_validation():
         make_extension_pair(b3, apex, {b3.bottom, apex, b3.top, 99})
 
 
-def test_closure_from_image():
+def test_extension_pair_closure():
+    assert [f.name for f in fields(ExtensionPair)] == ["lattice", "apex", "closure"]
     b2 = boolean(2)
-    ident = closure_from_image(b2, range(b2.n))
-    assert ident.map == tuple(range(b2.n))
-    assert ident(0) == 0
+    ident = make_extension_pair(b2, b2.top, range(b2.n))
+    assert ident.closure == tuple(range(b2.n))
+    assert ident.subsemilattice == frozenset(range(b2.n))
 
-    top_only = closure_from_image(b2, [b2.top])
-    assert top_only.map == (b2.top,) * b2.n
+    ends = make_extension_pair(b2, b2.top, [b2.bottom, b2.top])
+    assert ends.closure == tuple(x if x == b2.bottom else b2.top for x in range(b2.n))
+    assert ends.subsemilattice == {b2.bottom, b2.top}
 
     with pytest.raises(MissingFilter):
-        closure_from_image(b2, [b2.bottom])
+        make_extension_pair(b2, b2.top, [b2.bottom])
     b3 = boolean(3)
+    apex = b3.index("{0,1}")
     with pytest.raises(NotMeetClosed):
-        closure_from_image(b3, [b3.top, b3.index("{0,1}"), b3.index("{1,2}")])
+        make_extension_pair(b3, apex, [b3.bottom, b3.top, apex, b3.index("{1,2}")])
 
 
-def test_closure_from_image_is_a_closure():
-    # closure_from_image no longer validates its result at runtime
+def test_extension_pairs_match_brute_force():
+    # extension_pairs validates nothing itself, so it must yield exactly the
+    # pairs make_extension_pair accepts, in their documented order
     checked = 0
     for n in range(1, 6):
         for L in enumerate_lattices(n):
-            rest = [x for x in range(L.n) if x != L.top]
-            for r in range(len(rest) + 1):
-                for extra in combinations(rest, r):
-                    image = {L.top, *extra}
-                    if not L.is_meet_subsemilattice(image):
-                        continue
-                    c = closure_from_image(L, image)
-                    assert c.image == frozenset(image)
-                    assert closure_from_map(L, c.map).image == c.image
-                    checked += 1
+            want = []
+            for apex in range(L.n):
+                for r in range(L.n + 1):
+                    for subset in combinations(range(L.n), r):
+                        try:
+                            pair = make_extension_pair(L, apex, subset)
+                        except (BadApex, MissingFilter, NotMeetClosed):
+                            continue
+                        assert pair.subsemilattice == frozenset(subset)
+                        want.append(pair)
+            got = list(extension_pairs(L))
+            assert [(p.apex, p.closure) for p in got] == [
+                (p.apex, p.closure) for p in want
+            ]
+            for pair in got:
+                assert oracle_closure_violation(L, pair.closure) is None
+            checked += len(got)
     assert checked > 50
 
 
-def test_closure_from_map():
+def test_oracle_closure_violation():
     c = chain(3)
-    const_top = closure_from_map(c, [2, 2, 2])
-    assert const_top.image == frozenset([2])
-    with pytest.raises(LatticeError):
-        closure_from_map(c, [0, 0, 2])  # not extensive at 1
-    with pytest.raises(LatticeError):
-        closure_from_map(c, [1, 2, 2])  # f(f(0)) != f(0)
+    assert oracle_closure_violation(c, [2, 2, 2]) is None
+    assert oracle_closure_violation(c, [0, 0, 2]) == "not extensive"
+    assert oracle_closure_violation(c, [1, 2, 2]) == "not idempotent"
     b2 = boolean(2)
     x, y = b2.atoms()
     bad = [0] * b2.n
     bad[b2.bottom], bad[x], bad[y], bad[b2.top] = x, x, y, b2.top
-    with pytest.raises(LatticeError):
-        closure_from_map(b2, bad)  # bottom <= y but f(bottom) not <= f(y)
-    with pytest.raises(LatticeError):
-        closure_from_map(c, [0, 1])
+    # bottom <= y but f(bottom) not <= f(y)
+    assert oracle_closure_violation(b2, bad) == "not monotone"
+    assert oracle_closure_violation(c, [0, 1]) == "not total"
     for outside in ([-1, -1, -1], [3, 3, 3]):
-        with pytest.raises(LatticeError, match="leaves the lattice"):
-            closure_from_map(c, outside)
+        assert oracle_closure_violation(c, outside) == "leaves the lattice"
 
 
 # -- one-atom extensions -----------------------------------------------------------
@@ -205,7 +212,7 @@ def test_one_atom_extension_join_law():
         lifted = ext.result.join(ext.new_atom, x)
         # joining the fresh atom onto an original element realizes the closure
         for y in range(b3.n):
-            assert ext.result.le(y, lifted) == b3.le(y, f(x))
+            assert ext.result.le(y, lifted) == b3.le(y, f[x])
 
 
 def test_one_atom_extension_order_matches_pair_loop():

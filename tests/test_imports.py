@@ -3,13 +3,16 @@ module-level function of the package, every exception class of the
 package is raised, and the package has no matrix product ``@``: every
 boolean product goes through the packed-row kernel ``core._bool_product``.
 The command line has one report path: only ``main`` writes a report, and
-only it reads the clock."""
+only it reads the clock.  The package's ``__all__`` lists exactly the public
+names it imports, and each of them resolves."""
 
 import ast
 import builtins
 from pathlib import Path
 
 import pytest
+
+import latkit
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = sorted((ROOT / "src" / "latkit").glob("*.py"))
@@ -216,4 +219,55 @@ def test_detector_flags_a_second_report_path():
         "_print uses sys.stdout",
         "cmd_x calls _emit",
         "cmd_x reads time",
+    ]
+
+
+def export_mismatches(tree: ast.Module) -> list[str]:
+    """Where a module's ``__all__`` and the names it binds disagree.
+
+    A name in ``__all__`` that no import, definition or assignment of the
+    module binds does not resolve; a public name the module imports but
+    leaves out of ``__all__`` is not listed.  The list is sorted.
+    """
+    bound, imported, listed = set(), set(), []
+    for node in tree.body:
+        if isinstance(node, ast.Import) or (
+            isinstance(node, ast.ImportFrom) and node.module != "__future__"
+        ):
+            names = {alias.asname or alias.name.split(".")[0] for alias in node.names}
+            bound |= names
+            imported |= names
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+        elif isinstance(node, ast.Assign):
+            for target in node.targets:
+                if isinstance(target, ast.Name):
+                    bound.add(target.id)
+                    if target.id == "__all__":
+                        listed = [elt.value for elt in node.value.elts]
+    found = [f"{name} does not resolve" for name in listed if name not in bound]
+    found += [
+        f"{name} is not listed"
+        for name in imported
+        if not name.startswith("_") and name not in listed
+    ]
+    return sorted(found)
+
+
+def test_package_exports_match_its_imports():
+    init = ROOT / "src" / "latkit" / "__init__.py"
+    assert export_mismatches(ast.parse(init.read_text(encoding="utf-8"))) == []
+    assert [name for name in latkit.__all__ if not hasattr(latkit, name)] == []
+
+
+def test_detector_flags_a_stale_export():
+    tree = ast.parse(
+        "from .core import _private\n"
+        "from .extend import ExtensionPair, make_extension_pair\n"
+        "__version__ = '0'\n"
+        "__all__ = ['ClosureOperator', 'ExtensionPair', '__version__']\n"
+    )
+    assert export_mismatches(tree) == [
+        "ClosureOperator does not resolve",
+        "make_extension_pair is not listed",
     ]
