@@ -242,7 +242,7 @@ class FiniteLattice:
         """Parse the lattice interchange format (``elements`` + ``covers``)."""
         try:
             data = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # JSONDecodeError, or an integer past int's digit limit
             raise LatticeError(f"invalid JSON: {exc}") from None
         if not isinstance(data, dict) or "elements" not in data or "covers" not in data:
             raise LatticeError("lattice JSON needs 'elements' and 'covers' keys")

@@ -3,23 +3,17 @@
 from __future__ import annotations
 
 from itertools import combinations, permutations, product
-from typing import Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 
 from .core import (
     MAX_ELEMENTS,
     FiniteLattice,
-    LatticeError,
-    NotALattice,
     TooLarge,
-    _check_partial_order,
     _check_size,
-    _checked_labels,
     _closed_sets,
     _inclusion_order,
-    _lub_table,
-    _order_from_covers,
     _set_labels,
 )
 
@@ -65,59 +59,14 @@ def co_chain(n: int) -> FiniteLattice:
     return FiniteLattice(_inclusion_order(masks), labels)
 
 
-# -- meet-semilattices --------------------------------------------------------
-
-
-class NotAMeetSemilattice(LatticeError):
-    """The input order is missing some binary meet."""
-
-
-class MeetSemilattice:
-    """A finite poset in which every pair has a greatest lower bound.
-
-    Only meets are required to be total; joins may be missing.  This is the
-    input shape for :func:`sub_meet_semilattice`.
-    """
-
-    __slots__ = ("n", "leq", "meet_table", "labels")
-
-    def __init__(self, leq: np.ndarray, labels: Sequence[str] | None = None):
-        leq = np.array(leq, dtype=bool)
-        if leq.ndim != 2 or leq.shape[0] != leq.shape[1] or leq.shape[0] == 0:
-            raise NotAMeetSemilattice("order matrix must be square and nonempty")
-        n = leq.shape[0]
-        _check_size(n, "the order")
-        _check_partial_order(leq)
-        try:
-            table = _lub_table(leq.T).T
-        except NotALattice:
-            raise NotAMeetSemilattice(
-                "some pair of elements has no greatest lower bound"
-            ) from None
-        self.n = n
-        self.labels = _checked_labels(labels, n)
-        self.meet_table = table
-        leq.setflags(write=False)
-        table.setflags(write=False)
-        self.leq = leq
-
-    @classmethod
-    def from_covers(cls, labels, covers) -> "MeetSemilattice":
-        labels, leq = _order_from_covers(labels, covers)
-        return cls(leq, labels)
-
-    def meet(self, x: int, y: int) -> int:
-        return int(self.meet_table[x, y])
-
-    def __len__(self) -> int:
-        return self.n
+# -- meet-closed subsets ------------------------------------------------------
 
 
 def sub_meet_semilattice(P) -> FiniteLattice:
     """The lattice of all meet-closed subsets of P, ordered by inclusion.
 
-    The empty set is meet-closed, so it is the bottom.  The input may be a
-    :class:`MeetSemilattice` or any :class:`FiniteLattice`.
+    The empty set is meet-closed, so it is the bottom.  P may be any object
+    with ``n``, ``meet_table`` and ``labels``, such as a :class:`FiniteLattice`.
     """
     if P.n > 5:
         raise TooLarge("sub_meet_semilattice is bounded at 5 generators")
@@ -242,22 +191,3 @@ def enumerate_lattices(n: int) -> Iterator[FiniteLattice]:
             seen[key] = L
     for key in sorted(seen):
         yield seen[key]
-
-
-def meet_semilattices(n: int) -> Iterator[MeetSemilattice]:
-    """Every meet-semilattice with exactly n elements, up to isomorphism.
-
-    Adding a fresh top to a meet-semilattice gives a lattice, and removing
-    the top of a lattice gives a meet-semilattice; the two moves are inverse
-    on isomorphism classes, so the enumeration rides on enumerate_lattices.
-    """
-    for L in enumerate_lattices(n + 1):
-        keep = [x for x in range(L.n) if x != L.top]
-        sub = L.leq[np.ix_(keep, keep)]
-        yield MeetSemilattice(sub, [f"m{i}" for i in range(n)])
-
-
-def small_lattices(max_n: int) -> Iterator[FiniteLattice]:
-    """All lattices with at most max_n elements, one per isomorphism class."""
-    for n in range(1, max_n + 1):
-        yield from enumerate_lattices(n)

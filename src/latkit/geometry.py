@@ -3,20 +3,22 @@
 A finite point configuration in the plane induces a closure operator: the
 trace of a subset is every configuration point inside its convex hull.
 The hull-closed subsets ordered by inclusion form a lattice in which the
-meet is intersection and the join is the trace of the union.  All predicates
-are signed-area orientation tests on ``fractions.Fraction``, except that
-:func:`co_points` runs them on a copy of the configuration scaled to integer
-coordinates; there is no floating point anywhere in this module.
+meet is intersection and the join is the trace of the union.  The public
+predicates are signed-area orientation tests on ``fractions.Fraction``;
+:func:`co_points` decides hull membership from one table of orientation
+signs, in Python integers over coordinates scaled to a common denominator.
+There is no floating point anywhere in this module.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .core import FiniteLattice, LatticeError, TooLarge
 from .core import _check_size, _closed_sets, _inclusion_order, _set_labels
@@ -31,11 +33,12 @@ def _parse_rational(value) -> Fraction:
         raise LatticeError("coordinates must be integers or 'p/q' strings")
     if isinstance(value, int):
         return Fraction(value)
-    if isinstance(value, str):
+    # only "p" and "p/q": Fraction alone would also take exponents like "1e9999999"
+    if isinstance(value, str) and re.fullmatch(r"[+-]?\d+(/\d+)?", value):
         try:
             return Fraction(value)
         except (ValueError, ZeroDivisionError):
-            raise LatticeError(f"bad rational literal {value!r}") from None
+            pass
     raise LatticeError(f"bad rational literal {value!r}")
 
 
@@ -62,16 +65,6 @@ def orientation(o: RationalPoint, a: RationalPoint, b: RationalPoint) -> int:
     """Sign of the signed area of the triangle (o, a, b)."""
     cross = (a.x - o.x) * (b.y - o.y) - (a.y - o.y) * (b.x - o.x)
     return (cross > 0) - (cross < 0)
-
-
-def on_segment(p: RationalPoint, a: RationalPoint, b: RationalPoint) -> bool:
-    """True iff p lies on the closed segment from a to b."""
-    if orientation(a, b, p) != 0:
-        return False
-    return (
-        min(a.x, b.x) <= p.x <= max(a.x, b.x)
-        and min(a.y, b.y) <= p.y <= max(a.y, b.y)
-    )
 
 
 def convex_hull(points: Sequence[RationalPoint]) -> list[RationalPoint]:
@@ -124,7 +117,7 @@ class PointConfiguration:
     def from_json(cls, text: str) -> "PointConfiguration":
         try:
             data = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # JSONDecodeError, or an integer past int's digit limit
             raise LatticeError(f"invalid JSON: {exc}") from None
         if not isinstance(data, dict) or not isinstance(data.get("points"), list):
             raise LatticeError("point configuration JSON needs a 'points' list")
@@ -144,20 +137,6 @@ class PointConfiguration:
             for lab, p in zip(self.labels, self.points)
         ]
         return json.dumps({"points": rows}, sort_keys=True)
-
-    def hull_trace(self, subset: Iterable[int]) -> frozenset[int]:
-        """Indices of all configuration points inside the hull of the subset."""
-        hull = convex_hull([self.points[i] for i in subset])
-        if not hull:
-            return frozenset()
-        if len(hull) <= 2:
-            inside = [on_segment(p, hull[0], hull[-1]) for p in self.points]
-        else:
-            edges = list(zip(hull, hull[1:] + hull[:1]))
-            inside = [
-                all(orientation(a, b, p) >= 0 for a, b in edges) for p in self.points
-            ]
-        return frozenset(i for i, hit in enumerate(inside) if hit)
 
 
 def five_point_configuration() -> PointConfiguration:
@@ -187,20 +166,30 @@ def co_points(config: PointConfiguration) -> FiniteLattice:
     are hull traces of unions and meets are intersections, both recovered
     automatically from the inclusion order.  By Carathéodory, a point lies in
     the hull of a set iff it lies in the hull of at most three of its points,
-    so a set is closed iff it holds the traces of its pairs and triples.
+    so a set is closed iff it holds the traces of its pairs and triples.  A
+    pair's trace is the points on its segment; a proper triangle's, the points
+    on no edge's far side.  A collinear triple needs no rule of its own: the
+    pair of its two ends forces the same points.
     """
     n = len(config)
     if n > 20:
         raise TooManyPoints("co_points is bounded at 20 points")
-    # a positive scale keeps every orientation sign, so the traces stay exact
+    # a positive scale keeps every orientation sign, so integer points give the same ones
     scale = math.lcm(*(q.denominator for p in config.points for q in (p.x, p.y)))
     pts = [RationalPoint(int(p.x * scale), int(p.y * scale)) for p in config.points]
-    scaled = PointConfiguration(config.labels, pts)
-    rules = [
-        (sum(1 << i for i in t), sum(1 << i for i in scaled.hull_trace(t)))
-        for r in (2, 3)
-        for t in combinations(range(n), r)
-    ]
+    # s[i][j][k]: the orientation sign of the triangle (i, j, k)
+    s = [[[orientation(a, b, c) for c in pts] for b in pts] for a in pts]
+    rules = []
+    for i, j in combinations(range(n), 2):
+        a, b = pts[i], pts[j]
+        on = [k for k, c in enumerate(pts) if s[i][j][k] == 0
+              and (c.x - a.x) * (c.x - b.x) + (c.y - a.y) * (c.y - b.y) <= 0]
+        rules.append((1 << i | 1 << j, sum(1 << k for k in on)))
+    for i, j, k in combinations(range(n), 3):
+        if t := s[i][j][k]:
+            on = [m for m in range(n)
+                  if min(t * s[i][j][m], t * s[j][k][m], t * s[k][i][m]) >= 0]
+            rules.append((1 << i | 1 << j | 1 << k, sum(1 << m for m in on)))
     closed = _closed_sets(n, rules)
     _check_size(len(closed), f"co_points on {n} points")
     members = {m: [i for i in range(n) if m >> i & 1] for m in closed}

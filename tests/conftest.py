@@ -11,9 +11,14 @@ checks the closure laws of a map by a pair scan, which the library, building
 every closure from its image, never re-checks.  ``assert_solved_triple``
 instead holds the per-step postconditions of the biatomization solver,
 which the library proves once and no longer re-checks at runtime.
+``hull_trace`` and ``on_segment`` keep the Fraction monotone-chain route
+that ``co_points`` replaced with one integer sign table; ``oracle_co_points``
+builds the hull-trace lattice on it.  ``meet_semilattices`` makes the
+meet-semilattice inputs of ``sub_meet_semilattice`` from enumerated lattices.
 """
 
 from itertools import combinations, permutations, product
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -26,12 +31,12 @@ from latkit.analysis import (
 )
 from latkit.core import FiniteLattice, NotALattice, NotAPoset
 from latkit.extend import make_extension_pair
+from latkit.generators import enumerate_lattices
 from latkit.geometry import (
     PointConfiguration,
     RationalPoint,
     co_points,
     convex_hull,
-    on_segment,
     orientation,
 )
 from latkit.qid import QuasiIdentity, Term, Var, Verdict
@@ -435,6 +440,32 @@ def assert_solved_triple(L: FiniteLattice, p: int, q: int, a: int, ext) -> None:
 # -- geometry ---------------------------------------------------------------------
 
 
+def on_segment(p: RationalPoint, a: RationalPoint, b: RationalPoint) -> bool:
+    """True iff p lies on the closed segment from a to b."""
+    if orientation(a, b, p) != 0:
+        return False
+    return (
+        min(a.x, b.x) <= p.x <= max(a.x, b.x)
+        and min(a.y, b.y) <= p.y <= max(a.y, b.y)
+    )
+
+
+def hull_trace(config: PointConfiguration, subset) -> frozenset[int]:
+    """Indices of all configuration points inside the hull of the subset,
+    by Fraction orientation tests against the monotone-chain hull."""
+    hull = convex_hull([config.points[i] for i in subset])
+    if not hull:
+        return frozenset()
+    if len(hull) <= 2:
+        inside = [on_segment(p, hull[0], hull[-1]) for p in config.points]
+    else:
+        edges = list(zip(hull, hull[1:] + hull[:1]))
+        inside = [
+            all(orientation(a, b, p) >= 0 for a, b in edges) for p in config.points
+        ]
+    return frozenset(i for i, hit in enumerate(inside) if hit)
+
+
 def point_in_hull(p: RationalPoint, points) -> bool:
     """Membership in the closed convex hull, with the hull rebuilt per point."""
     if not points:
@@ -455,23 +486,17 @@ def _set_lattice(names, sets) -> tuple[list[str], np.ndarray]:
     return labels, leq
 
 
-def oracle_co_points(config) -> tuple[list[str], np.ndarray]:
-    """Labels and order of the hull-closed sets, by size and then members.
-
-    A subset is kept when its hull, rebuilt on the original coordinates for
-    each other point, contains no other point.
-    """
-    pts = config.points
-    n = len(pts)
+def oracle_co_points(config) -> FiniteLattice:
+    """The subsets equal to their Fraction hull trace, by size and then members."""
+    n = len(config)
     closed = [
         s
         for r in range(n + 1)
         for s in combinations(range(n), r)
-        if not any(
-            point_in_hull(pts[p], [pts[i] for i in s]) for p in range(n) if p not in s
-        )
+        if hull_trace(config, s) == frozenset(s)
     ]
-    return _set_lattice(config.labels, closed)
+    labels, leq = _set_lattice(config.labels, closed)
+    return FiniteLattice(leq, labels)
 
 
 def oracle_sub_meet_semilattice(P) -> tuple[list[str], np.ndarray]:
@@ -484,6 +509,23 @@ def oracle_sub_meet_semilattice(P) -> tuple[list[str], np.ndarray]:
     ]
     closed.sort(key=lambda s: (len(s), sum(1 << i for i in s)))
     return _set_lattice(P.labels, closed)
+
+
+def without_top(L: FiniteLattice, labels) -> SimpleNamespace:
+    """L with its top, the last element, removed: a meet-semilattice, in the
+    shape ``sub_meet_semilattice`` reads (``n``, ``meet_table``, ``labels``)."""
+    n = L.n - 1
+    assert L.top == n, "the top must be the last element"
+    return SimpleNamespace(
+        n=n, leq=L.leq[:n, :n], meet_table=L.meet_table[:n, :n], labels=tuple(labels)
+    )
+
+
+def meet_semilattices(n: int):
+    """Every meet-semilattice with n elements, up to isomorphism: removing
+    the top of a lattice and adding a fresh one are inverse moves."""
+    for L in enumerate_lattices(n + 1):
+        yield without_top(L, [f"m{i}" for i in range(n)])
 
 
 def triangle_with_center_lattice() -> FiniteLattice:

@@ -12,7 +12,7 @@ import time
 
 import pytest
 
-from conftest import biatomic_by_single_atom, refl_tc
+from conftest import biatomic_by_single_atom, meet_semilattices, refl_tc
 from latkit.analysis import (
     biatomicity_problems,
     is_atomistic,
@@ -41,7 +41,6 @@ from latkit.generators import (
     chain,
     co_chain,
     enumerate_lattices,
-    meet_semilattices,
     sub_meet_semilattice,
 )
 from latkit.geometry import (

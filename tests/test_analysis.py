@@ -38,7 +38,6 @@ from latkit.generators import (
     chain,
     co_chain,
     enumerate_lattices,
-    small_lattices,
 )
 from latkit.geometry import co_points, five_point_configuration
 
@@ -286,7 +285,8 @@ def test_biatomicity_problems_shape(m3):
 
 
 def test_biatomicity_problems_match_oracle():
-    lattices = list(small_lattices(6)) + [co_chain(n) for n in range(1, 8)]
+    lattices = [L for n in range(1, 7) for L in enumerate_lattices(n)]
+    lattices += [co_chain(n) for n in range(1, 8)]
     lattices += [co_points(five_point_configuration()), triangle_with_center_lattice()]
     for L in lattices:
         problems = biatomicity_problems(L)
@@ -296,7 +296,8 @@ def test_biatomicity_problems_match_oracle():
 
 
 def test_biatomic_verdict_is_the_problem_list_all_solved():
-    lattices = list(small_lattices(7)) + [co_chain(n) for n in range(1, 11)]
+    lattices = [L for n in range(1, 8) for L in enumerate_lattices(n)]
+    lattices += [co_chain(n) for n in range(1, 11)]
     lattices += [boolean(n) for n in range(7)]
     lattices += [co_points(five_point_configuration()), triangle_with_center_lattice()]
     lattices += hull_lattices(seed=2026) + hull_lattices(seed=2027)

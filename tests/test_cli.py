@@ -256,6 +256,27 @@ def test_co_points_file_source(capsys, tmp_path):
     assert report["results"][f"co-points:{path}"]["size"] == 8
 
 
+HUGE = "1" + "0" * 5000  # a JSON integer past Python's 4,300-digit conversion limit
+
+
+@pytest.mark.parametrize("source,body", [
+    ("file", '{"elements": [%s], "covers": []}' % HUGE),
+    ("subsemi", '{"elements": [%s], "covers": []}' % HUGE),
+    ("co-points", '{"points": [{"label": "a", "x": %s, "y": 0}]}' % HUGE),
+], ids=["file", "subsemi", "co-points"])
+def test_huge_json_integer_gives_one_error_report(capsys, tmp_path, source, body):
+    path = tmp_path / "huge.json"
+    path.write_text(body)
+    spec = ["--file", str(path)] if source == "file" else ["--gen", f"{source}:{path}"]
+    code = main(["check", *spec])
+    out = capsys.readouterr().out
+    report, end = json.JSONDecoder().raw_decode(out)
+    assert code == 2
+    assert out[end:] == "\n"  # exactly one object
+    assert report["error"]["type"] == "InputError"
+    assert report["error"]["message"].startswith("invalid JSON")
+
+
 # -- build ----------------------------------------------------------------------
 
 

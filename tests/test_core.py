@@ -18,7 +18,7 @@ from latkit.core import (
 )
 from latkit.analysis import ell, minimal_decomposition, solve_problem_instance
 from latkit.extend import atom_restriction, separating_reembedding
-from latkit.generators import boolean, chain, co_chain, small_lattices
+from latkit.generators import boolean, chain, co_chain, enumerate_lattices
 
 
 def sample_lattices(m3, n5):
@@ -148,7 +148,8 @@ def test_covers_and_lower_covers(n5):
 
 
 def test_atoms_and_lower_covers_match_oracles():
-    for L in list(small_lattices(6)) + [boolean(4), co_chain(5)]:
+    lattices = [L for n in range(1, 7) for L in enumerate_lattices(n)]
+    for L in lattices + [boolean(4), co_chain(5)]:
         assert list(L.atoms()) == oracle_atoms(L)
         assert list(L.join_irreducibles()) == oracle_join_irreducibles(L)
         for x in range(L.n):

@@ -1,19 +1,21 @@
 import numpy as np
 import pytest
 
-from conftest import oracle_isomorphic, oracle_lattice_count, oracle_sub_meet_semilattice
+from conftest import (
+    meet_semilattices,
+    oracle_isomorphic,
+    oracle_lattice_count,
+    oracle_sub_meet_semilattice,
+    without_top,
+)
 from latkit.core import MAX_ELEMENTS, FiniteLattice, LatticeError, _inclusion_order
 from latkit.generators import (
-    MeetSemilattice,
-    NotAMeetSemilattice,
     TooLarge,
     boolean,
     canonical_key,
     chain,
     co_chain,
     enumerate_lattices,
-    meet_semilattices,
-    small_lattices,
     sub_meet_semilattice,
 )
 from latkit.geometry import co_points, five_point_configuration
@@ -60,11 +62,6 @@ def test_generators_stop_at_the_element_ceiling(make, n):
         make(n)
 
 
-def test_meet_semilattice_size_ceiling():
-    with pytest.raises(TooLarge, match="above the ceiling of 4096"):
-        MeetSemilattice(np.eye(MAX_ELEMENTS + 1, dtype=bool))
-
-
 def test_co_chain_shape():
     for n in range(1, 6):
         L = co_chain(n)
@@ -109,13 +106,6 @@ def test_enumeration_size_guard():
         list(enumerate_lattices(8))
 
 
-def test_small_lattices():
-    family = list(small_lattices(5))
-    assert len(family) == 1 + 1 + 1 + 2 + 5
-    sizes = sorted({L.n for L in family})
-    assert sizes == [1, 2, 3, 4, 5]
-
-
 def test_canonical_key_is_isomorphism_invariant(m3):
     relabeled = FiniteLattice.from_covers(
         ["bot", "x", "y", "z", "top"],
@@ -136,20 +126,34 @@ def test_meet_semilattice_counts():
     assert got == [1, 1, 2, 5]
 
 
+def with_top(labels, covers) -> FiniteLattice:
+    """The poset of the covers with a fresh top "1" above its maximal elements."""
+    lower = {low for low, _ in covers}
+    return FiniteLattice.from_covers(
+        [*labels, "1"], [*covers, *((x, "1") for x in labels if x not in lower)]
+    )
+
+
+def vee():
+    """Two maximal elements over a bottom: a meet-semilattice with no join."""
+    labels = ["0", "x", "y"]
+    return without_top(with_top(labels, [("0", "x"), ("0", "y")]), labels)
+
+
 def test_meet_semilattice_from_covers_and_meet():
-    # a vee: two maximal elements over a bottom, no join
-    P = MeetSemilattice.from_covers(["0", "x", "y"], [("0", "x"), ("0", "y")])
+    P = vee()
     assert P.n == 3
-    assert P.meet(P.labels.index("x"), P.labels.index("y")) == 0
-    with pytest.raises(NotAMeetSemilattice):
-        MeetSemilattice.from_covers(["x", "y"], [])
+    assert P.meet_table[P.labels.index("x"), P.labels.index("y")] == 0
+    # a poset is a meet-semilattice iff a fresh top makes it a lattice
+    with pytest.raises(LatticeError):
+        with_top(["x", "y"], [])
 
 
 def test_meet_semilattice_from_covers_rejects_bad_covers():
     with pytest.raises(LatticeError):
-        MeetSemilattice.from_covers(["0", "x"], [("0", "y")])  # unknown element
+        with_top(["0", "x"], [("0", "y")])  # unknown element
     with pytest.raises(LatticeError):
-        MeetSemilattice.from_covers(["0", "x"], [("0", "x"), ("x", "x")])  # loop
+        with_top(["0", "x"], [("0", "x"), ("x", "x")])  # loop
 
 
 def test_meet_semilattice_tables_match_pair_scan():
@@ -159,12 +163,11 @@ def test_meet_semilattice_tables_match_pair_scan():
                 for y in range(n):
                     lowers = [z for z in range(n) if P.leq[z, x] and P.leq[z, y]]
                     (glb,) = [z for z in lowers if all(P.leq[w, z] for w in lowers)]
-                    assert P.meet(x, y) == glb
+                    assert P.meet_table[x, y] == glb
 
 
 def test_sub_meet_semilattice_of_vee():
-    P = MeetSemilattice.from_covers(["0", "x", "y"], [("0", "x"), ("0", "y")])
-    L = sub_meet_semilattice(P)
+    L = sub_meet_semilattice(vee())
     # subsets of {0,x,y} closed under meet and containing 0... minus none:
     # {}, {0}, {0,x}, {0,y}, {x}, {y}, {0,x,y}, {x,y} is not meet-closed
     assert L.n == 7
@@ -182,15 +185,13 @@ def test_sub_meet_semilattice_accepts_lattices():
 
 def test_sub_meet_semilattice_of_chain_is_a_powerset():
     # every subset of a chain is meet-closed, so the result is boolean
-    C = chain(3)
-    P = MeetSemilattice(C.leq, C.labels)
-    L = sub_meet_semilattice(P)
+    L = sub_meet_semilattice(chain(3))
     assert oracle_isomorphic(L, boolean(3))
 
 
 def test_sub_meet_semilattice_matches_oracle():
     sources = [P for n in range(1, 6) for P in meet_semilattices(n)]
-    sources += list(small_lattices(5))
+    sources += [L for n in range(1, 6) for L in enumerate_lattices(n)]
     for P in sources:
         L = sub_meet_semilattice(P)
         labels, leq = oracle_sub_meet_semilattice(P)

@@ -1,10 +1,12 @@
+import time
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import oracle_co_points, oracle_isomorphic, point_in_hull
+from conftest import hull_trace, on_segment, oracle_co_points, oracle_isomorphic, point_in_hull
 from latkit.analysis import (
     biatomicity_problems,
     is_atomistic,
@@ -21,7 +23,6 @@ from latkit.geometry import (
     co_points,
     convex_hull,
     five_point_configuration,
-    on_segment,
     orientation,
 )
 
@@ -57,6 +58,18 @@ def test_rational_point_parsing():
         RationalPoint.of(True, 0)
 
 
+def test_rational_literals_are_only_integers_and_fractions():
+    assert [RationalPoint.of(v, 0).x for v in ("1/2", "-3", "0", "+4/6")] == [
+        Fraction(1, 2), Fraction(-3), Fraction(0), Fraction(2, 3)
+    ]
+    # Fraction would build 10^10000000 for the exponent; the pattern refuses it first
+    t0 = time.monotonic()
+    for bad in ("1e9", "1.5", "1_0", " 1", "1/0", "1e10000000"):
+        with pytest.raises(LatticeError, match="bad rational literal"):
+            RationalPoint.of(bad, 0)
+    assert time.monotonic() - t0 < 1.0
+
+
 def test_orientation_signs():
     assert orientation(P(0, 0), P(1, 0), P(0, 1)) == 1
     assert orientation(P(0, 0), P(0, 1), P(1, 0)) == -1
@@ -81,11 +94,11 @@ def test_convex_hull_degenerate():
 
 def test_hull_trace_edge_outside_empty_collinear():
     cfg = config_of([(0, 0), (4, 0), (0, 4), (1, 1), (2, 2), (3, 3)])
-    assert cfg.hull_trace([0, 1, 2]) == {0, 1, 2, 3, 4}  # (2, 2) on the hypotenuse
-    assert 5 not in cfg.hull_trace([0, 1, 2])  # (3, 3) outside
-    assert cfg.hull_trace([]) == frozenset()
-    assert cfg.hull_trace([0, 5]) == {0, 3, 4, 5}  # a collinear subset: its segment
-    assert cfg.hull_trace([3]) == {3}
+    assert hull_trace(cfg, [0, 1, 2]) == {0, 1, 2, 3, 4}  # (2, 2) on the hypotenuse
+    assert 5 not in hull_trace(cfg, [0, 1, 2])  # (3, 3) outside
+    assert hull_trace(cfg, []) == frozenset()
+    assert hull_trace(cfg, [0, 5]) == {0, 3, 4, 5}  # a collinear subset: its segment
+    assert hull_trace(cfg, [3]) == {3}
 
 
 # -- configurations -----------------------------------------------------------
@@ -115,9 +128,9 @@ def test_configuration_json_roundtrip():
 def test_hull_trace_basics():
     cfg = triangle_with_center()
     m = cfg.labels.index("m")
-    assert cfg.hull_trace([]) == frozenset()
-    assert cfg.hull_trace([m]) == frozenset([m])
-    assert cfg.hull_trace([0, 1, 2]) == frozenset([0, 1, 2, m])
+    assert hull_trace(cfg, []) == frozenset()
+    assert hull_trace(cfg, [m]) == frozenset([m])
+    assert hull_trace(cfg, [0, 1, 2]) == frozenset([0, 1, 2, m])
 
 
 # -- closure laws, property-based --------------------------------------------
@@ -136,13 +149,13 @@ def test_hull_trace_is_a_closure_operator(coords, data):
     n = len(cfg)
     subset = data.draw(st.sets(st.integers(0, n - 1)))
     bigger = data.draw(st.sets(st.integers(0, n - 1)))
-    tr = cfg.hull_trace(subset)
+    tr = hull_trace(cfg, subset)
     chosen = [cfg.points[i] for i in subset]
     assert tr == {i for i, p in enumerate(cfg.points) if point_in_hull(p, chosen)}
     assert subset <= tr  # extensive
-    assert cfg.hull_trace(tr) == tr  # idempotent
+    assert hull_trace(cfg, tr) == tr  # idempotent
     if subset <= bigger:
-        assert tr <= cfg.hull_trace(bigger)  # monotone
+        assert tr <= hull_trace(cfg, bigger)  # monotone
 
 
 @settings(max_examples=60, deadline=None)
@@ -151,15 +164,15 @@ def test_hull_trace_anti_exchange(coords, data):
     cfg = config_of(coords)
     n = len(cfg)
     subset = data.draw(st.sets(st.integers(0, n - 1)))
-    closed = cfg.hull_trace(subset)
+    closed = hull_trace(cfg, subset)
     outside = sorted(set(range(n)) - closed)
     for p in outside:
-        with_p = cfg.hull_trace(closed | {p})
+        with_p = hull_trace(cfg, closed | {p})
         for q in outside:
             if q == p or q not in with_p:
                 continue
             # q entered through p, so p must not enter through q
-            assert p not in cfg.hull_trace(closed | {q})
+            assert p not in hull_trace(cfg, closed | {q})
 
 
 # -- the induced lattices ------------------------------------------------------
@@ -244,10 +257,7 @@ def configurations(draw):
 
 
 def assert_matches_oracle(cfg):
-    L = co_points(cfg)
-    labels, leq = oracle_co_points(cfg)
-    assert list(L.labels) == labels
-    assert np.array_equal(L.leq, leq)
+    assert co_points(cfg) == oracle_co_points(cfg)
 
 
 @settings(max_examples=60, deadline=None)
@@ -260,9 +270,45 @@ def test_co_points_matches_oracle(cfg):
     five_point_configuration(),
     triangle_with_center(),
     config_of([(k, k * k) for k in range(9)]),  # convex 9-gon
-], ids=["paper5", "triangle-centre", "9-gon"])
+    config_of([(0, 2), (-1, 0), (1, 0)]),  # the three of demos/convex_hull_lattices.py
+    config_of([(0, 0), (1, 0), (2, 0)]),
+    config_of([(Fraction(1, 3), Fraction(1, 7)), (2, 0), (Fraction(5, 2), 3), (1, 1)]),
+], ids=["paper5", "triangle-centre", "9-gon", "demo-triangle", "demo-row", "demo-skew"])
 def test_co_points_matches_oracle_on_named_configurations(cfg):
     assert_matches_oracle(cfg)
+
+
+def seeded_configurations(count: int = 402) -> list[PointConfiguration]:
+    """1-8 distinct points drawn from grids of side 2, 3, 5 and 50 in turn, so
+    the small grids are collinear-heavy; every third configuration is scaled
+    by 1/dx and 1/dy, which keeps its collinearities but not its integers."""
+    rng = np.random.default_rng(20261018)
+    out = []
+    for c in range(count):
+        side = (2, 3, 5, 50)[c % 4]
+        size = min(int(rng.integers(1, 9)), side * side)
+        coords = set()
+        while len(coords) < size:
+            coords.add(tuple(int(v) for v in rng.integers(0, side, size=2)))
+        pts = sorted(coords)
+        if c % 3 == 2:
+            dx, dy = (int(d) for d in rng.integers(2, 8, size=2))
+            pts = [(Fraction(x, dx), Fraction(y, dy)) for x, y in pts]
+        out.append(config_of(pts))
+    return out
+
+
+def test_co_points_matches_oracle_on_seeded_configurations():
+    configs = seeded_configurations()
+    equal = sum(co_points(cfg) == oracle_co_points(cfg) for cfg in configs)
+    assert equal == len(configs) >= 400
+    collinear = [
+        cfg for cfg in configs
+        if any(orientation(a, b, c) == 0 for a, b, c in combinations(cfg.points, 3))
+    ]
+    rational = [cfg for cfg in configs if any(p.x.denominator > 1 for p in cfg.points)]
+    assert len(collinear) > len(configs) // 5 and len(rational) > len(configs) // 4
+    assert {len(cfg) for cfg in configs} == set(range(1, 9))
 
 
 def test_too_many_points():

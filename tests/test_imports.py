@@ -4,7 +4,9 @@ package is raised, and the package has no matrix product ``@``: every
 boolean product goes through the packed-row kernel ``core._bool_product``.
 The command line has one report path: only ``main`` writes a report, and
 only it reads the clock.  The package's ``__all__`` lists exactly the public
-names it imports, and each of them resolves."""
+names it imports, and each of them resolves; every other public function or
+class of the package is read by the package or a demo, not by the tests
+alone."""
 
 import ast
 import builtins
@@ -16,6 +18,7 @@ import latkit
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = sorted((ROOT / "src" / "latkit").glob("*.py"))
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
 SOURCES = PACKAGE + sorted((ROOT / "tests").glob("*.py"))
 
 
@@ -271,3 +274,50 @@ def test_detector_flags_a_stale_export():
         "ClosureOperator does not resolve",
         "make_extension_pair is not listed",
     ]
+
+
+def unreached_public_names(package: list[ast.Module], readers: list[ast.Module],
+                           exported: set[str]) -> list[str]:
+    """Public module-level functions and classes of the package that are
+    neither exported nor read.
+
+    A name is exported when it is in ``exported``, and read when it appears
+    as a bare name or an attribute in a statement of the package or of the
+    readers, other than its own definition.  The list is sorted.
+    """
+    defined = {
+        node.name
+        for tree in package
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
+    }
+    read = set()
+    for tree in package + readers:
+        for stmt in tree.body:
+            own = getattr(stmt, "name", None)
+            for node in ast.walk(stmt):
+                name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+                if isinstance(node, (ast.Name, ast.Attribute)) and name != own:
+                    read.add(name)
+    return sorted(defined - read - exported)
+
+
+def test_every_public_name_is_exported_or_read():
+    package = [ast.parse(path.read_text(encoding="utf-8")) for path in PACKAGE]
+    demos = [ast.parse(path.read_text(encoding="utf-8")) for path in DEMOS]
+    assert unreached_public_names(package, demos, set(latkit.__all__)) == []
+
+
+def test_detector_flags_a_test_only_public_name():
+    package = [
+        ast.parse(
+            "class Shape:\n    pass\n\n"
+            "def build(n):\n    return Shape() if n else build(n - 1)\n\n"
+            "def exported():\n    pass\n\n"
+            "def in_a_demo():\n    pass\n\n"
+            "def test_only(n):\n    return test_only(n - 1)\n"
+        ),
+        ast.parse("import a\n\ndef run():\n    return a.build(3)\n\nrun()\n"),
+    ]
+    demos = [ast.parse("from a import in_a_demo\n\nin_a_demo()\n")]
+    assert unreached_public_names(package, demos, {"exported"}) == ["test_only"]

@@ -3,14 +3,13 @@ from itertools import product
 
 import pytest
 
-from conftest import check_assignment, eval_term, oracle_evaluate
+from conftest import check_assignment, eval_term, meet_semilattices, oracle_evaluate
 from latkit.analysis import is_atomistic, is_biatomic, is_join_semidistributive
 from latkit.generators import (
     boolean,
     chain,
     co_chain,
     enumerate_lattices,
-    meet_semilattices,
     sub_meet_semilattice,
 )
 from latkit.geometry import PointConfiguration, RationalPoint, co_points, five_point_configuration
