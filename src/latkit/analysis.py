@@ -10,6 +10,11 @@ the atoms below a and below b, taken a block of pairs at a time, give every
 pair (a, b) at once the atoms that some atom pair below them reaches.  The
 problem list instead goes atom by atom, since it reports each problem with
 its first solution.
+
+Join-semidistributivity is decided one group at a time: for x and a, the
+y with x v y = a are reduced to their meet m, and L is join-semidistributive
+iff x v m = a for every group.  The first failing x then gets a pair scan of
+its row alone, so the witness is the lexicographically first (x, y, z).
 """
 
 from __future__ import annotations
@@ -35,6 +40,12 @@ from .core import (
 # of unions often has rows of only a few words, and the per-block numpy
 # calls would otherwise cost as much as the work.
 _SET_BLOCK_WORDS = 1 << 15
+
+# Keys (x, x v y) in the first and the largest chunk of rows x of
+# jsd_violation.  A small first chunk keeps lattices that fail at a small x
+# cheap; the cap bounds its temporaries to a few arrays of 32 KB.
+_FIRST_CHUNK_KEYS = 1 << 10
+_MAX_CHUNK_KEYS = 1 << 12
 
 
 # -- basic predicates -------------------------------------------------------
@@ -114,15 +125,48 @@ def is_biatomic(L: FiniteLattice) -> bool:
 
 
 def jsd_violation(L: FiniteLattice) -> tuple[int, int, int] | None:
-    """Lexicographically first (x, y, z) with x v y = x v z but x v y != x v (y ^ z)."""
-    for x in range(L.n):
-        jx = L.join_table[x]
-        merged = jx[:, None] == jx[None, :]
-        collapsed = jx[:, None] == jx[L.meet_table]
-        bad = merged & ~collapsed
-        if bad.any():
-            y, z = map(int, np.argwhere(bad)[0])
+    """Lexicographically first (x, y, z) with x v y = x v z but x v y != x v (y ^ z).
+
+    For x and a let S = {y : x v y = a}.  L is join-semidistributive iff
+    x v meet(S) = a for every such group: a failing pair y, z of S has
+    meet(S) <= y ^ z, and if S is closed under meets, meet(S) lies in S.
+    The rows x are taken a chunk at a time, in order.  A chunk's keys
+    x * n + (x v y) are stably sorted, and each group of equal keys is
+    reduced to its meet by doubling: at step s, position i takes the meet
+    with position i + s wherever both hold the same key.  The first chunk
+    has about ``_FIRST_CHUNK_KEYS`` keys, and later ones double up to
+    ``_MAX_CHUNK_KEYS``.  The least x with a failing group gets the pair
+    scan of its row alone, which gives the first (y, z) in row-major order.
+    """
+    n = L.n
+    join, meet = L.join_table, L.meet_table
+    rows = max(1, _FIRST_CHUNK_KEYS // n)
+    x0 = 0
+    while x0 < n:
+        x1 = min(n, x0 + rows)
+        keys = (np.arange(x0 * n, x1 * n, n)[:, None] + join[x0:x1]).ravel()
+        order = np.argsort(keys, kind="stable")
+        keys = keys[order]
+        # m[i]: the meet of the y at positions i .. i + step - 1 of i's group.
+        # Gathered as meet[a, b]: meet_table is a transposed view, and
+        # flattening it would copy all n * n entries.
+        m = order % n
+        step = 1
+        while len(live := np.flatnonzero(keys[:-step] == keys[step:])):
+            m[live] = meet[m[live], m[live + step]]
+            step *= 2
+        heads = np.flatnonzero(np.diff(keys, prepend=-1))
+        x, a = np.divmod(keys[heads], n)
+        failing = x[join[x, m[heads]] != a]
+        if len(failing):
+            x = int(failing[0])
+            jx = join[x]
+            merged = jx[:, None] == jx[None, :]
+            collapsed = jx[:, None] == jx[meet]
+            y, z = map(int, np.argwhere(merged & ~collapsed)[0])
             return (x, y, z)
+        x0 = x1
+        rows = max(1, min(2 * rows, _MAX_CHUNK_KEYS // n))
     return None
 
 

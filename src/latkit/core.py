@@ -242,7 +242,7 @@ class FiniteLattice:
         """Parse the lattice interchange format (``elements`` + ``covers``)."""
         try:
             data = json.loads(text)
-        except ValueError as exc:  # JSONDecodeError, or an integer past int's digit limit
+        except (ValueError, RecursionError) as exc:  # also huge integers, deep nesting
             raise LatticeError(f"invalid JSON: {exc}") from None
         if not isinstance(data, dict) or "elements" not in data or "covers" not in data:
             raise LatticeError("lattice JSON needs 'elements' and 'covers' keys")

@@ -117,7 +117,7 @@ class PointConfiguration:
     def from_json(cls, text: str) -> "PointConfiguration":
         try:
             data = json.loads(text)
-        except ValueError as exc:  # JSONDecodeError, or an integer past int's digit limit
+        except (ValueError, RecursionError) as exc:  # also huge integers, deep nesting
             raise LatticeError(f"invalid JSON: {exc}") from None
         if not isinstance(data, dict) or not isinstance(data.get("points"), list):
             raise LatticeError("point configuration JSON needs a 'points' list")

@@ -10,7 +10,9 @@ associate left); parentheses group.  Atomic formulas are ``t1 = t2`` or
 and the pretty-printer re-sugars it.  A chain ``s = t = u`` expands
 left-to-right into pairwise equalities.  The premise list may be empty.
 The token ``v`` is read as the join operator exactly when an operator is
-expected, so ``v`` is also a legal variable name.
+expected, so ``v`` is also a legal variable name.  A term nests at most 100
+levels, counting each operator and each pair of parentheses above a
+variable; a deeper one is a syntax error.
 """
 
 from __future__ import annotations
@@ -81,6 +83,12 @@ class Verdict:
     assignments_checked: int
 
 
+# Levels a term may nest, counting each operator and each pair of parentheses
+# above a variable.  It keeps the parser's recursive descent and the recursive
+# walks over terms (evaluation, printing) well inside Python's default
+# recursion limit of 1,000 frames.
+_MAX_DEPTH = 100
+
 _TOKEN = re.compile(r"\s*(=>|<=|[A-Za-z_][A-Za-z_0-9]*|[|&=()^,])")
 
 
@@ -109,6 +117,7 @@ class _Parser:
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.open = 0  # parentheses open at the current token
 
     def peek(self):
         return self.tokens[self.pos]
@@ -122,48 +131,61 @@ class _Parser:
 
     # term := meet_term ('v' meet_term)* ; meet_term := factor ('^' factor)*
     # A bare identifier 'v' counts as the join operator only in operator
-    # position, so variables named v parse fine.
+    # position, so variables named v parse fine.  Each returns the term with
+    # its nesting depth.
+
+    def _nested(self, depth: int, pos: int) -> int:
+        if depth > _MAX_DEPTH:
+            raise QidSyntaxError(f"term nests deeper than {_MAX_DEPTH} levels", pos)
+        return depth
 
     def _at_join_op(self) -> bool:
         kind, value, _ = self.peek()
         return kind == "ident" and value == "v"
 
-    def term(self, variables) -> Term:
-        node = self.meet_term(variables)
+    def term(self, variables) -> tuple[Term, int]:
+        node, depth = self.meet_term(variables)
         while self._at_join_op():
-            self.take()
-            node = Op("join", node, self.meet_term(variables))
-        return node
+            pos = self.take()[2]
+            right, right_depth = self.meet_term(variables)
+            node = Op("join", node, right)
+            depth = self._nested(1 + max(depth, right_depth), pos)
+        return node, depth
 
-    def meet_term(self, variables) -> Term:
-        node = self.factor(variables)
+    def meet_term(self, variables) -> tuple[Term, int]:
+        node, depth = self.factor(variables)
         while self.peek()[0] == "^":
-            self.take()
-            node = Op("meet", node, self.factor(variables))
-        return node
+            pos = self.take()[2]
+            right, right_depth = self.factor(variables)
+            node = Op("meet", node, right)
+            depth = self._nested(1 + max(depth, right_depth), pos)
+        return node, depth
 
-    def factor(self, variables) -> Term:
+    def factor(self, variables) -> tuple[Term, int]:
         kind, value, pos = self.peek()
         if kind == "(":
             self.take()
-            node = self.term(variables)
+            # checked before the descent, which recurses once per parenthesis
+            self.open = self._nested(self.open + 1, pos)
+            node, depth = self.term(variables)
             self.take(")")
-            return node
+            self.open -= 1
+            return node, self._nested(1 + depth, pos)
         if kind == "ident":
             self.take()
             if value not in variables:
                 raise UndeclaredVariable(f"variable {value!r} is not declared", pos)
-            return Var(value)
+            return Var(value), 0
         raise QidSyntaxError(f"expected a term, found {value!r}", pos)
 
     def relation_chain(self, variables) -> list[Equation]:
         """term (('=' | '<=') term)+ expanded into equations."""
         first_pos = self.peek()[2]
-        terms = [self.term(variables)]
+        terms = [self.term(variables)[0]]
         rels = []
         while self.peek()[0] in ("=", "<="):
             rels.append(self.take()[0])
-            terms.append(self.term(variables))
+            terms.append(self.term(variables)[0])
         if not rels:
             raise QidSyntaxError("expected '=' or '<='", self.peek()[2])
         if "<=" in rels and len(rels) > 1:

@@ -6,9 +6,11 @@ independent route.  ``oracle_lub_table``, ``oracle_check_partial_order``
 and ``oracle_cover_matrix`` keep the pair scan and numpy's boolean ``@``
 that the packed-row kernels of ``latkit.core`` replaced;
 ``biatomic_by_splitting`` and ``oracle_atomistic_violation`` keep the
-per-atom loops that ``latkit.analysis`` replaced.  ``oracle_closure_violation``
-checks the closure laws of a map by a pair scan, which the library, building
-every closure from its image, never re-checks.  ``assert_solved_triple``
+per-atom loops that ``latkit.analysis`` replaced, and ``oracle_jsd_violation``
+the pair scan of every row that its grouped meet check replaced.
+``oracle_closure_violation`` checks the closure laws of a map by a pair
+scan, which the library, building every closure from its image, never
+re-checks.  ``assert_solved_triple``
 instead holds the per-step postconditions of the biatomization solver,
 which the library proves once and no longer re-checks at runtime.
 ``hull_trace`` and ``on_segment`` keep the Fraction monotone-chain route
@@ -252,6 +254,19 @@ def oracle_jsd(L: FiniteLattice) -> bool:
                 if oracle_lub(L, x, y) != oracle_lub(L, x, oracle_glb(L, y, z)):
                     return False
     return True
+
+
+def oracle_jsd_violation(L: FiniteLattice) -> tuple[int, int, int] | None:
+    """Lexicographically first (x, y, z) with x v y = x v z but x v y != x v (y ^ z)."""
+    for x in range(L.n):
+        jx = L.join_table[x]
+        merged = jx[:, None] == jx[None, :]
+        collapsed = jx[:, None] == jx[L.meet_table]
+        bad = merged & ~collapsed
+        if bad.any():
+            y, z = map(int, np.argwhere(bad)[0])
+            return (x, y, z)
+    return None
 
 
 def oracle_join_irreducibles(L: FiniteLattice) -> list[int]:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from conftest import (
     oracle_biatomic,
     oracle_ell,
     oracle_jsd,
+    oracle_jsd_violation,
     oracle_atomistic,
     oracle_biatomicity_problems,
     oracle_least_decomposition,
@@ -32,7 +35,8 @@ from latkit.analysis import (
     separates,
     solve_problem_instance,
 )
-from latkit.core import PreconditionFailed
+from latkit.core import FiniteLattice, PreconditionFailed
+from latkit.extend import biatomic_completion
 from latkit.generators import (
     boolean,
     chain,
@@ -73,6 +77,56 @@ def test_jsd_violation_is_a_real_witness(m3):
     assert m3.join(x, y) == m3.join(x, z)
     assert m3.join(x, y) != m3.join(x, m3.meet(y, z))
     assert jsd_violation(boolean(3)) is None
+
+
+def shuffled(L: FiniteLattice, rng) -> FiniteLattice:
+    """The same lattice on shuffled indices."""
+    perm = rng.permutation(L.n)
+    return FiniteLattice.from_order(L.leq[np.ix_(perm, perm)], [L.labels[i] for i in perm])
+
+
+def glued_m3(L: FiniteLattice) -> FiniteLattice:
+    """L with M3 on top, the top of L as M3's bottom, M3's elements indexed last."""
+    n = L.n
+    leq = np.zeros((n + 4, n + 4), dtype=bool)
+    leq[:n, :n] = L.leq
+    leq[:n, n:] = True
+    leq[n:, n:] = np.eye(4, dtype=bool)
+    leq[n:, -1] = True
+    return FiniteLattice.from_order(leq, [*L.labels, "m3:p", "m3:q", "m3:r", "m3:1"])
+
+
+def test_jsd_violation_matches_the_row_scan():
+    rng = np.random.default_rng(12)
+    small = [L for k in range(1, 8) for L in enumerate_lattices(k)]
+    small += [shuffled(L, rng) for L in small for _ in range(5)]
+    # each fails at x = 1, in the first chunk of rows
+    completions = [biatomic_completion(L)[0] for L in (co_chain(12), co_chain(14), boolean(6))]
+    assert [K.n for K in completions] == [211, 288, 178]
+    # the least failing x is M3's first atom, past the first chunk of rows
+    sums = [glued_m3(boolean(8)), glued_m3(co_chain(20))]
+    assert [K.n for K in sums] == [260, 215]
+    jsd = [co_chain(k) for k in range(1, 13)] + [boolean(k) for k in range(10)]
+    jsd.append(co_points(five_point_configuration()))
+    for L in small + completions + sums + jsd:
+        assert jsd_violation(L) == oracle_jsd_violation(L), L.to_json()
+    assert [jsd_violation(K)[0] for K in completions] == [1, 1, 1]
+    assert [jsd_violation(K)[0] for K in sums] == [256, 211]
+    assert all(jsd_violation(L) is None for L in jsd)
+
+
+def test_jsd_violation_memory_stays_bounded():
+    L = boolean(10)
+    tracemalloc.start()
+    try:
+        witness = jsd_violation(L)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert witness is None
+    # the chunks hold a few arrays of _MAX_CHUNK_KEYS; one flat copy of
+    # the transposed meet table alone would take 4 MB
+    assert peak < 2**20
 
 
 def test_atomistic_violation_is_a_real_witness(n5):

@@ -256,16 +256,8 @@ def test_co_points_file_source(capsys, tmp_path):
     assert report["results"][f"co-points:{path}"]["size"] == 8
 
 
-HUGE = "1" + "0" * 5000  # a JSON integer past Python's 4,300-digit conversion limit
-
-
-@pytest.mark.parametrize("source,body", [
-    ("file", '{"elements": [%s], "covers": []}' % HUGE),
-    ("subsemi", '{"elements": [%s], "covers": []}' % HUGE),
-    ("co-points", '{"points": [{"label": "a", "x": %s, "y": 0}]}' % HUGE),
-], ids=["file", "subsemi", "co-points"])
-def test_huge_json_integer_gives_one_error_report(capsys, tmp_path, source, body):
-    path = tmp_path / "huge.json"
+def assert_invalid_json_report(capsys, tmp_path, source, body):
+    path = tmp_path / "input.json"
     path.write_text(body)
     spec = ["--file", str(path)] if source == "file" else ["--gen", f"{source}:{path}"]
     code = main(["check", *spec])
@@ -275,6 +267,30 @@ def test_huge_json_integer_gives_one_error_report(capsys, tmp_path, source, body
     assert out[end:] == "\n"  # exactly one object
     assert report["error"]["type"] == "InputError"
     assert report["error"]["message"].startswith("invalid JSON")
+
+
+HUGE = "1" + "0" * 5000  # a JSON integer past Python's 4,300-digit conversion limit
+
+
+@pytest.mark.parametrize("source,body", [
+    ("file", '{"elements": [%s], "covers": []}' % HUGE),
+    ("subsemi", '{"elements": [%s], "covers": []}' % HUGE),
+    ("co-points", '{"points": [{"label": "a", "x": %s, "y": 0}]}' % HUGE),
+], ids=["file", "subsemi", "co-points"])
+def test_huge_json_integer_gives_one_error_report(capsys, tmp_path, source, body):
+    assert_invalid_json_report(capsys, tmp_path, source, body)
+
+
+DEEP = "[" * 100_000  # arrays nested past Python's recursion limit
+
+
+@pytest.mark.parametrize("source,body", [
+    ("file", DEEP),
+    ("subsemi", '{"elements": %s' % DEEP),
+    ("co-points", '{"points": %s' % DEEP),
+], ids=["file", "subsemi", "co-points"])
+def test_deeply_nested_json_gives_one_error_report(capsys, tmp_path, source, body):
+    assert_invalid_json_report(capsys, tmp_path, source, body)
 
 
 # -- build ----------------------------------------------------------------------
@@ -512,6 +528,15 @@ def test_eval_qid_from_file(capsys, tmp_path):
     code, report, _ = run(capsys, "eval", "--gen", "chain:2", "--qid", f"file:{bad}")
     assert code == 2
     assert "not declared" in report["error"]["message"]
+
+
+def test_eval_deeply_nested_qid_gives_one_error_report(capsys, tmp_path):
+    path = tmp_path / "deep.qid"
+    path.write_text("x | => " + "(" * 5000 + "x" + ")" * 5000 + " = x")
+    code, report, _ = run(capsys, "eval", "--gen", "chain:2", "--qid", f"file:{path}")
+    assert code == 2
+    assert report["error"]["type"] == "InputError"
+    assert "nests deeper than 100 levels (at position 107)" in report["error"]["message"]
 
 
 def test_eval_bad_qid_specs(capsys):

@@ -102,6 +102,35 @@ def test_syntax_error_positions():
         parse_qid("x | => (x = x")
 
 
+def right_nested(levels: int) -> str:
+    """x v (x v (... (x))): one operator and one pair of parentheses a level."""
+    term = "x"
+    for _ in range(levels):
+        term = f"x v ({term})"
+    return term
+
+
+def test_term_nesting_is_bounded():
+    joins = " v ".join(["x"] * 101)
+    meets = " ^ ".join(["x"] * 101)
+    # each nests exactly 100 levels deep
+    for term in ["(" * 100 + "x" + ")" * 100, joins, meets, right_nested(50)]:
+        assert evaluate(chain(3), parse_qid(f"x | => {term} = x")).holds
+    head = "x | => "
+    # each term, with the position of the token that passes the bound
+    too_deep = [
+        ("(" * 101 + "x" + ")" * 101, 100),
+        ("(" * 5000 + "x" + ")" * 5000, 100),
+        (joins + " v x", len(joins) + 1),
+        (meets + " ^ x", len(meets) + 1),
+        (f"({right_nested(50)})", 0),
+    ]
+    for term, offset in too_deep:
+        with pytest.raises(QidSyntaxError, match="nests deeper than 100 levels") as exc:
+            parse_qid(f"{head}{term} = x")
+        assert exc.value.position == len(head) + offset
+
+
 def test_format_parse_fixpoint():
     samples = [
         theta(),
