@@ -43,7 +43,8 @@ _SET_BLOCK_WORDS = 1 << 15
 
 # Keys (x, x v y) in the first and the largest chunk of rows x of
 # jsd_violation.  A small first chunk keeps lattices that fail at a small x
-# cheap; the cap bounds its temporaries to a few arrays of 32 KB.
+# cheap; the cap bounds its temporaries to a few arrays of 32 KB, and those
+# of the witness scan, which takes the pairs (y, z) a block of y at a time.
 _FIRST_CHUNK_KEYS = 1 << 10
 _MAX_CHUNK_KEYS = 1 << 12
 
@@ -136,7 +137,8 @@ def jsd_violation(L: FiniteLattice) -> tuple[int, int, int] | None:
     with position i + s wherever both hold the same key.  The first chunk
     has about ``_FIRST_CHUNK_KEYS`` keys, and later ones double up to
     ``_MAX_CHUNK_KEYS``.  The least x with a failing group gets the pair
-    scan of its row alone, which gives the first (y, z) in row-major order.
+    scan of its row alone, a block of about ``_MAX_CHUNK_KEYS`` pairs at a
+    time, which gives the first (y, z) in row-major order.
     """
     n = L.n
     join, meet = L.join_table, L.meet_table
@@ -161,10 +163,13 @@ def jsd_violation(L: FiniteLattice) -> tuple[int, int, int] | None:
         if len(failing):
             x = int(failing[0])
             jx = join[x]
-            merged = jx[:, None] == jx[None, :]
-            collapsed = jx[:, None] == jx[meet]
-            y, z = map(int, np.argwhere(merged & ~collapsed)[0])
-            return (x, y, z)
+            block = max(1, _MAX_CHUNK_KEYS // n)
+            for y0 in range(0, n, block):
+                ys = jx[y0:y0 + block, None]
+                hits = np.argwhere((ys == jx[None, :]) & (ys != jx[meet[y0:y0 + block]]))
+                if len(hits):
+                    y, z = map(int, hits[0])
+                    return (x, y0 + y, z)
         x0 = x1
         rows = max(1, min(2 * rows, _MAX_CHUNK_KEYS // n))
     return None

@@ -3,11 +3,15 @@
 Four subcommands: ``check`` runs analyzers over a lattice, ``build`` runs an
 extension construction and writes the result, ``eval`` decides a
 quasi-identity by exhaustive search, ``corpus`` sweeps enumerated lattices
-through a property suite.  Every invocation, a usage error included, prints
-exactly one JSON report to stdout, byte-identical across runs on identical
-inputs; progress and timings go to stderr.  Each ``cmd_*`` returns its
-report body, exit code and closing stderr line; ``main`` alone times, wraps,
-writes and reports the errors of every command.
+through a property suite.  Every invocation, a usage error included,
+prints exactly one JSON report to stdout, byte-identical across runs on
+identical inputs; only ``--help`` and ``--version`` print their text
+instead.  Progress and timings go to stderr.  ``main`` parses the command
+line with one parser, built on the first call and shared by every later
+call in the process, and runs the subcommand's ``cmd_*`` function, looked
+up in ``COMMANDS`` on each call.  Each ``cmd_*`` returns its report body,
+exit code and closing stderr line; ``main`` alone times, wraps, writes and
+reports the errors of every command.
 
 Exit codes: 0 success (for ``eval``: the quasi-identity holds; for ``corpus``:
 no violation), 1 a quasi-identity failed or a corpus suite found a violation,
@@ -20,6 +24,7 @@ error exits 2 with ``command: null`` and empty ``inputs``.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -128,11 +133,10 @@ def _note(message: str) -> None:
 
 
 def _inputs(args) -> dict:
-    skip = {"func", "command"}
     return {
         key: value
         for key, value in sorted(vars(args).items())
-        if key not in skip and value is not None
+        if key != "command" and value is not None
     }
 
 
@@ -450,7 +454,14 @@ class _Parser(argparse.ArgumentParser):
         raise _InputError(f"{self.prog}: {message}")
 
 
+# Read by main on every call, not bound into the shared parser, so a function
+# swapped into this dict takes effect on the next call.
+COMMANDS = {"check": cmd_check, "build": cmd_build, "eval": cmd_eval, "corpus": cmd_corpus}
+
+
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and shared by every call."""
     parser = _Parser(
         prog="latkit",
         description="Finite lattice analysis, extension, and quasi-identity checking.",
@@ -467,7 +478,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=",".join(ALL_PROPS),
         help=f"comma list from: {', '.join(ALL_PROPS)}",
     )
-    p_check.set_defaults(func=cmd_check)
 
     p_build = sub.add_parser("build", help="run an extension construction")
     _add_source(p_build)
@@ -482,19 +492,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_build.add_argument("--out", help="write the result lattice JSON here")
     p_build.add_argument("--trace", help="write construction steps here, one JSON per line")
-    p_build.set_defaults(func=cmd_build)
 
     p_eval = sub.add_parser("eval", help="decide a quasi-identity exhaustively")
     _add_source(p_eval)
     p_eval.add_argument(
         "--qid", required=True, help="builtin:<name> or file:<path>"
     )
-    p_eval.set_defaults(func=cmd_eval)
 
     p_corpus = sub.add_parser("corpus", help="sweep enumerated lattices through a suite")
     p_corpus.add_argument("--suite", required=True, choices=sorted(SUITES))
     p_corpus.add_argument("--max", type=int, default=6, help="largest lattice size")
-    p_corpus.set_defaults(func=cmd_corpus)
 
     return parser
 
@@ -505,7 +512,7 @@ def main(argv=None) -> int:
     args = None
     try:
         args = build_parser().parse_args(argv)
-        body, code, summary = args.func(args)
+        body, code, summary = COMMANDS[args.command](args)
     except (_InputError, LatticeError) as exc:
         kind = type(exc).__name__.lstrip("_")
         body = {"error": {"type": kind, "message": str(exc)}}

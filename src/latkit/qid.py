@@ -17,6 +17,7 @@ variable; a deeper one is a syntax error.
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
 from typing import Union
@@ -233,12 +234,14 @@ def parse_qid(text: str) -> QuasiIdentity:
 # -- printing ----------------------------------------------------------------
 
 
-def _format_term(t: Term, parent: str = "join") -> str:
+def _format_term(t: Term, parent: str = "join", right: bool = False) -> str:
     if isinstance(t, Var):
         return t.name
-    inner = f"{_format_term(t.left, t.kind)} {'v' if t.kind == 'join' else '^'} {_format_term(t.right, t.kind)}"
-    # meets bind tighter; parenthesize a join under a meet, keep the rest flat
-    if t.kind == "join" and parent == "meet":
+    op = "v" if t.kind == "join" else "^"
+    inner = f"{_format_term(t.left, t.kind)} {op} {_format_term(t.right, t.kind, True)}"
+    # meets bind tighter and both operators associate left: parenthesize a
+    # join under a meet and a right operand of its parent's kind
+    if (t.kind == "join" and parent == "meet") or (right and t.kind == parent):
         return f"({inner})"
     return inner
 
@@ -262,6 +265,9 @@ def format_qid(q: QuasiIdentity) -> str:
 # -- built-ins ----------------------------------------------------------------
 
 
+# Each built-in is parsed once per process and shared: a QuasiIdentity is a
+# tree of frozen dataclasses.
+@functools.cache
 def theta() -> QuasiIdentity:
     """The five-variable quasi-identity separating biatomic from general bases.
 
@@ -280,6 +286,7 @@ def theta() -> QuasiIdentity:
     )
 
 
+@functools.cache
 def sd_join() -> QuasiIdentity:
     """Join-semidistributivity as a quasi-identity."""
     return parse_qid("x,y,z | x v y = x v z => x v y = x v (y ^ z)")

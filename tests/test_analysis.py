@@ -116,17 +116,19 @@ def test_jsd_violation_matches_the_row_scan():
 
 
 def test_jsd_violation_memory_stays_bounded():
-    L = boolean(10)
-    tracemalloc.start()
-    try:
-        witness = jsd_violation(L)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert witness is None
-    # the chunks hold a few arrays of _MAX_CHUNK_KEYS; one flat copy of
-    # the transposed meet table alone would take 4 MB
-    assert peak < 2**20
+    # the second fails at x = 1024 and scans that row for its witness
+    for L, expected in [(boolean(10), None), (glued_m3(boolean(10)), (1024, 1025, 1026))]:
+        tracemalloc.start()
+        try:
+            witness = jsd_violation(L)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert witness == expected
+        # the chunks and the witness scan's blocks hold a few arrays of
+        # _MAX_CHUNK_KEYS; one flat copy of the transposed meet table alone
+        # would take 4 MB
+        assert peak < 2**20
 
 
 def test_atomistic_violation_is_a_real_witness(n5):

@@ -1,10 +1,15 @@
+import argparse
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
-from latkit import extend
+from latkit import __version__, cli, extend
 from latkit.cli import _split_labels, main
 from latkit.core import FiniteLattice, PreconditionFailed
 from latkit.generators import boolean, chain
@@ -613,3 +618,66 @@ def test_error_report_shape(capsys):
     assert code == 2
     assert set(report) == {"command", "error", "inputs", "version"}
     assert set(report["error"]) == {"type", "message"}
+
+
+# -- one parser per process ----------------------------------------------------
+
+
+def test_one_process_leaks_no_parse_state(capsys, m3_file):
+    argvs = [
+        ["check", "--props"],
+        ["check", "--gen", "enum:3"],
+        ["check", "--file", m3_file],
+        ["check", "--gen", "boolean:2", "--props", "jsd"],
+        ["check", "--gen", "boolean:2"],
+        ["build", "--gen", "boolean:2", "--op", "one-atom",
+         "--apex", "{0,1}", "--subsemilattice", "{},{0},{1},{0,1}"],
+    ]
+    first = {}
+    for argv in argvs + argvs[::-1]:
+        code = main(argv)
+        report = (code, capsys.readouterr().out)
+        assert first.setdefault(tuple(argv), report) == report, argv
+    assert [code for code, _ in first.values()] == [2, 0, 0, 0, 0, 0]
+
+
+def test_parser_is_built_once(capsys, monkeypatch):
+    built = []
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        argparse.ArgumentParser.__init__(self, *args, **kwargs)
+
+    cli.build_parser.cache_clear()
+    monkeypatch.setattr(cli._Parser, "__init__", counting_init)
+    counts = []
+    for _ in range(10):
+        main(["check", "--gen", "chain:2"])
+        counts.append(len(built))
+    capsys.readouterr()
+    # the top-level parser and one per subcommand, all on the first call
+    assert counts == [1 + len(cli.COMMANDS)] * 10
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_module_entry_point_in_a_fresh_interpreter():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])
+    )}
+
+    def run_module(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", "latkit.cli", *argv],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+
+    version = run_module("--version")
+    assert (version.returncode, version.stdout) == (0, f"latkit {__version__}\n")
+    unknown = run_module("frob")
+    report, end = json.JSONDecoder().raw_decode(unknown.stdout)
+    assert unknown.returncode == 2 and unknown.stdout[end:] == "\n"
+    assert report["command"] is None and report["error"]["type"] == "InputError"
+    check = run_module("check", "--gen", "chain:2")
+    assert check.returncode == 0
+    assert json.loads(check.stdout)["results"]["chain:2"]["size"] == 2

@@ -2,6 +2,7 @@ import tracemalloc
 from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import check_assignment, eval_term, meet_semilattices, oracle_evaluate
 from latkit.analysis import is_atomistic, is_biatomic, is_join_semidistributive
@@ -138,11 +139,34 @@ def test_format_parse_fixpoint():
         parse_qid("x | => x = x"),
         parse_qid("u,v | => u v v = v v u"),
         parse_qid("x,y,z | x ^ (y v z) <= y => x <= y v z"),
+        parse_qid("x,y,z | => x v (y v z) = x ^ (y ^ z)"),
     ]
     for q in samples:
         text = format_qid(q)
         assert parse_qid(text) == q
         assert format_qid(parse_qid(text)) == text
+
+
+NAMES = ("x", "y", "v", "w")
+
+
+def terms(depth: int):
+    """Terms over NAMES nesting at most ``depth`` operators."""
+    leaf = st.sampled_from(NAMES).map(Var)
+    if depth == 0:
+        return leaf
+    sub = terms(depth - 1)
+    return st.one_of(leaf, st.builds(Op, st.sampled_from(("join", "meet")), sub, sub))
+
+
+equations = st.builds(Equation, terms(6), terms(6))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(equations, max_size=3).map(tuple), equations)
+def test_format_parse_round_trip(premises, conclusion):
+    q = QuasiIdentity(NAMES, premises, conclusion)
+    assert parse_qid(format_qid(q)) == q
 
 
 def test_theta_shape():
