@@ -60,8 +60,8 @@ def is_atomic(L: FiniteLattice) -> bool:
     return bool(covered.all())
 
 
-def atomistic_violation(L: FiniteLattice) -> int | None:
-    """Least element that is not the join of the atoms below it.
+def _atom_joins(L: FiniteLattice) -> np.ndarray:
+    """The join of the atoms below each element.
 
     One step per atom joins it into every element above it, so ``joined[x]``
     ends as the join of the atoms below x.
@@ -69,7 +69,12 @@ def atomistic_violation(L: FiniteLattice) -> int | None:
     joined = np.full(L.n, L.bottom)
     for p in L.atoms():
         joined = np.where(L.leq[p], L.join_table[joined, p], joined)
-    wrong = np.flatnonzero(joined != np.arange(L.n))
+    return joined
+
+
+def atomistic_violation(L: FiniteLattice) -> int | None:
+    """Least element that is not the join of the atoms below it."""
+    wrong = np.flatnonzero(_atom_joins(L) != np.arange(L.n))
     return int(wrong[0]) if len(wrong) else None
 
 
@@ -149,9 +154,7 @@ def jsd_violation(L: FiniteLattice) -> tuple[int, int, int] | None:
         keys = (np.arange(x0 * n, x1 * n, n)[:, None] + join[x0:x1]).ravel()
         order = np.argsort(keys, kind="stable")
         keys = keys[order]
-        # m[i]: the meet of the y at positions i .. i + step - 1 of i's group.
-        # Gathered as meet[a, b]: meet_table is a transposed view, and
-        # flattening it would copy all n * n entries.
+        # m[i]: the meet of the y at positions i .. i + step - 1 of i's group
         m = order % n
         step = 1
         while len(live := np.flatnonzero(keys[:-step] == keys[step:])):

@@ -1,10 +1,11 @@
 """Finite bounded lattices with exact table-based arithmetic.
 
 A lattice is stored as a dense boolean order matrix ``leq`` together with
-precomputed join and meet tables, so every lattice operation after
-construction is a constant-time lookup.  Construction validates everything:
-the order axioms, existence of all binary joins and meets, and the presence
-of a bottom and a top.  Instances are immutable.
+its cover matrix, its atoms and its join and meet tables, all computed once
+at construction, so every lattice operation after it is a lookup.
+Construction validates everything: the order axioms (checked by the same
+product that gives the covers), existence of all binary joins and meets,
+and the presence of a bottom and a top.  Instances are immutable.
 
 Every boolean matrix product and both tables are computed on rows packed
 into 64-bit words (:func:`_packed_rows`), a block of at most
@@ -120,9 +121,24 @@ def _bool_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _cover_matrix(leq: np.ndarray) -> np.ndarray:
-    """``cov[i, j]`` iff j covers i: i < j with nothing strictly between."""
-    strict = leq & ~np.eye(leq.shape[0], dtype=bool)
-    return strict & ~_bool_product(strict, strict)
+    """``cov[i, j]`` iff j covers i, or NotAPoset if ``leq`` is no partial order.
+
+    One boolean product P of the strict order S with itself serves both: a
+    reflexive antisymmetric relation is transitive iff P lies inside S, and
+    the covers are the pairs of S outside P.
+    """
+    n = leq.shape[0]
+    if not leq.diagonal().all():
+        raise NotAPoset("order is not reflexive")
+    strict = leq & ~np.eye(n, dtype=bool)
+    sym = strict & strict.T
+    if sym.any():
+        i, j = map(int, np.argwhere(sym)[0])
+        raise NotAPoset(f"order is not antisymmetric at ({i}, {j})")
+    between = _bool_product(strict, strict)
+    if (between & ~strict).any():
+        raise NotAPoset("order is not transitive")
+    return strict & ~between
 
 
 def _bool_closure(rel: np.ndarray) -> np.ndarray:
@@ -181,9 +197,12 @@ def _order_from_covers(
 class FiniteLattice:
     """A finite bounded lattice on elements ``0 .. n-1``.
 
-    ``leq[i, j]`` holds iff element ``i`` is below element ``j``.  Every
-    element carries a distinct string label; constructions derive fresh
-    labels from the labels of the inputs.
+    ``leq[i, j]`` holds iff element ``i`` is below element ``j``.  The
+    build checks the order and computes its covers in one step
+    (:func:`_cover_matrix`), reads the atoms off the bottom's row of covers,
+    and fills the join and meet tables (:func:`_lub_table`); all of them are
+    read-only.  Every element carries a distinct string label; constructions
+    derive fresh labels from the labels of the inputs.
     """
 
     __slots__ = (
@@ -201,7 +220,7 @@ class FiniteLattice:
         _check_size(n, "the order")
         leq = np.array(leq, dtype=bool)
         self.n = n
-        _check_partial_order(leq)
+        cov = _cover_matrix(leq)
         self.labels = _checked_labels(labels, n)
 
         bottoms = np.flatnonzero(leq.all(axis=1))
@@ -212,12 +231,12 @@ class FiniteLattice:
         self.top = int(tops[0])
 
         self.join_table = _lub_table(leq)
-        self.meet_table = _lub_table(leq.T).T
-        for arr in (leq, self.join_table, self.meet_table):
+        self.meet_table = _lub_table(leq.T)  # symmetric, so no transpose
+        for arr in (leq, cov, self.join_table, self.meet_table):
             arr.setflags(write=False)
         self.leq = leq
-        self._cov = None
-        self._atoms = None
+        self._cov = cov
+        self._atoms = tuple(np.flatnonzero(cov[self.bottom]).tolist())
 
     # -- constructors -----------------------------------------------------
 
@@ -318,19 +337,11 @@ class FiniteLattice:
             raise LatticeError(f"no element labelled {label!r}") from None
 
     def atoms(self) -> tuple[int, ...]:
-        """Elements covering the bottom: exactly two elements lie below each.
-
-        Computed on first use and kept.
-        """
-        if self._atoms is None:
-            self._atoms = tuple(int(x) for x in np.flatnonzero(self.leq.sum(axis=0) == 2))
+        """Elements covering the bottom, ascending."""
         return self._atoms
 
     def cover_matrix(self) -> np.ndarray:
-        """``cov[i, j]`` iff j covers i; computed on first use, read-only."""
-        if self._cov is None:
-            self._cov = _cover_matrix(self.leq)
-            self._cov.setflags(write=False)
+        """``cov[i, j]`` iff j covers i; read-only."""
         return self._cov
 
     def covers(self) -> list[tuple[int, int]]:
@@ -364,15 +375,6 @@ class FiniteLattice:
         """All x not above a."""
         _check_indices(self, "filter base", [a])
         return tuple(int(x) for x in np.flatnonzero(~self.leq[a]))
-
-    def is_meet_subsemilattice(self, subset: Iterable[int]) -> bool:
-        """True iff the subset is closed under binary meets."""
-        elems = sorted(set(int(x) for x in subset))
-        _check_indices(self, "subset", elems)
-        members = set(elems)
-        return all(
-            int(self.meet_table[x, y]) in members for x in elems for y in elems
-        )
 
     def is_sublattice(self, subset: Iterable[int]) -> bool:
         """True iff the subset is closed under binary meets and joins."""
@@ -422,18 +424,6 @@ def _closed_sets(n: int, rules: Iterable[tuple[int, int]]) -> list[int]:
         if h & ~t:  # a head inside its premise rejects nothing
             masks = masks[((masks & t) != t) | ((masks & h) == h)]
     return masks.tolist()
-
-
-def _check_partial_order(leq: np.ndarray) -> None:
-    n = leq.shape[0]
-    if not leq.diagonal().all():
-        raise NotAPoset("order is not reflexive")
-    sym = leq & leq.T & ~np.eye(n, dtype=bool)
-    if sym.any():
-        i, j = map(int, np.argwhere(sym)[0])
-        raise NotAPoset(f"order is not antisymmetric at ({i}, {j})")
-    if (_bool_product(leq, leq) & ~leq).any():
-        raise NotAPoset("order is not transitive")
 
 
 def _lub_table(leq: np.ndarray) -> np.ndarray:

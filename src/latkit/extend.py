@@ -40,6 +40,7 @@ from .core import (
     verify_embedding,
 )
 from .analysis import (
+    _atom_joins,
     _irredundant_atoms,
     is_atomistic,
     is_biatomic,
@@ -127,25 +128,14 @@ def _fresh_label(used: set[str], label: str) -> str:
 def atom_restriction(L: FiniteLattice, a: int) -> tuple[FiniteLattice, tuple[int, ...]]:
     """The join-closure of {0} and the atoms below a, as its own lattice.
 
+    Its elements are the x <= a that are the join of the atoms below them.
     Joins agree with L; meets are recomputed inside the restriction (the
     common lower bounds of a pair are join-closed, so their join is the
     greatest one).  Returns the lattice and the element map into L.
     """
     _check_indices(L, "element", [a])
-    below = [p for p in L.atoms() if L.leq[p, a]]
-    closed: set[int] = set(below)
-    frontier = list(below)
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for y in list(closed):
-                z = L.join(x, y)
-                if z not in closed:
-                    closed.add(z)
-                    nxt.append(z)
-        frontier = nxt
-    closed.add(L.bottom)
-    elements = tuple(sorted(closed))
+    fixed = _atom_joins(L) == np.arange(L.n)
+    elements = tuple(np.flatnonzero(fixed & L.leq[:, a]).tolist())
     return L.restrict(elements), elements
 
 
@@ -170,14 +160,8 @@ def separating_reembedding(M: FiniteLattice, sub) -> EmbeddingMap:
     if not separates(M, M.atoms(), elements):
         raise SeparationFailed("atoms do not separate the sublattice")
 
-    one = M.join_all(elements)
-    target, carrier = atom_restriction(M, one)
-    position = {e: i for i, e in enumerate(carrier)}
-    probe = [p for p in M.atoms() if M.leq[p, one]]
-    mapping = []
-    for x in elements:
-        fx = M.join_all(p for p in probe if M.leq[p, x])
-        mapping.append(position[fx])
+    target, carrier = atom_restriction(M, M.join_all(elements))
+    mapping = np.searchsorted(carrier, _atom_joins(M)[list(elements)])
     source = M.restrict(elements)
     emb = verify_embedding(source, target, mapping)
     _ensure(
@@ -218,9 +202,10 @@ def make_extension_pair(L: FiniteLattice, apex: int, subset) -> ExtensionPair:
         raise MissingFilter(
             f"element set misses {[L.labels[x] for x in missing]}"
         )
-    if not L.is_meet_subsemilattice(members):
+    closure = _closure_onto(L, members)
+    if closure is None:
         raise NotMeetClosed("element set is not closed under meets")
-    return ExtensionPair(L, int(apex), _closure_onto(L, members))
+    return ExtensionPair(L, int(apex), closure)
 
 
 def extension_pairs(L: FiniteLattice):
@@ -234,16 +219,26 @@ def extension_pairs(L: FiniteLattice):
         optional = [x for x in range(L.n) if x not in must]
         for r in range(len(optional) + 1):
             for extra in combinations(optional, r):
-                members = must | set(extra)
-                if L.is_meet_subsemilattice(members):
-                    yield ExtensionPair(L, apex, _closure_onto(L, members))
+                closure = _closure_onto(L, must | set(extra))
+                if closure is not None:
+                    yield ExtensionPair(L, apex, closure)
 
 
 def _closure_onto(
     L: FiniteLattice, members: set[int] | frozenset[int]
-) -> tuple[int, ...]:
-    """The closure onto a meet-closed set that holds the top; neither is checked."""
-    return tuple(L.meet_all(y for y in members if L.leq[x, y]) for x in range(L.n))
+) -> tuple[int, ...] | None:
+    """The least member above each x, or None when some x has no least member
+    above it; for a set that holds the top, exactly when it is not meet-closed.
+
+    Among the members above x the least one, if any, has the fewest elements
+    below it, and it is least iff it lies below as many members as x does.
+    """
+    m = np.array(sorted(members), dtype=np.int64)
+    above = L.leq[:, m]
+    least = m[np.where(above, above.sum(axis=0), L.n + 1).argmin(axis=1)]
+    if (L.leq[np.ix_(least, m)].sum(axis=1) != above.sum(axis=1)).any():
+        return None
+    return tuple(least.tolist())
 
 
 # -- the one-atom extension -------------------------------------------------------
@@ -344,14 +339,13 @@ def jsd_extension_criteria(pair: ExtensionPair):
         raise PreconditionFailed("criteria need an atomistic base")
     if not is_join_semidistributive(L):
         raise PreconditionFailed("criteria need a join-semidistributive base")
-    outside = L.complement_filter(pair.apex)
-    outside_set = set(outside)
-    for x in outside:
-        if any(y in outside_set and L.lt(x, y) for y in outside):
-            continue
-        if x not in pair.subsemilattice:
-            return False, ("maximal_outside_not_in_m", int(x))
+    # x outside the filter, a down-set, is maximal iff its upper covers are in it
+    outside = ~L.leq[pair.apex]
+    maximal = outside & ~(L.cover_matrix() & outside).any(axis=1)
     f = np.array(pair.closure)
+    missing = np.flatnonzero(maximal & (f != np.arange(L.n)))  # M holds f's fixed points
+    if len(missing):
+        return False, ("maximal_outside_not_in_m", int(missing[0]))
     atoms = np.array(L.atoms(), dtype=np.int64)
     for x in range(L.n):
         fu = f[L.join_table[x, atoms]]

@@ -10,7 +10,11 @@ per-atom loops that ``latkit.analysis`` replaced, and ``oracle_jsd_violation``
 the pair scan of every row that its grouped meet check replaced.
 ``oracle_closure_violation`` checks the closure laws of a map by a pair
 scan, which the library, building every closure from its image, never
-re-checks.  ``assert_solved_triple``
+re-checks; ``oracle_meet_closed`` and ``oracle_closure_onto`` keep the pair
+scan and the ``meet_all`` closure that ``extend._closure_onto`` replaced, and
+``oracle_atom_restriction`` and ``oracle_separating_map`` the frontier
+join-closure and the ``join_all`` map that the join of the atoms below each
+element (``analysis._atom_joins``) replaced.  ``assert_solved_triple``
 instead holds the per-step postconditions of the biatomization solver,
 which the library proves once and no longer re-checks at runtime.
 ``hull_trace`` and ``on_segment`` keep the Fraction monotone-chain route
@@ -375,6 +379,50 @@ def oracle_ell(L: FiniteLattice, x: int) -> int | None:
 
 
 # -- constructions -----------------------------------------------------------------
+
+
+def oracle_meet_closed(L: FiniteLattice, members) -> bool:
+    """True iff the set is closed under binary meets, by a scan of its pairs."""
+    members = set(int(x) for x in members)
+    return all(int(L.meet_table[x, y]) in members for x in members for y in members)
+
+
+def oracle_closure_onto(L: FiniteLattice, members) -> tuple[int, ...] | None:
+    """The meet of the members above each x, or None when one such meet is
+    not a member, so that x has no least member above it."""
+    members = set(int(x) for x in members)
+    closure = tuple(L.meet_all(y for y in members if L.leq[x, y]) for x in range(L.n))
+    return closure if set(closure) <= members else None
+
+
+def oracle_atom_restriction(L: FiniteLattice, a: int) -> tuple[int, ...]:
+    """The join-closure of {0} and the atoms below a, grown a frontier at a time."""
+    below = [p for p in L.atoms() if L.leq[p, a]]
+    closed: set[int] = set(below)
+    frontier = list(below)
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for y in list(closed):
+                z = L.join(x, y)
+                if z not in closed:
+                    closed.add(z)
+                    nxt.append(z)
+        frontier = nxt
+    closed.add(L.bottom)
+    return tuple(sorted(closed))
+
+
+def oracle_separating_map(M: FiniteLattice, elements) -> tuple[int, ...]:
+    """Each x of a sublattice sent to the join of the atoms below it, as a
+    position in ``oracle_atom_restriction`` of the sublattice's top."""
+    elements = sorted(set(int(x) for x in elements))
+    one = M.join_all(elements)
+    position = {e: i for i, e in enumerate(oracle_atom_restriction(M, one))}
+    probe = [p for p in M.atoms() if M.leq[p, one]]
+    return tuple(
+        position[M.join_all(p for p in probe if M.leq[p, x])] for x in elements
+    )
 
 
 def oracle_closure_violation(L: FiniteLattice, mapping) -> str | None:

@@ -17,7 +17,12 @@ from latkit.core import (
     verify_embedding,
 )
 from latkit.analysis import ell, minimal_decomposition, solve_problem_instance
-from latkit.extend import atom_restriction, separating_reembedding
+from latkit.extend import (
+    _closure_onto,
+    atom_restriction,
+    make_extension_pair,
+    separating_reembedding,
+)
 from latkit.generators import boolean, chain, co_chain, enumerate_lattices
 
 
@@ -177,7 +182,8 @@ def test_interval_filter(n5):
 
 def test_sub_semilattice_checks(m3):
     p, q = m3.index("p"), m3.index("q")
-    assert m3.is_meet_subsemilattice([m3.bottom, p, q])
+    assert _closure_onto(m3, [m3.bottom, p, q, m3.top]) is not None
+    assert _closure_onto(m3, [p, q, m3.top]) is None  # p ^ q escapes
     assert not m3.is_sublattice([m3.bottom, p, q])  # p v q escapes
     assert m3.is_sublattice([m3.bottom, p, m3.top])
 
@@ -197,7 +203,7 @@ INDEX_ENTRIES = {
     "filter": lambda L, i: L.filter(i),
     "complement_filter": lambda L, i: L.complement_filter(i),
     "is_sublattice": lambda L, i: L.is_sublattice([L.bottom, i]),
-    "is_meet_subsemilattice": lambda L, i: L.is_meet_subsemilattice([L.bottom, i]),
+    "make_extension_pair": lambda L, i: make_extension_pair(L, L.top, [L.bottom, i]),
     "minimal_decomposition": lambda L, i: minimal_decomposition(L, i),
     "ell": lambda L, i: ell(L, i),
     "solve_problem_instance_p": lambda L, i: solve_problem_instance(L, i, L.top, L.top),

@@ -5,10 +5,15 @@ import pytest
 
 from conftest import (
     assert_solved_triple,
+    hull_lattices,
+    oracle_atom_restriction,
+    oracle_closure_onto,
     oracle_closure_violation,
     oracle_atomistic,
     oracle_biatomic,
     oracle_isomorphic,
+    oracle_meet_closed,
+    oracle_separating_map,
     triangle_with_center_lattice,
 )
 from latkit import extend
@@ -132,19 +137,33 @@ def test_extension_pair_closure():
 
 
 def test_extension_pairs_match_brute_force():
-    # extension_pairs validates nothing itself, so it must yield exactly the
-    # pairs make_extension_pair accepts, in their documented order
-    checked = 0
+    # make_extension_pair must reject a set holding the apex filter and the
+    # bottom exactly when the pair scan finds it not meet-closed, and build
+    # the meet_all closure otherwise; extension_pairs validates nothing
+    # itself, so it must yield exactly the pairs make_extension_pair
+    # accepts, in their documented order
+    checked = rejected = 0
     for n in range(1, 6):
         for L in enumerate_lattices(n):
             want = []
             for apex in range(L.n):
+                required = set(L.filter(apex)) | {L.bottom}
                 for r in range(L.n + 1):
                     for subset in combinations(range(L.n), r):
                         try:
                             pair = make_extension_pair(L, apex, subset)
-                        except (BadApex, MissingFilter, NotMeetClosed):
+                        except BadApex:
+                            assert apex == L.bottom or apex in L.atoms()
                             continue
+                        except MissingFilter:
+                            assert not required <= set(subset)
+                            continue
+                        except NotMeetClosed:
+                            assert not oracle_meet_closed(L, subset)
+                            rejected += 1
+                            continue
+                        assert oracle_meet_closed(L, subset)
+                        assert pair.closure == oracle_closure_onto(L, subset)
                         assert pair.subsemilattice == frozenset(subset)
                         want.append(pair)
             got = list(extension_pairs(L))
@@ -154,7 +173,21 @@ def test_extension_pairs_match_brute_force():
             for pair in got:
                 assert oracle_closure_violation(L, pair.closure) is None
             checked += len(got)
-    assert checked > 50
+    assert checked > 50 and rejected > 0
+
+
+def test_closure_onto_matches_the_meet_all_closure():
+    # on every nonempty set, with or without the top: None exactly when some
+    # element has no least member above it
+    closures = 0
+    for n in range(1, 6):
+        for L in enumerate_lattices(n):
+            for r in range(1, L.n + 1):
+                for subset in combinations(range(L.n), r):
+                    got = extend._closure_onto(L, set(subset))
+                    assert got == oracle_closure_onto(L, subset)
+                    closures += got is not None
+    assert closures > 50
 
 
 def test_oracle_closure_violation():
@@ -447,6 +480,28 @@ def test_atom_restriction_keeps_structure():
             want = {p for p in L.atoms() if L.le(p, a)}
             got = {carrier[x] for x in sub.atoms()}
             assert got == want
+
+
+def test_atom_restriction_and_reembedding_match_the_oracles():
+    # every lattice with <= 7 elements, non-atomistic ones included, and the
+    # seeded hull lattices; each principal ideal is re-embedded where the
+    # ambient lattice allows it, on lattices of at most 128 elements, since
+    # the pair scans of separating_reembedding's checks take 4 s at 256
+    lattices = [L for n in range(1, 8) for L in enumerate_lattices(n)] + hull_lattices()
+    reembedded = 0
+    for L in lattices:
+        reembeds = L.n <= 128 and is_join_semidistributive(L) and is_biatomic(L)
+        for a in range(L.n):
+            assert atom_restriction(L, a)[1] == oracle_atom_restriction(L, a)
+            if reembeds:
+                ideal = L.interval(L.bottom, a)
+                try:
+                    emb = separating_reembedding(L, ideal)
+                except SeparationFailed:
+                    continue
+                assert emb.map == oracle_separating_map(L, ideal)
+                reembedded += 1
+    assert reembedded > 100
 
 
 def test_atom_restriction_on_non_atomistic(n5):

@@ -2,11 +2,11 @@
 their reference routes.
 
 ``_bool_product`` is checked against numpy's boolean ``@``; ``_lub_table``,
-``_check_partial_order`` and the cover matrix against the pair scan and the
-``@`` routes of ``conftest``; ``is_biatomic`` against the per-atom product
-routes and the brute-force oracle of ``conftest``.  Each comparison asks for
-the same table, verdict or element, or for the same error type with the
-same message.  The table, product and biatomicity tests run twice: with the
+``_cover_matrix`` (the order check and the covers in one product) and the
+atoms against the pair scan and the ``@`` routes of ``conftest``;
+``is_biatomic`` against the per-atom product routes and the brute-force
+oracle of ``conftest``.  Each comparison asks for the same table, verdict
+or element, or for the same error type with the same message.  The table, product and biatomicity tests run twice: with the
 default block sizes, and with one word per block, so that the search for the
 first failing pair crosses every block edge.
 """
@@ -22,6 +22,7 @@ from conftest import (
     biatomic_by_splitting,
     hull_lattices,
     meet_semilattices,
+    oracle_atoms,
     oracle_atomistic_violation,
     oracle_biatomic,
     oracle_biatomicity_problems,
@@ -35,7 +36,7 @@ from latkit.core import (
     FiniteLattice,
     LatticeError,
     _bool_product,
-    _check_partial_order,
+    _cover_matrix,
     _inclusion_order,
     _lub_table,
     _packed_rows,
@@ -163,7 +164,10 @@ def test_tables_match_the_pair_scan(family, blocks):
         L = got[1]
         assert np.array_equal(L.join_table, joins[1])
         assert np.array_equal(L.meet_table, meets[1].T)
+        assert L.meet_table.flags.c_contiguous
         cov = oracle_cover_matrix(leq)
+        assert np.array_equal(L.cover_matrix(), cov)
+        assert list(L.atoms()) == oracle_atoms(L)
         assert L.covers() == [(int(i), int(j)) for i, j in np.argwhere(cov)]
         for x in range(L.n):
             assert L.lower_covers(x) == tuple(np.flatnonzero(cov[:, x]))
@@ -196,8 +200,11 @@ def test_order_axioms_match_the_product_check(blocks):
     failures = set()
     for rel in broken_orders():
         want = outcome(oracle_check_partial_order, rel)
-        assert outcome(_check_partial_order, rel) == want
-        if want[0] != "ok":
+        got = outcome(_cover_matrix, rel)
+        if want[0] == "ok":
+            assert_same_outcome(got, ("ok", oracle_cover_matrix(rel)))
+        else:
+            assert got == want
             assert outcome(FiniteLattice, rel) == want
             failures.add(want[1].split(" at ")[0])
     assert failures == {
