@@ -290,14 +290,11 @@ def ell(L: FiniteLattice, x: int) -> int:
 
 def separates(L: FiniteLattice, probes, among) -> bool:
     """True iff for every x not below y in `among` some probe is below x, not y."""
-    probes = list(probes)
-    among = list(among)
-    for x in among:
-        for y in among:
-            if not L.leq[x, y]:
-                if not any(L.leq[p, x] and not L.leq[p, y] for p in probes):
-                    return False
-    return True
+    among = np.array(list(among), dtype=np.int64)
+    # below[i, j]: the i-th probe lies below the j-th element of among
+    below = L.leq[np.ix_(np.array(list(probes), dtype=np.int64), among)]
+    split = _bool_product(below.T, ~below)
+    return bool((split | L.leq[np.ix_(among, among)]).all())
 
 
 # -- biatomicity problems ----------------------------------------------------
@@ -339,16 +336,17 @@ def biatomicity_problems(L: FiniteLattice) -> list[BiatomicityProblem]:
     y <= b splits with, paired with the first such y.
     """
     atoms = np.array(L.atoms(), dtype=np.int64)
+    k = len(atoms)
     # below[a, i]: the i-th atom lies below a
     below = L.leq[atoms, :].T
     atom_join = L.join_table[np.ix_(atoms, atoms)]
+    # splits[h, i, b]: some atom y <= b has p <= x v y for p, x the h-th, i-th atoms
+    splits = _bool_product(below.T[:, atom_join].reshape(k * k, k), below.T)
     out = []
-    for p in atoms.tolist():
+    for p, split in zip(atoms.tolist(), splits.reshape(k, k, L.n)):
         up = L.leq[p]
         # problem[a, b]: p <= a v b, p below neither a nor b (so both are nonzero)
         problem = up[L.join_table] & ~up[:, None] & ~up[None, :]
-        # split[i, b]: some atom y <= b has p <= x v y for x the i-th atom
-        split = _bool_product(up[atom_join], below.T)
         a_idx, b_idx = np.nonzero(np.triu(problem))
         # x_ok[k, i]: the i-th atom lies below a_k and splits with some atom below b_k
         x_ok = below[a_idx] & split[:, b_idx].T

@@ -304,9 +304,6 @@ class FiniteLattice:
     def le(self, x: int, y: int) -> bool:
         return bool(self.leq[x, y])
 
-    def lt(self, x: int, y: int) -> bool:
-        return x != y and bool(self.leq[x, y])
-
     def join(self, x: int, y: int) -> int:
         return int(self.join_table[x, y])
 
@@ -371,21 +368,15 @@ class FiniteLattice:
         _check_indices(self, "filter base", [a])
         return tuple(int(x) for x in np.flatnonzero(self.leq[a]))
 
-    def complement_filter(self, a: int) -> tuple[int, ...]:
-        """All x not above a."""
-        _check_indices(self, "filter base", [a])
-        return tuple(int(x) for x in np.flatnonzero(~self.leq[a]))
-
     def is_sublattice(self, subset: Iterable[int]) -> bool:
         """True iff the subset is closed under binary meets and joins."""
         elems = sorted(set(int(x) for x in subset))
         _check_indices(self, "subset", elems)
-        members = set(elems)
-        return all(
-            int(self.meet_table[x, y]) in members
-            and int(self.join_table[x, y]) in members
-            for x in elems
-            for y in elems
+        members = np.zeros(self.n, dtype=bool)
+        members[elems] = True
+        pairs = np.ix_(elems, elems)
+        return bool(
+            members[self.meet_table[pairs]].all() and members[self.join_table[pairs]].all()
         )
 
     def restrict(self, subset: Iterable[int]) -> "FiniteLattice":

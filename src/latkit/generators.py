@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
+from functools import cache
 from itertools import combinations, permutations, product
-from typing import Iterator
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -79,28 +80,43 @@ def sub_meet_semilattice(P) -> FiniteLattice:
 # -- exhaustive enumeration ----------------------------------------------------
 
 
-def canonical_key(L: FiniteLattice) -> bytes:
-    """A label-independent fingerprint: two lattices share it iff isomorphic.
+@cache
+def _bits(mask: int) -> tuple[int, ...]:
+    """The positions of the set bits of mask, ascending."""
+    return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
 
-    Computed as the minimum, over structure-respecting relabelings, of the
-    flattened cover matrix.  Candidate relabelings are restricted by an
+
+def _cover_key(down: Sequence[int]) -> bytes:
+    """A label-independent fingerprint of the lattice whose element k has
+    down-set bitmask ``down[k]``: two lattices share it iff isomorphic.
+
+    It is ``bytes([n])`` plus the minimum, over structure-respecting
+    relabelings, of the flattened 0/1 cover matrix (``cov[i, j]`` iff j
+    covers i).  The lower covers of k are its strict down-set minus the
+    strict down-sets inside it.  Candidate relabelings are restricted by an
     iteratively refined coloring, which keeps the search tiny at these sizes.
     """
-    n = L.n
-    cov = L.cover_matrix()
+    n = len(down)
+    lower, upper, above = [], [0] * n, [1] * n
+    for k, d in enumerate(down):
+        strict, inner = d & ~(1 << k), 0
+        for i in _bits(strict):
+            inner |= down[i] & ~(1 << i)
+            above[i] += 1
+        lower.append(strict & ~inner)
+        for i in _bits(lower[k]):
+            upper[i] |= 1 << k
+    ups, lows = [_bits(u) for u in upper], [_bits(m) for m in lower]
 
-    colors = [
-        (int(L.leq[:, x].sum()), int(L.leq[x].sum()), int(cov[:, x].sum()), int(cov[x].sum()))
-        for x in range(n)
-    ]
+    colors = [(d.bit_count(), above[x], len(lows[x]), len(ups[x])) for x, d in enumerate(down)]
     while True:
         palette = {c: i for i, c in enumerate(sorted(set(colors)))}
         coded = [palette[c] for c in colors]
         refined = [
             (
                 coded[x],
-                tuple(sorted(coded[y] for y in range(n) if cov[x, y])),
-                tuple(sorted(coded[y] for y in range(n) if cov[y, x])),
+                tuple(sorted([coded[y] for y in ups[x]])),
+                tuple(sorted([coded[y] for y in lows[x]])),
             )
             for x in range(n)
         ]
@@ -110,20 +126,15 @@ def canonical_key(L: FiniteLattice) -> bytes:
         colors = refined
 
     palette = {c: i for i, c in enumerate(sorted(set(colors)))}
-    coded = [palette[c] for c in colors]
     classes: dict[int, list[int]] = {}
     for x in range(n):
-        classes.setdefault(coded[x], []).append(x)
-    ordered_classes = [classes[c] for c in sorted(classes)]
-
-    best = None
-    for perm_parts in product(*map(permutations, ordered_classes)):
-        order = [x for part in perm_parts for x in part]
-        # order[i] = source element placed at position i
-        arr = np.array(order)
-        candidate = cov[np.ix_(arr, arr)].tobytes()
-        if best is None or candidate < best:
-            best = candidate
+        classes.setdefault(palette[colors[x]], []).append(x)
+    parts = [permutations(classes[c]) for c in sorted(classes)]
+    # order[i] is the element placed at position i
+    best = min(
+        bytes([upper[x] >> y & 1 for x in order for y in order])
+        for order in (sum(perm, ()) for perm in product(*parts))
+    )
     return bytes([n]) + best
 
 
@@ -175,19 +186,18 @@ def _has_maximum(common: int, down: list[int]) -> bool:
 def enumerate_lattices(n: int) -> Iterator[FiniteLattice]:
     """Every lattice with exactly n elements, one per isomorphism class.
 
-    Output order is deterministic: ascending canonical cover-matrix key.
-    Bounded at n = 7.
+    Each labelled candidate is keyed by :func:`_cover_key` on its down-set
+    masks, and the first candidate of each key is kept; only these class
+    representatives are built as lattices.  Output order is deterministic:
+    ascending canonical cover-matrix key.  Bounded at n = 7.
     """
     if n < 1:
         raise TooLarge("enumerate_lattices(n) needs n >= 1")
     if n > 7:
         raise TooLarge("enumerate_lattices is bounded at n = 7")
-    seen: dict[bytes, FiniteLattice] = {}
+    seen: dict[bytes, tuple[int, ...]] = {}
     for down in _bounded_meet_semilattices_linear(n):
-        # i <= j iff the down-set of i lies inside the down-set of j
-        L = FiniteLattice(_inclusion_order(down), [f"e{i}" for i in range(n)])
-        key = canonical_key(L)
-        if key not in seen:
-            seen[key] = L
+        seen.setdefault(_cover_key(down), down)
     for key in sorted(seen):
-        yield seen[key]
+        # i <= j iff the down-set of i lies inside the down-set of j
+        yield FiniteLattice(_inclusion_order(seen[key]), [f"e{i}" for i in range(n)])

@@ -21,6 +21,12 @@ which the library proves once and no longer re-checks at runtime.
 that ``co_points`` replaced with one integer sign table; ``oracle_co_points``
 builds the hull-trace lattice on it.  ``meet_semilattices`` makes the
 meet-semilattice inputs of ``sub_meet_semilattice`` from enumerated lattices.
+``oracle_is_sublattice`` and ``oracle_separates`` keep the pair scans that
+table gathers and one boolean product replaced.  ``oracle_canonical_key``
+keys a built lattice by its numpy cover matrix, and
+``oracle_enumerate_lattices`` builds and keys every labelled candidate,
+where ``enumerate_lattices`` keys down-set masks and builds one lattice per
+class.
 """
 
 from itertools import combinations, permutations, product
@@ -35,9 +41,9 @@ from latkit.analysis import (
     is_join_semidistributive,
     join_dependency,
 )
-from latkit.core import FiniteLattice, NotALattice, NotAPoset
+from latkit.core import FiniteLattice, NotALattice, NotAPoset, _inclusion_order
 from latkit.extend import make_extension_pair
-from latkit.generators import enumerate_lattices
+from latkit.generators import _bounded_meet_semilattices_linear, enumerate_lattices
 from latkit.geometry import (
     PointConfiguration,
     RationalPoint,
@@ -387,6 +393,37 @@ def oracle_meet_closed(L: FiniteLattice, members) -> bool:
     return all(int(L.meet_table[x, y]) in members for x in members for y in members)
 
 
+def oracle_is_sublattice(L: FiniteLattice, members) -> bool:
+    """True iff the set is closed under binary meets and joins, by a scan of its pairs."""
+    members = set(int(x) for x in members)
+    return all(
+        L.meet(x, y) in members and L.join(x, y) in members for x in members for y in members
+    )
+
+
+def oracle_separates(L: FiniteLattice, probes, among) -> bool:
+    """True iff for every x not below y in ``among`` some probe is below x, not y,
+    by a scan of the pairs."""
+    return all(
+        L.leq[x, y] or any(L.leq[p, x] and not L.leq[p, y] for p in probes)
+        for x in among
+        for y in among
+    )
+
+
+def seeded_subsets(L: FiniteLattice, seed: int, count: int = 16) -> list[list[int]]:
+    """Every subset of L when L has at most 5 elements; else the principal
+    ideal and filter of ``count`` seeded elements, then ``count`` seeded
+    random subsets."""
+    if L.n <= 5:
+        return [[x for x in range(L.n) if m >> x & 1] for m in range(1 << L.n)]
+    rng = np.random.default_rng(seed)
+    out = []
+    for a in rng.choice(L.n, size=min(count, L.n), replace=False).tolist():
+        out += [list(L.interval(L.bottom, a)), list(L.filter(a))]
+    return out + [np.flatnonzero(rng.random(L.n) < 0.5).tolist() for _ in range(count)]
+
+
 def oracle_closure_onto(L: FiniteLattice, members) -> tuple[int, ...] | None:
     """The meet of the members above each x, or None when one such meet is
     not a member, so that x has no least member above it."""
@@ -470,8 +507,9 @@ def assert_solved_triple(L: FiniteLattice, p: int, q: int, a: int, ext) -> None:
     star = ext.new_atom
     assert is_join_semidistributive(R), "extension lost join-semidistributivity"
     assert is_atomistic(R), "extension lost atomisticity"
-    assert R.lt(p, R.join(star, q)), "p must lie strictly below p* v q"
-    assert R.lt(star, a), "the fresh atom must lie strictly below the apex"
+    p_star_q = R.join(star, q)
+    assert p != p_star_q and R.le(p, p_star_q), "p must lie strictly below p* v q"
+    assert star != a and R.le(star, a), "the fresh atom must lie strictly below the apex"
 
     dep_base = join_dependency(L)
     dep_ext = join_dependency(R)
@@ -780,6 +818,61 @@ def _all_labelled_lattice_orders(n: int):
                 break
         if good:
             yield tuple(tuple(row) for row in rel)
+
+
+def oracle_canonical_key(L: FiniteLattice) -> bytes:
+    """``bytes([n])`` plus the minimum, over structure-respecting relabelings,
+    of the flattened cover matrix of a built lattice, read off its numpy
+    order and cover matrices.  Candidate relabelings are restricted by an
+    iteratively refined coloring."""
+    n = L.n
+    cov = L.cover_matrix()
+
+    colors = [
+        (int(L.leq[:, x].sum()), int(L.leq[x].sum()), int(cov[:, x].sum()), int(cov[x].sum()))
+        for x in range(n)
+    ]
+    while True:
+        palette = {c: i for i, c in enumerate(sorted(set(colors)))}
+        coded = [palette[c] for c in colors]
+        refined = [
+            (
+                coded[x],
+                tuple(sorted(coded[y] for y in range(n) if cov[x, y])),
+                tuple(sorted(coded[y] for y in range(n) if cov[y, x])),
+            )
+            for x in range(n)
+        ]
+        if len(set(refined)) == len(set(colors)):
+            colors = refined
+            break
+        colors = refined
+
+    palette = {c: i for i, c in enumerate(sorted(set(colors)))}
+    coded = [palette[c] for c in colors]
+    classes: dict[int, list[int]] = {}
+    for x in range(n):
+        classes.setdefault(coded[x], []).append(x)
+    ordered_classes = [classes[c] for c in sorted(classes)]
+
+    best = None
+    for perm_parts in product(*map(permutations, ordered_classes)):
+        arr = np.array([x for part in perm_parts for x in part])
+        candidate = cov[np.ix_(arr, arr)].tobytes()
+        if best is None or candidate < best:
+            best = candidate
+    return bytes([n]) + best
+
+
+def oracle_enumerate_lattices(n: int) -> list[FiniteLattice]:
+    """One lattice per class, in ascending ``oracle_canonical_key`` order:
+    every labelled candidate of the library's search is built as a lattice
+    and keyed, and the first of each key is kept."""
+    seen: dict[bytes, FiniteLattice] = {}
+    for down in _bounded_meet_semilattices_linear(n):
+        L = FiniteLattice(_inclusion_order(down), [f"e{i}" for i in range(n)])
+        seen.setdefault(oracle_canonical_key(L), L)
+    return [seen[key] for key in sorted(seen)]
 
 
 def oracle_lattice_count(n: int) -> int:

@@ -121,9 +121,10 @@ def _check_solved_triple(L, p, q, a, ext, failures, where):
     star = ext.new_atom
     if not is_join_semidistributive(K):
         failures.append(f"{where}: extension not jsd")
-    if not (K.lt(p, K.join(star, q)) and K.le(p, K.join(star, q))):
+    p_star_q = K.join(star, q)
+    if not (p != p_star_q and K.le(p, p_star_q)):
         failures.append(f"{where}: p is not strictly below p* v q")
-    if not K.lt(star, a):
+    if not (star != a and K.le(star, a)):
         failures.append(f"{where}: p* is not strictly below the apex")
     base_rel = join_dependency(L)
     ext_rel = join_dependency(K)

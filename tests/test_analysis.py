@@ -16,7 +16,9 @@ from conftest import (
     oracle_biatomicity_problems,
     oracle_least_decomposition,
     oracle_lower_bounded,
+    oracle_separates,
     oracle_transitive_closure,
+    seeded_subsets,
     triangle_with_center_lattice,
 )
 from latkit.analysis import (
@@ -310,6 +312,21 @@ def test_separates(m3):
     assert separates(b3, b3.atoms(), range(b3.n))
 
 
+def test_separates_matches_the_pair_scan():
+    # every probe set on the small lattices; the atoms and the last four
+    # (random) subsets as probes on the seeded hull lattices
+    lattices = [L for n in range(1, 6) for L in enumerate_lattices(n)] + hull_lattices()
+    verdicts = set()
+    for L in lattices:
+        subsets = seeded_subsets(L, seed=L.n)
+        for probes in [list(L.atoms())] + (subsets if L.n <= 5 else subsets[-4:]):
+            for among in subsets:
+                verdict = separates(L, probes, among)
+                assert verdict == oracle_separates(L, probes, among)
+                verdicts.add(verdict)
+    assert verdicts == {True, False}
+
+
 def test_solve_problem_instance(m3):
     p, q, r = m3.index("p"), m3.index("q"), m3.index("r")
     assert solve_problem_instance(m3, p, q, r) == (q, r)
@@ -341,9 +358,10 @@ def test_biatomicity_problems_shape(m3):
 
 
 def test_biatomicity_problems_match_oracle():
-    lattices = [L for n in range(1, 7) for L in enumerate_lattices(n)]
-    lattices += [co_chain(n) for n in range(1, 8)]
+    lattices = [L for n in range(1, 8) for L in enumerate_lattices(n)]
+    lattices += [co_chain(n) for n in (*range(1, 8), 12)] + [boolean(6)]
     lattices += [co_points(five_point_configuration()), triangle_with_center_lattice()]
+    lattices += hull_lattices(seed=5) + hull_lattices(seed=2026)
     for L in lattices:
         problems = biatomicity_problems(L)
         assert all(pr.solved == (pr.solution is not None) for pr in problems)

@@ -137,6 +137,7 @@ def test_readme_examples_stdout_pinned(capsys, argv, digest):
 # stdout of generator checks, which pins each generator's element order
 GENERATOR_CHECKS = [
     ("enum:6", "0c8f9dc7726c1c95a319040ac82007d35ceb2c87594733295ec365a898014092"),
+    ("enum:7", "b967ac7f08bdb1fc86805cbd46269e90e272e0bfb06c0430b542aa2680c43a7a"),
     ("co-points:paper5",
      "222548a0d4a63e7e06a452f4ef21c1ef09f5049e57c1efa8aef5ab94fab4c2e4"),
     ("subsemi:b2.json",
@@ -150,6 +151,14 @@ def test_generator_check_stdout_pinned(capsys, monkeypatch, tmp_path, gen, diges
     (tmp_path / "b2.json").write_text(boolean(2).to_json())
     main(["check", "--gen", gen])
     out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_enum_sd_join_stdout_pinned(capsys):
+    # sd-join fails on some 7-element lattices, so the exit code is 1
+    assert main(["eval", "--gen", "enum:7", "--qid", "builtin:sd-join"]) == 1
+    out = capsys.readouterr().out
+    digest = "9947f669c472b399bbca16c4299a29bf8ec412437a4beff889dd05c67fb07d36"
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 

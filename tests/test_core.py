@@ -3,7 +3,15 @@ import json
 import numpy as np
 import pytest
 
-from conftest import oracle_atoms, oracle_glb, oracle_join_irreducibles, oracle_lub
+from conftest import (
+    hull_lattices,
+    oracle_atoms,
+    oracle_glb,
+    oracle_is_sublattice,
+    oracle_join_irreducibles,
+    oracle_lub,
+    seeded_subsets,
+)
 from latkit.core import (
     MAX_ELEMENTS,
     EmptyInterval,
@@ -158,8 +166,8 @@ def test_atoms_and_lower_covers_match_oracles():
         assert list(L.atoms()) == oracle_atoms(L)
         assert list(L.join_irreducibles()) == oracle_join_irreducibles(L)
         for x in range(L.n):
-            below = [y for y in range(L.n) if L.lt(y, x)]
-            lower = [y for y in below if not any(L.lt(y, z) for z in below)]
+            below = [y for y in range(L.n) if y != x and L.le(y, x)]
+            lower = [y for y in below if not any(y != z and L.le(y, z) for z in below)]
             assert list(L.lower_covers(x)) == lower
 
 
@@ -176,8 +184,6 @@ def test_interval_filter(n5):
     with pytest.raises(EmptyInterval):
         n5.interval(n5.index("c"), b)
     assert set(n5.filter(a)) == {a, b, n5.top}
-    assert set(n5.complement_filter(a)) == {n5.bottom, n5.index("c")}
-    assert set(n5.filter(a)) | set(n5.complement_filter(a)) == set(range(n5.n))
 
 
 def test_sub_semilattice_checks(m3):
@@ -186,6 +192,17 @@ def test_sub_semilattice_checks(m3):
     assert _closure_onto(m3, [p, q, m3.top]) is None  # p ^ q escapes
     assert not m3.is_sublattice([m3.bottom, p, q])  # p v q escapes
     assert m3.is_sublattice([m3.bottom, p, m3.top])
+
+
+def test_is_sublattice_matches_the_pair_scan():
+    lattices = [L for n in range(1, 6) for L in enumerate_lattices(n)] + hull_lattices()
+    verdicts = set()
+    for L in lattices:
+        for subset in seeded_subsets(L, seed=L.n):
+            verdict = L.is_sublattice(subset)
+            assert verdict == oracle_is_sublattice(L, subset)
+            verdicts.add(verdict)
+    assert verdicts == {True, False}
 
 
 def test_restrict(m3):
@@ -201,7 +218,6 @@ INDEX_ENTRIES = {
     "interval_low": lambda L, i: L.interval(i, L.top),
     "interval_high": lambda L, i: L.interval(L.bottom, i),
     "filter": lambda L, i: L.filter(i),
-    "complement_filter": lambda L, i: L.complement_filter(i),
     "is_sublattice": lambda L, i: L.is_sublattice([L.bottom, i]),
     "make_extension_pair": lambda L, i: make_extension_pair(L, L.top, [L.bottom, i]),
     "minimal_decomposition": lambda L, i: minimal_decomposition(L, i),

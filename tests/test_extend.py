@@ -353,7 +353,7 @@ def test_solve_one_problem_on_five_point_lattice():
         assert star in K.atoms()
         assert ext.embedding.preserved.all_flags()
         assert is_atomistic(K) and is_join_semidistributive(K)
-        assert K.lt(star, a)
+        assert star != a and K.le(star, a)
         assert K.le(p, K.join(star, q)) and not K.le(p, star)
         # the fresh atom changes no dependencies among the original atoms
         base_rel = join_dependency(L)
@@ -486,7 +486,7 @@ def test_atom_restriction_and_reembedding_match_the_oracles():
     # every lattice with <= 7 elements, non-atomistic ones included, and the
     # seeded hull lattices; each principal ideal is re-embedded where the
     # ambient lattice allows it, on lattices of at most 128 elements, since
-    # the pair scans of separating_reembedding's checks take 4 s at 256
+    # each call re-checks that the ambient lattice is jsd: 2.7 s at 256
     lattices = [L for n in range(1, 8) for L in enumerate_lattices(n)] + hull_lattices()
     reembedded = 0
     for L in lattices:

@@ -3,6 +3,8 @@ import pytest
 
 from conftest import (
     meet_semilattices,
+    oracle_canonical_key,
+    oracle_enumerate_lattices,
     oracle_isomorphic,
     oracle_lattice_count,
     oracle_sub_meet_semilattice,
@@ -11,8 +13,9 @@ from conftest import (
 from latkit.core import MAX_ELEMENTS, FiniteLattice, LatticeError, _inclusion_order
 from latkit.generators import (
     TooLarge,
+    _bounded_meet_semilattices_linear,
+    _cover_key,
     boolean,
-    canonical_key,
     chain,
     co_chain,
     enumerate_lattices,
@@ -87,11 +90,41 @@ def test_enumeration_matches_brute_force_small():
 def test_enumeration_yields_valid_distinct_lattices():
     for n in range(1, 7):
         family = list(enumerate_lattices(n))
-        keys = {canonical_key(L) for L in family}
+        keys = {oracle_canonical_key(L) for L in family}
         assert len(keys) == len(family)
         for L in family:
             assert L.n == n
             FiniteLattice.from_order(L.leq, L.labels)  # revalidates
+
+
+def test_enumeration_matches_oracle():
+    for n in range(1, 8):
+        got, want = list(enumerate_lattices(n)), oracle_enumerate_lattices(n)
+        assert [L.labels for L in got] == [L.labels for L in want]
+        assert [L.leq.tobytes() for L in got] == [L.leq.tobytes() for L in want]
+
+
+def down_sets(L: FiniteLattice) -> list[int]:
+    """The down-set of each element of L as a bitmask."""
+    return [sum(1 << y for y in np.flatnonzero(L.leq[:, x]).tolist()) for x in range(L.n)]
+
+
+def test_cover_key_matches_oracle_on_every_candidate():
+    for n in range(1, 8):
+        for down in _bounded_meet_semilattices_linear(n):
+            L = FiniteLattice(_inclusion_order(down))
+            assert down_sets(L) == list(down)
+            assert _cover_key(down) == oracle_canonical_key(L)
+
+
+def test_cover_key_matches_oracle_on_relabelings():
+    rng = np.random.default_rng(7)
+    for L in enumerate_lattices(7):
+        key = oracle_canonical_key(L)
+        for _ in range(5):
+            perm = rng.permutation(L.n)
+            M = FiniteLattice(L.leq[np.ix_(perm, perm)])
+            assert _cover_key(down_sets(M)) == oracle_canonical_key(M) == key
 
 
 def test_enumeration_pairwise_non_isomorphic():
@@ -112,13 +145,14 @@ def test_canonical_key_is_isomorphism_invariant(m3):
         [("bot", "x"), ("bot", "y"), ("bot", "z"),
          ("x", "top"), ("y", "top"), ("z", "top")],
     )
-    assert canonical_key(m3) == canonical_key(relabeled)
-    assert canonical_key(m3) != canonical_key(boolean(2))
+    assert oracle_canonical_key(m3) == oracle_canonical_key(relabeled)
+    assert oracle_canonical_key(m3) != oracle_canonical_key(boolean(2))
     # reordering the element indices must not matter either
     perm = [4, 2, 0, 3, 1]
     leq = m3.leq[np.ix_(perm, perm)]
     shuffled = FiniteLattice.from_order(leq, [m3.label(p) for p in perm])
-    assert canonical_key(shuffled) == canonical_key(m3)
+    assert oracle_canonical_key(shuffled) == oracle_canonical_key(m3)
+    assert _cover_key(down_sets(shuffled)) == _cover_key(down_sets(m3))
 
 
 def test_meet_semilattice_counts():
