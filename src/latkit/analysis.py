@@ -1,8 +1,10 @@
 """Structural analyzers for finite lattices.
 
-Predicates (atomic, atomistic, biatomic, join-semidistributive, lower
-bounded), the join-dependency relation with its closures, minimal join
+Predicates (atomistic, biatomic, join-semidistributive, lower bounded),
+the join-dependency relation with its closures, minimal join
 decompositions into atoms, and the enumeration of biatomicity problems.
+Atomicity needs no predicate: it holds on every ``FiniteLattice``, since a
+minimal nonzero element below x is an atom.
 
 The biatomicity verdict is read off one table per lattice: the set of atoms
 below each element, packed into 64-bit words.  Unions of these sets over
@@ -50,14 +52,6 @@ _MAX_CHUNK_KEYS = 1 << 12
 
 
 # -- basic predicates -------------------------------------------------------
-
-
-def is_atomic(L: FiniteLattice) -> bool:
-    """True iff every nonzero element lies above an atom: always, on a
-    ``FiniteLattice``, since a minimal nonzero element below x is an atom."""
-    covered = L.leq[list(L.atoms())].any(axis=0)
-    covered[L.bottom] = True
-    return bool(covered.all())
 
 
 def _atom_joins(L: FiniteLattice) -> np.ndarray:
@@ -200,9 +194,6 @@ class DependencyRelation:
     d: np.ndarray
     strict_tc: np.ndarray
     witnesses: np.ndarray
-
-    def index_of(self, element: int) -> int:
-        return self.elements.index(element)
 
 
 def join_dependency(L: FiniteLattice) -> DependencyRelation:

@@ -18,7 +18,7 @@ before any of them is allocated.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -38,10 +38,6 @@ class NotALattice(LatticeError):
 
 class NotBounded(LatticeError):
     """The order has no minimum or no maximum element."""
-
-
-class EmptyInterval(LatticeError):
-    """An interval [a, b] was requested with a not below b."""
 
 
 class NotInjective(LatticeError):
@@ -317,13 +313,6 @@ class FiniteLattice:
             out = int(self.join_table[out, x])
         return out
 
-    def meet_all(self, elements: Iterable[int]) -> int:
-        """Meet of any finite family; the empty meet is the top."""
-        out = self.top
-        for x in elements:
-            out = int(self.meet_table[out, x])
-        return out
-
     def label(self, x: int) -> str:
         return self.labels[x]
 
@@ -353,15 +342,6 @@ class FiniteLattice:
         """Elements with exactly one lower cover."""
         counts = self.cover_matrix().sum(axis=0)
         return tuple(int(x) for x in np.flatnonzero(counts == 1))
-
-    def interval(self, a: int, b: int) -> tuple[int, ...]:
-        """All x with a <= x <= b; raises if the interval is empty."""
-        _check_indices(self, "interval end", (a, b))
-        if not self.leq[a, b]:
-            raise EmptyInterval(
-                f"interval [{self.labels[a]}, {self.labels[b]}] is empty"
-            )
-        return tuple(int(x) for x in np.flatnonzero(self.leq[a] & self.leq[:, b]))
 
     def filter(self, a: int) -> tuple[int, ...]:
         """The principal filter: all x above a."""
@@ -478,13 +458,7 @@ class Preservation:
         return self.join and self.meet and self.zero and self.one and self.atoms
 
     def as_dict(self) -> dict[str, bool]:
-        return {
-            "join": self.join,
-            "meet": self.meet,
-            "zero": self.zero,
-            "one": self.one,
-            "atoms": self.atoms,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -495,9 +469,6 @@ class EmbeddingMap:
     target: FiniteLattice
     map: tuple[int, ...]
     preserved: Preservation
-
-    def __call__(self, x: int) -> int:
-        return self.map[x]
 
 
 def verify_embedding(

@@ -456,14 +456,15 @@ def _least_atom_below(L: FiniteLattice, x: int) -> int:
     raise LatticeError("no atom below a nonzero element of an atomic lattice")
 
 
-def _atom_reaching(K, p, q, bound, steps, context):
+def _atom_reaching(K, p, q, bound, steps, problem, decomposition):
     """An atom y <= bound with p <= y v q, extending K when necessary.
 
     Degenerate cases need no extension: when the minimal apex for (p, q)
     under the bound is the bottom (p is below q already) any atom below the
     bound works, and when it is an atom it can serve itself.  Otherwise
     (p, q, apex) is a valid triple: p and q are distinct atoms, the apex is
-    minimal, and every K the loop reaches is atomistic and jsd.
+    minimal, and every K the loop reaches is atomistic and jsd.  An adjoined
+    atom is recorded as a step with the labels ``problem`` and ``decomposition``.
     """
     apex = minimal_apex(K, p, q, bound)
     if apex == K.bottom:
@@ -473,8 +474,8 @@ def _atom_reaching(K, p, q, bound, steps, context):
     ext = _adjoin_atom(K, p, q, apex)
     steps.append(
         BiatomizationStep(
-            problem=context["problem"],
-            decomposition=context["decomposition"],
+            problem=problem,
+            decomposition=decomposition,
             apex=K.labels[apex],
             new_atom=ext.result.labels[ext.new_atom],
         )
@@ -482,17 +483,14 @@ def _atom_reaching(K, p, q, bound, steps, context):
     return ext.result, ext.new_atom
 
 
-def _measure(K: FiniteLattice, a: int, b: int) -> int:
-    # every K reached here is atomistic and jsd, so the greedy step suffices
-    return len(_irredundant_atoms(K, a)) + len(_irredundant_atoms(K, b))
-
-
-def _solve_instance(K, p, a, b, steps, limit):
+def _solve_instance(K, p, a, b, steps, limit=None):
     """Extend K until some atoms x <= a, y <= b satisfy p <= x v y.
 
-    Returns (lattice, x, y).  ``limit`` carries the decomposition measure of
-    the enclosing call; it must strictly decrease along real recursion, which
-    guards termination.
+    Returns (lattice, x, y).  The measure of a level is the total size of
+    the irredundant decompositions of a and b, which the greedy step finds
+    since every K reached here is atomistic and jsd.  Below the top level
+    it must not exceed ``limit``, one below the caller's, which guards
+    termination.
     """
     _ensure(bool(K.leq[p, K.join(a, b)]), "instance lost its premise")
     atom_set = set(K.atoms())
@@ -506,18 +504,17 @@ def _solve_instance(K, p, a, b, steps, limit):
         K2, y, x = _solve_instance(K, p, b, a, steps, limit)
         return K2, x, y
 
-    mine = _measure(K, a, b)
-    _ensure(mine <= limit, "decomposition measure failed to decrease")
-
     dec_b = _irredundant_atoms(K, b)
+    mine = len(_irredundant_atoms(K, a)) + len(dec_b)
+    _ensure(limit is None or mine <= limit, "decomposition measure failed to decrease")
+
     q = min(dec_b)
     c = K.join_all(sorted(set(dec_b) - {q}))
-    context = {
-        "problem": (K.labels[p], K.labels[a], K.labels[b]),
-        "decomposition": (K.labels[q], K.labels[c]),
-    }
     bound = K.join(a, c)
-    K1, p1 = _atom_reaching(K, p, q, bound, steps, context)
+    K1, p1 = _atom_reaching(
+        K, p, q, bound, steps,
+        (K.labels[p], K.labels[a], K.labels[b]), (K.labels[q], K.labels[c]),
+    )
     _ensure(bool(K1.leq[p, K1.join(p1, q)]), "first step failed to reach p")
     _ensure(bool(K1.leq[p1, K1.join(a, c)]), "fresh atom escaped its bound")
 
@@ -525,11 +522,9 @@ def _solve_instance(K, p, a, b, steps, limit):
     _ensure(bool(K2.leq[p, K2.join(x, K2.join(v, q))]), "recursion lost the cover")
 
     vq = K2.join(v, q)
-    context3 = {
-        "problem": (K2.labels[p], K2.labels[x], K2.labels[vq]),
-        "decomposition": None,
-    }
-    K3, y = _atom_reaching(K2, p, x, vq, steps, context3)
+    K3, y = _atom_reaching(
+        K2, p, x, vq, steps, (K2.labels[p], K2.labels[x], K2.labels[vq]), None
+    )
     _ensure(bool(K3.leq[p, K3.join(x, y)]), "final step failed to solve")
     _ensure(bool(K3.leq[x, a]), "solution atom escaped a")
     _ensure(bool(K3.leq[y, b]), "solution atom escaped b")
@@ -569,14 +564,7 @@ def partial_biatomization(
             current, problem.p, problem.a, problem.b
         ):
             continue
-        current, x, y = _solve_instance(
-            current,
-            problem.p,
-            problem.a,
-            problem.b,
-            steps,
-            _measure(current, problem.a, problem.b),
-        )
+        current, x, y = _solve_instance(current, problem.p, problem.a, problem.b, steps)
         _ensure(
             bool(current.leq[problem.p, current.join(x, y)]),
             "problem remained unsolved after extension",

@@ -352,13 +352,12 @@ def evaluate(L: FiniteLattice, q: QuasiIdentity) -> Verdict:
     _last_var(q.conclusion, index)  # an undeclared name fails before any search
 
     n = L.n
-    # flat table positions l * n + r must not wrap around
-    dtype = np.int32 if n * n <= np.iinfo(np.int32).max else np.int64
+    # flat table positions l * n + r fit in int32, as n <= MAX_ELEMENTS
     tables = {
-        "join": L.join_table.astype(dtype, copy=False).ravel(),
-        "meet": L.meet_table.astype(dtype, copy=False).ravel(),
+        "join": L.join_table.astype(np.int32, copy=False).ravel(),
+        "meet": L.meet_table.astype(np.int32, copy=False).ravel(),
     }
-    values = np.arange(n, dtype=dtype)
+    values = np.arange(n, dtype=np.int32)
     rows_per_block = max(1, _ROW_BUDGET // n)
     checked = 0
     stack: list[list[np.ndarray]] = [[]]

@@ -11,7 +11,7 @@ the pair scan of every row that its grouped meet check replaced.
 ``oracle_closure_violation`` checks the closure laws of a map by a pair
 scan, which the library, building every closure from its image, never
 re-checks; ``oracle_meet_closed`` and ``oracle_closure_onto`` keep the pair
-scan and the ``meet_all`` closure that ``extend._closure_onto`` replaced, and
+scan and the meet-fold closure that ``extend._closure_onto`` replaced, and
 ``oracle_atom_restriction`` and ``oracle_separating_map`` the frontier
 join-closure and the ``join_all`` map that the join of the atoms below each
 element (``analysis._atom_joins``) replaced.  ``assert_solved_triple``
@@ -29,6 +29,7 @@ where ``enumerate_lattices`` keys down-set masks and builds one lattice per
 class.
 """
 
+from functools import reduce
 from itertools import combinations, permutations, product
 from types import SimpleNamespace
 
@@ -420,7 +421,7 @@ def seeded_subsets(L: FiniteLattice, seed: int, count: int = 16) -> list[list[in
     rng = np.random.default_rng(seed)
     out = []
     for a in rng.choice(L.n, size=min(count, L.n), replace=False).tolist():
-        out += [list(L.interval(L.bottom, a)), list(L.filter(a))]
+        out += [np.flatnonzero(L.leq[:, a]).tolist(), list(L.filter(a))]
     return out + [np.flatnonzero(rng.random(L.n) < 0.5).tolist() for _ in range(count)]
 
 
@@ -428,7 +429,9 @@ def oracle_closure_onto(L: FiniteLattice, members) -> tuple[int, ...] | None:
     """The meet of the members above each x, or None when one such meet is
     not a member, so that x has no least member above it."""
     members = set(int(x) for x in members)
-    closure = tuple(L.meet_all(y for y in members if L.leq[x, y]) for x in range(L.n))
+    closure = tuple(
+        reduce(L.meet, (y for y in members if L.leq[x, y]), L.top) for x in range(L.n)
+    )
     return closure if set(closure) <= members else None
 
 

@@ -10,6 +10,7 @@ budget is exceeded, even if every check inside it succeeded.
 import random
 import time
 
+import numpy as np
 import pytest
 
 from conftest import biatomic_by_single_atom, meet_semilattices, refl_tc
@@ -134,11 +135,11 @@ def _check_solved_triple(L, p, q, a, ext, failures, where):
     elif not (refl_tc(ext_rel)[:k, :k] == refl_tc(base_rel)).all():
         failures.append(f"{where}: atom dependency order changed")
     else:
-        star_pos = ext_rel.index_of(star)
+        star_pos = ext_rel.elements.index(star)
         lhs = bool(ext_rel.strict_tc[star_pos, star_pos])
-        p_pos = base_rel.index_of(p)
+        p_pos = base_rel.elements.index(p)
         rhs = any(
-            bool(base_rel.strict_tc[base_rel.index_of(u), p_pos])
+            bool(base_rel.strict_tc[base_rel.elements.index(u), p_pos])
             for u in minimal_decomposition(L, a)
         )
         if lhs != rhs:
@@ -390,7 +391,7 @@ def test_a8_restriction_and_reembedding(corpus):
                 failures.append(f"{where}: restriction atoms differ")
         # principal ideals and filters are sublattices; in an atomistic
         # ambient lattice the atoms separate them, so preconditions hold
-        subs = [M.interval(M.bottom, a) for a in range(M.n)]
+        subs = [np.flatnonzero(M.leq[:, a]).tolist() for a in range(M.n)]
         subs += [M.filter(a) for a in range(M.n)]
         for sub in subs:
             emb = separating_reembedding(M, sub)

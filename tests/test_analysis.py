@@ -13,6 +13,7 @@ from conftest import (
     oracle_jsd,
     oracle_jsd_violation,
     oracle_atomistic,
+    oracle_atoms,
     oracle_biatomicity_problems,
     oracle_least_decomposition,
     oracle_lower_bounded,
@@ -26,7 +27,6 @@ from latkit.analysis import (
     atomistic_violation,
     biatomicity_problems,
     ell,
-    is_atomic,
     is_atomistic,
     is_biatomic,
     is_join_semidistributive,
@@ -59,7 +59,6 @@ def corpus(m3, n5):
 
 
 def test_m3_profile(m3):
-    assert is_atomic(m3)
     assert is_atomistic(m3)
     assert is_biatomic(m3)
     assert not is_join_semidistributive(m3)
@@ -67,7 +66,6 @@ def test_m3_profile(m3):
 
 
 def test_n5_profile(n5):
-    assert is_atomic(n5)
     assert not is_atomistic(n5)
     assert is_biatomic(n5)
     assert is_join_semidistributive(n5)
@@ -143,7 +141,6 @@ def test_atomistic_violation_is_a_real_witness(n5):
 
 def test_chain_profile():
     c = chain(4)
-    assert is_atomic(c)
     assert not is_atomistic(c)
     assert is_join_semidistributive(c)
     assert is_lower_bounded(c)
@@ -185,7 +182,9 @@ def test_every_finite_lattice_is_atomic():
     # is_biatomic relies on this instead of checking it
     lattices = [L for n in range(1, 8) for L in enumerate_lattices(n)]
     for L in lattices + hull_lattices():
-        assert is_atomic(L), L.to_json()
+        above_an_atom = L.leq[oracle_atoms(L)].any(axis=0)
+        above_an_atom[L.bottom] = True
+        assert above_an_atom.all(), L.to_json()
 
 
 def test_lower_bounded_matches_oracle(m3, n5):
@@ -235,12 +234,6 @@ def test_dependency_on_join_irreducibles(n5):
 def test_dependency_carriers_coincide_on_atomistic(m3):
     for L in [m3, boolean(3), co_chain(3)]:
         assert L.join_irreducibles() == L.atoms()
-
-
-def test_index_of(m3):
-    rel = join_dependency(m3)
-    for i, x in enumerate(rel.elements):
-        assert rel.index_of(x) == i
 
 
 # -- decompositions ----------------------------------------------------------

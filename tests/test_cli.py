@@ -154,6 +154,28 @@ def test_generator_check_stdout_pinned(capsys, monkeypatch, tmp_path, gen, diges
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# stdout of biatomize on the triangle with its centre: 15 -> 68 elements in
+# 3 steps, the trace rows included
+TRIANGLE_CENTRE = {
+    "points": [
+        {"label": "a", "x": 0, "y": 3},
+        {"label": "b", "x": -3, "y": -3},
+        {"label": "c", "x": 3, "y": -3},
+        {"label": "m", "x": 0, "y": -1},
+    ]
+}
+BIATOMIZE_DIGEST = "8fb7ea2daccf304ba70a473228a9949512040e56e0fa4877ff1e251483789736"
+
+
+def test_biatomize_stdout_pinned(capsys, monkeypatch, tmp_path):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "triangle_centre.json").write_text(json.dumps(TRIANGLE_CENTRE))
+    argv = ["build", "--gen", "co-points:triangle_centre.json", "--op", "biatomize"]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == BIATOMIZE_DIGEST
+
+
 def test_enum_sd_join_stdout_pinned(capsys):
     # sd-join fails on some 7-element lattices, so the exit code is 1
     assert main(["eval", "--gen", "enum:7", "--qid", "builtin:sd-join"]) == 1

@@ -14,7 +14,6 @@ from conftest import (
 )
 from latkit.core import (
     MAX_ELEMENTS,
-    EmptyInterval,
     FiniteLattice,
     LatticeError,
     NotALattice,
@@ -68,13 +67,11 @@ def test_m3_structure(m3):
     assert m3.join_irreducibles() == (p, q, r)
 
 
-def test_join_all_meet_all_edge_cases(n5):
+def test_join_all_edge_cases(n5):
     assert n5.join_all([]) == n5.bottom
-    assert n5.meet_all([]) == n5.top
     a = n5.index("a")
     assert n5.join_all([a]) == a
     assert n5.join_all(range(n5.n)) == n5.top
-    assert n5.meet_all(range(n5.n)) == n5.bottom
 
 
 def test_json_roundtrip(m3, n5):
@@ -178,12 +175,9 @@ def test_atoms_are_computed_once():
         assert list(atoms) == oracle_atoms(L)
 
 
-def test_interval_filter(n5):
+def test_filter(n5):
     a, b = n5.index("a"), n5.index("b")
-    assert n5.interval(a, n5.top) == (a, b, n5.top)
-    with pytest.raises(EmptyInterval):
-        n5.interval(n5.index("c"), b)
-    assert set(n5.filter(a)) == {a, b, n5.top}
+    assert n5.filter(a) == (a, b, n5.top)
 
 
 def test_sub_semilattice_checks(m3):
@@ -215,8 +209,6 @@ def test_restrict(m3):
 
 INDEX_ENTRIES = {
     "restrict": lambda L, i: L.restrict([L.bottom, i]),
-    "interval_low": lambda L, i: L.interval(i, L.top),
-    "interval_high": lambda L, i: L.interval(L.bottom, i),
     "filter": lambda L, i: L.filter(i),
     "is_sublattice": lambda L, i: L.is_sublattice([L.bottom, i]),
     "make_extension_pair": lambda L, i: make_extension_pair(L, L.top, [L.bottom, i]),

@@ -1,6 +1,7 @@
 from dataclasses import fields
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 from conftest import (
@@ -450,6 +451,16 @@ def test_partial_biatomization_of_triangle_with_center():
     )
 
 
+def test_solve_instance_checks_its_termination_measure():
+    # m <= a v (b v c) in the triangle with its centre has measure 1 + 2
+    L = triangle_with_center_lattice()
+    p, a, b = (L.index(x) for x in ("{m}", "{a}", "{b,c}"))
+    with pytest.raises(LatticeError, match="measure failed to decrease"):
+        extend._solve_instance(L, p, a, b, [], limit=2)
+    K, x, y = extend._solve_instance(L, p, a, b, [], limit=3)
+    assert K.leq[p, K.join(x, y)]
+
+
 def test_partial_biatomization_rejects_bad_bases(m3, n5):
     with pytest.raises(PreconditionFailed):
         partial_biatomization(n5)
@@ -494,7 +505,7 @@ def test_atom_restriction_and_reembedding_match_the_oracles():
         for a in range(L.n):
             assert atom_restriction(L, a)[1] == oracle_atom_restriction(L, a)
             if reembeds:
-                ideal = L.interval(L.bottom, a)
+                ideal = np.flatnonzero(L.leq[:, a]).tolist()
                 try:
                     emb = separating_reembedding(L, ideal)
                 except SeparationFailed:

@@ -5,8 +5,9 @@ boolean product goes through the packed-row kernel ``core._bool_product``.
 The command line has one report path: only ``main`` writes a report, and
 only it reads the clock.  The package's ``__all__`` lists exactly the public
 names it imports, and each of them resolves; every other public function or
-class of the package is read by the package or a demo, not by the tests
-alone."""
+class of the package, and every public method, property or classmethod of
+its public classes but one listed exception, is read by the package or a
+demo, not by the tests alone."""
 
 import ast
 import builtins
@@ -321,3 +322,64 @@ def test_detector_flags_a_test_only_public_name():
     ]
     demos = [ast.parse("from a import in_a_demo\n\nin_a_demo()\n")]
     assert unreached_public_names(package, demos, {"exported"}) == ["test_only"]
+
+
+# Public members that stay although nothing in the package or the demos
+# reads them, each with the reader that needs it.
+UNREAD_MEMBERS_KEPT = {
+    # perfbench/tracer.py wraps every constructor by name (vars(cls)[attr])
+    "FiniteLattice.from_order": "perfbench tracer",
+}
+
+
+def unread_public_members(package: list[ast.Module], readers: list[ast.Module]) -> list[str]:
+    """Public methods, properties and classmethods of the package's public
+    classes that no statement of the package or of the readers reads.
+
+    A member counts as read when its name appears as an attribute anywhere
+    in the package or the readers, outside a definition of a member of the
+    same name; attributes do not name their class, so a read of one class's
+    member counts for every class with a member of that name.  Members are
+    named ``Class.member``; the list is sorted.
+    """
+    members = [
+        (cls.name, node)
+        for tree in package
+        for cls in tree.body
+        if isinstance(cls, ast.ClassDef) and not cls.name.startswith("_")
+        for node in cls.body
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+    ]
+    # the member name whose definition each node sits in
+    owner = {id(sub): node.name for _, node in members for sub in ast.walk(node)}
+    read = {
+        node.attr
+        for tree in package + readers
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and owner.get(id(node)) != node.attr
+    }
+    return sorted(f"{cls}.{node.name}" for cls, node in members if node.name not in read)
+
+
+def test_every_public_member_is_read():
+    package = [ast.parse(path.read_text(encoding="utf-8")) for path in PACKAGE]
+    demos = [ast.parse(path.read_text(encoding="utf-8")) for path in DEMOS]
+    assert unread_public_members(package, demos) == sorted(UNREAD_MEMBERS_KEPT)
+
+
+def test_detector_flags_a_test_only_member():
+    package = [
+        ast.parse(
+            "class Shape:\n"
+            "    def area(self):\n        return self.side * self.side\n\n"
+            "    @property\n    def side(self):\n        return 2\n\n"
+            "    @classmethod\n    def unit(cls):\n        return cls()\n\n"
+            "    def __len__(self):\n        return 4\n\n"
+            "    def _helper(self):\n        pass\n\n"
+            "    def test_only(self, n):\n        return self.test_only(n - 1)\n\n"
+            "class _Private:\n    def unread(self):\n        pass\n"
+        ),
+        ast.parse("import a\n\ndef run():\n    return a.Shape.unit().area()\n"),
+    ]
+    demos = [ast.parse("from a import Shape\n\nprint(Shape().side)\n")]
+    assert unread_public_members(package, demos) == ["Shape.test_only"]

@@ -1,11 +1,13 @@
 import tracemalloc
 from itertools import product
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import check_assignment, eval_term, meet_semilattices, oracle_evaluate
 from latkit.analysis import is_atomistic, is_biatomic, is_join_semidistributive
+from latkit.core import MAX_ELEMENTS
 from latkit.generators import (
     boolean,
     chain,
@@ -321,6 +323,11 @@ def test_frontier_memory_stays_bounded():
         assert verdict.holds
         # with no row budget, theta on co_chain(7) alone needs more
         assert peak < 8 * 2**20
+
+
+def test_flat_table_positions_fit_in_int32():
+    # evaluate gathers at l * n + r in int32; a higher ceiling would wrap
+    assert MAX_ELEMENTS ** 2 <= np.iinfo(np.int32).max
 
 
 def test_theta_holds_on_larger_biatomic_lattices():
