@@ -4,7 +4,9 @@ Predicates (atomistic, biatomic, join-semidistributive, lower bounded),
 the join-dependency relation with its closures, minimal join
 decompositions into atoms, and the enumeration of biatomicity problems.
 Atomicity needs no predicate: it holds on every ``FiniteLattice``, since a
-minimal nonzero element below x is an atom.
+minimal nonzero element below x is an atom.  The atomistic, jsd and
+biatomic verdicts are decided once per lattice and stored on it
+(:func:`_verdict`), since constructions re-check the same ambient lattice.
 
 The biatomicity verdict is read off one table per lattice: the set of atoms
 below each element, packed into 64-bit words.  Unions of these sets over
@@ -38,7 +40,7 @@ from .core import (
 )
 
 # Upper bound on the uint64 words of one block of atom-set unions in
-# is_biatomic: 256 KB.  Twice the block of core's kernels, since a block
+# _biatomic: 256 KB.  Twice the block of core's kernels, since a block
 # of unions often has rows of only a few words, and the per-block numpy
 # calls would otherwise cost as much as the work.
 _SET_BLOCK_WORDS = 1 << 15
@@ -72,12 +74,25 @@ def atomistic_violation(L: FiniteLattice) -> int | None:
     return int(wrong[0]) if len(wrong) else None
 
 
+def _verdict(L: FiniteLattice, name: str, decide) -> bool:
+    """``decide(L)``, computed on the first call for ``name`` and stored on L."""
+    verdicts = L._verdicts
+    if name not in verdicts:
+        verdicts[name] = decide(L)
+    return verdicts[name]
+
+
 def is_atomistic(L: FiniteLattice) -> bool:
     """True iff every element is the join of the atoms below it."""
-    return atomistic_violation(L) is None
+    return _verdict(L, "atomistic", lambda L: atomistic_violation(L) is None)
 
 
 def is_biatomic(L: FiniteLattice) -> bool:
+    """True iff L is biatomic; decided once per lattice by :func:`_biatomic`."""
+    return _verdict(L, "biatomic", _biatomic)
+
+
+def _biatomic(L: FiniteLattice) -> bool:
     """Biatomicity, decided on the table of atom sets.
 
     For every atom p and nonzero a, b with p <= a v b there must be atoms
@@ -174,7 +189,7 @@ def jsd_violation(L: FiniteLattice) -> tuple[int, int, int] | None:
 
 def is_join_semidistributive(L: FiniteLattice) -> bool:
     """True iff x v y = x v z always forces x v y = x v (y ^ z)."""
-    return jsd_violation(L) is None
+    return _verdict(L, "jsd", lambda L: jsd_violation(L) is None)
 
 
 # -- join-dependency --------------------------------------------------------

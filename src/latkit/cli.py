@@ -6,12 +6,15 @@ quasi-identity by exhaustive search, ``corpus`` sweeps enumerated lattices
 through a property suite.  Every invocation, a usage error included,
 prints exactly one JSON report to stdout, byte-identical across runs on
 identical inputs; only ``--help`` and ``--version`` print their text
-instead.  Progress and timings go to stderr.  ``main`` parses the command
-line with one parser, built on the first call and shared by every later
-call in the process, and runs the subcommand's ``cmd_*`` function, looked
-up in ``COMMANDS`` on each call.  Each ``cmd_*`` returns its report body,
-exit code and closing stderr line; ``main`` alone times, wraps, writes and
-reports the errors of every command.
+instead.  The report's bytes are exactly ``json.dumps(report, indent=2,
+sort_keys=True)`` followed by one newline: ASCII only, non-ASCII text as
+``\\uXXXX`` escapes, integers and no floats.  :func:`_format` writes them
+without the stdlib's pure-Python pretty-printer.  Progress and timings go
+to stderr.  ``main`` parses the command line with one parser, built on the
+first call and shared by every later call in the process, and runs the
+subcommand's ``cmd_*`` function, looked up in ``COMMANDS`` on each call.
+Each ``cmd_*`` returns its report body, exit code and closing stderr line;
+``main`` alone times, wraps, writes and reports the errors of every command.
 
 Exit codes: 0 success (for ``eval``: the quasi-identity holds; for ``corpus``:
 no violation), 1 a quasi-identity failed or a corpus suite found a violation,
@@ -124,8 +127,78 @@ def load_lattices(gen: str | None, file: str | None) -> list[tuple[str, FiniteLa
     raise _InputError(f"unknown generator {head!r}; grammar: {GEN_GRAMMAR}")
 
 
+_escape = json.encoder.encode_basestring_ascii
+_CONTAINERS = (dict, list, tuple)
+
+
+def _scalar(value) -> str:
+    """A str, int, bool or None as ``json.dumps`` writes it."""
+    if isinstance(value, str):
+        return _escape(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    raise TypeError(f"a report cannot hold {type(value).__name__} {value!r}")
+
+
+def _format(value, indent: str = "\n") -> str:
+    """``json.dumps(value, indent=2, sort_keys=True)``, byte for byte.
+
+    ``value`` is built from str, int, bool, None, lists, tuples and dicts
+    with str keys; anything else, a float included, raises TypeError.
+    Strings go through the C escaper that ``json.dumps`` uses.  A container
+    collects its parts in a list, one separator after each item, and joins
+    them as soon as it is done, so the stdlib's one list of every token of
+    the report never exists.  Each loop writes its plain strings itself:
+    most items are labels, and a recursive call per item is about a third
+    slower.
+    """
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        inner = indent + "  "
+        sep = "," + inner
+        parts = ["{", inner]
+        add = parts.append
+        for key, item in sorted(value.items()):
+            add(_escape(key))
+            add(": ")
+            if type(item) is str:
+                add(_escape(item))
+            elif isinstance(item, _CONTAINERS):
+                add(_format(item, inner))
+            else:
+                add(_scalar(item))
+            add(sep)
+        parts[-1] = indent + "}"
+        return "".join(parts)
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        inner = indent + "  "
+        sep = "," + inner
+        parts = ["[", inner]
+        add = parts.append
+        for item in value:
+            if type(item) is str:
+                add(_escape(item))
+            elif isinstance(item, _CONTAINERS):
+                add(_format(item, inner))
+            else:
+                add(_scalar(item))
+            add(sep)
+        parts[-1] = indent + "]"
+        return "".join(parts)
+    return _scalar(value)
+
+
 def _emit(report: dict) -> None:
-    sys.stdout.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
+    sys.stdout.write(_format(report) + "\n")
 
 
 def _note(message: str) -> None:

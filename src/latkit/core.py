@@ -198,12 +198,14 @@ class FiniteLattice:
     (:func:`_cover_matrix`), reads the atoms off the bottom's row of covers,
     and fills the join and meet tables (:func:`_lub_table`); all of them are
     read-only.  Every element carries a distinct string label; constructions
-    derive fresh labels from the labels of the inputs.
+    derive fresh labels from the labels of the inputs.  ``analysis`` stores
+    its atomistic, jsd and biatomic verdicts on the lattice when it first
+    decides them.
     """
 
     __slots__ = (
         "n", "leq", "join_table", "meet_table", "bottom", "top", "labels", "_cov",
-        "_atoms",
+        "_atoms", "_verdicts",
     )
 
     def __init__(self, leq: np.ndarray, labels: Sequence[str] | None = None):
@@ -233,6 +235,7 @@ class FiniteLattice:
         self.leq = leq
         self._cov = cov
         self._atoms = tuple(np.flatnonzero(cov[self.bottom]).tolist())
+        self._verdicts: dict[str, bool] = {}  # analysis's stored predicate verdicts
 
     # -- constructors -----------------------------------------------------
 

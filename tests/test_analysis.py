@@ -22,6 +22,7 @@ from conftest import (
     seeded_subsets,
     triangle_with_center_lattice,
 )
+from latkit import analysis
 from latkit.analysis import (
     BiatomicityProblem,
     atomistic_violation,
@@ -176,6 +177,23 @@ def test_biatomic_routes_agree_and_match_oracle(m3, n5):
         assert verdict == biatomic_by_single_atom(L), L.to_json()
         assert verdict == biatomic_by_splitting(L), L.to_json()
         assert verdict == oracle_biatomic(L), L.to_json()
+
+
+def test_verdicts_are_decided_once_per_lattice(monkeypatch, m3):
+    # each predicate's worker runs on the first call only; a second lattice
+    # equal to the first gets its own verdicts
+    calls = []
+    for name in ("atomistic_violation", "jsd_violation", "_biatomic"):
+        real = getattr(analysis, name)
+        monkeypatch.setattr(
+            analysis, name, lambda L, real=real, name=name: calls.append(name) or real(L)
+        )
+    twin = FiniteLattice(m3.leq, m3.labels)
+    for L in (m3, m3, twin):
+        assert (is_atomistic(L), is_join_semidistributive(L), is_biatomic(L)) == (
+            True, False, True
+        )
+    assert calls == ["atomistic_violation", "jsd_violation", "_biatomic"] * 2
 
 
 def test_every_finite_lattice_is_atomic():

@@ -7,7 +7,9 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from latkit import __version__, cli, extend
 from latkit.cli import _split_labels, main
@@ -132,6 +134,86 @@ def test_readme_examples_stdout_pinned(capsys, argv, digest):
     main(argv)
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# stdout of two error reports: a label that only \uXXXX escapes can write,
+# and a usage error, which has no command
+ERROR_REPORTS = [
+    (
+        ["build", "--gen", "boolean:2", "--op", "one-atom",
+         "--apex", "é☃", "--subsemilattice", "{}"],
+        r"no element labelled '\u00e9\u2603'",
+        "8c8e268370eddbdbc070794c7b5122f2a2c4d56d8b58a5d27d594adf843f4b01",
+    ),
+    (
+        ["check", "--bogus"],
+        '"command": null',
+        "97cd880669fced6b29261df6ad22b61bda92209141e82762eb1ecf7f7a910728",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,excerpt,digest", ERROR_REPORTS, ids=["non-ascii-label", "usage-error"]
+)
+def test_error_reports_stdout_pinned(capsys, argv, excerpt, digest):
+    assert main(argv) == 2
+    out = capsys.readouterr().out
+    assert excerpt in out and out.isascii()
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# -- the report formatter --------------------------------------------------------
+
+# labels mixing JSON's syntax, escapes, control characters, non-ASCII text
+# and lone surrogates
+label_text = st.text(
+    st.one_of(
+        st.sampled_from('{}[],:"\\/ \n\t\x00\x1f\x7fé☃\U0001f600\ud800\udfff'),
+        st.characters(),
+    ),
+    max_size=8,
+)
+report_scalars = st.one_of(
+    label_text,
+    st.integers(),
+    st.integers(min_value=2**64, max_value=2**80) | st.integers(-(2**80), -(2**64)),
+    st.booleans(),
+    st.none(),
+)
+report_values = st.recursive(
+    report_scalars,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(label_text, inner, max_size=4),
+    ),
+    max_leaves=40,
+)
+
+
+def nested(depth: int, leaf):
+    """``leaf`` inside ``depth`` containers, alternating dict, list and tuple."""
+    for level in range(depth):
+        leaf = ({"k": leaf}, [leaf, []], (leaf, {}))[level % 3]
+    return leaf
+
+
+@settings(max_examples=300, deadline=None)
+@given(report_values, st.integers(min_value=0, max_value=8))
+def test_formatter_writes_the_bytes_of_json_dumps(value, depth):
+    value = nested(depth, value)
+    assert cli._format(value) == json.dumps(value, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [1.0, np.int64(1), {1, 2}, {1: "a"}, {"a": [0.5]}],
+    ids=["float", "np.int64", "set", "int key", "nested float"],
+)
+def test_formatter_rejects_values_outside_reports(value):
+    with pytest.raises(TypeError):
+        cli._format(value)
 
 
 # stdout of generator checks, which pins each generator's element order

@@ -3,7 +3,8 @@ module-level function of the package, every exception class of the
 package is raised, and the package has no matrix product ``@``: every
 boolean product goes through the packed-row kernel ``core._bool_product``.
 The command line has one report path: only ``main`` writes a report, and
-only it reads the clock.  The package's ``__all__`` lists exactly the public
+only it reads the clock; no call in the package pretty-prints JSON with
+``indent``.  The package's ``__all__`` lists exactly the public
 names it imports, and each of them resolves; every other public function or
 class of the package, and every public method, property or classmethod of
 its public classes but one listed exception, is read by the package or a
@@ -224,6 +225,40 @@ def test_detector_flags_a_second_report_path():
         "cmd_x calls _emit",
         "cmd_x reads time",
     ]
+
+
+def indented_json_calls(tree: ast.Module) -> list[int]:
+    """Sorted line numbers of every ``json.dump`` or ``json.dumps`` call
+    that passes ``indent``.
+
+    The pretty-printer runs the stdlib's pure-Python encoder; the command
+    line writes its reports with ``cli._format`` instead, and compact JSON
+    goes through the C encoder.
+    """
+    return sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and isinstance(node.func.value, ast.Name)
+        and (node.func.value.id, node.func.attr) in {("json", "dump"), ("json", "dumps")}
+        and any(keyword.arg == "indent" for keyword in node.keywords)
+    )
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_no_indented_json_in_the_package(path):
+    assert indented_json_calls(ast.parse(path.read_text(encoding="utf-8"))) == []
+
+
+def test_detector_flags_an_indented_json_call():
+    tree = ast.parse(
+        "import json\n"
+        "a = json.dumps(r, sort_keys=True)\n"
+        "b = json.dumps(r, indent=2, sort_keys=True)\n"
+        "json.dump(r, handle, indent=None)\n"
+    )
+    assert indented_json_calls(tree) == [3, 4]
 
 
 def export_mismatches(tree: ast.Module) -> list[str]:
