@@ -154,47 +154,38 @@ def _format(value, indent: str = "\n") -> str:
     Strings go through the C escaper that ``json.dumps`` uses.  A container
     collects its parts in a list, one separator after each item, and joins
     them as soon as it is done, so the stdlib's one list of every token of
-    the report never exists.  Each loop writes its plain strings itself:
-    most items are labels, and a recursive call per item is about a third
-    slower.
+    the report never exists.  Dicts and lists share the loop; a dict's items
+    are its sorted (key, value) pairs, each written after its key.  The loop
+    writes plain strings itself: most items are labels, and a recursive call
+    per item is about a third slower.
     """
     if isinstance(value, dict):
         if not value:
             return "{}"
-        inner = indent + "  "
-        sep = "," + inner
-        parts = ["{", inner]
-        add = parts.append
-        for key, item in sorted(value.items()):
-            add(_escape(key))
-            add(": ")
-            if type(item) is str:
-                add(_escape(item))
-            elif isinstance(item, _CONTAINERS):
-                add(_format(item, inner))
-            else:
-                add(_scalar(item))
-            add(sep)
-        parts[-1] = indent + "}"
-        return "".join(parts)
-    if isinstance(value, (list, tuple)):
+        items, keyed, opening, closing = sorted(value.items()), True, "{", "}"
+    elif isinstance(value, (list, tuple)):
         if not value:
             return "[]"
-        inner = indent + "  "
-        sep = "," + inner
-        parts = ["[", inner]
-        add = parts.append
-        for item in value:
-            if type(item) is str:
-                add(_escape(item))
-            elif isinstance(item, _CONTAINERS):
-                add(_format(item, inner))
-            else:
-                add(_scalar(item))
-            add(sep)
-        parts[-1] = indent + "]"
-        return "".join(parts)
-    return _scalar(value)
+        items, keyed, opening, closing = value, False, "[", "]"
+    else:
+        return _scalar(value)
+    inner = indent + "  "
+    sep = "," + inner
+    parts = [opening, inner]
+    add = parts.append
+    for item in items:
+        if keyed:
+            key, item = item
+            add(_escape(key) + ": ")
+        if type(item) is str:
+            add(_escape(item))
+        elif isinstance(item, _CONTAINERS):
+            add(_format(item, inner))
+        else:
+            add(_scalar(item))
+        add(sep)
+    parts[-1] = indent + closing
+    return "".join(parts)
 
 
 def _emit(report: dict) -> None:

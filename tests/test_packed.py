@@ -231,9 +231,21 @@ def test_meet_semilattices_match_the_pair_scan(blocks):
     assert 0 < made < len(orders)
 
 
+def decided_afresh(L: FiniteLattice) -> bool:
+    """The biatomicity of L, decided under the block sizes now in force.
+
+    ``is_biatomic`` stores its verdict on L, and the cached lattices below are
+    shared by both block sizes, so the set kernel is run here directly; the
+    stored verdict, decided under whichever block size came first, must agree.
+    """
+    verdict = analysis._biatomic(L)
+    assert is_biatomic(L) == verdict
+    return verdict
+
+
 def test_is_biatomic_matches_the_product_route(blocks):
     lattices = hull_lattices()
-    verdicts = [is_biatomic(L) for L in lattices]
+    verdicts = [decided_afresh(L) for L in lattices]
     assert verdicts == [biatomic_by_single_atom(L) for L in lattices]
     assert verdicts == [biatomic_by_splitting(L) for L in lattices]
     assert set(verdicts) == {True, False}
@@ -292,7 +304,7 @@ def boundary_cases() -> list[tuple]:
 def test_is_biatomic_across_word_boundaries(blocks):
     verdicts = []
     for L, by_splitting, by_single_atom, by_oracle in boundary_cases():
-        verdict = is_biatomic(L)
+        verdict = decided_afresh(L)
         assert verdict == by_splitting == by_single_atom
         assert by_oracle in (None, verdict)
         verdicts.append((len(L.atoms()), verdict))
