@@ -199,20 +199,17 @@ def is_join_semidistributive(L: FiniteLattice) -> bool:
 class DependencyRelation:
     """The join-dependency relation on the join-irreducible elements.
 
-    ``d[i, j]`` says elements[i] depends on elements[j]; ``witnesses[i, j]``
-    stores one witnessing u (or -1).  ``strict_tc`` is the transitive
-    closure of ``d``.
+    ``d[i, j]`` says elements[i] depends on elements[j]; ``strict_tc`` is
+    the transitive closure of ``d``.
     """
 
-    lattice: FiniteLattice
     elements: tuple[int, ...]
     d: np.ndarray
     strict_tc: np.ndarray
-    witnesses: np.ndarray
 
 
 def join_dependency(L: FiniteLattice) -> DependencyRelation:
-    """Compute join-dependency on join-irreducibles with one witness per related pair.
+    """Compute join-dependency on join-irreducibles, one column per y.
 
     For join-irreducibles x, y, with y_* the lower cover of y: x depends on y
     iff x != y and some u has x <= y v u with x not below y_* v u.  In an
@@ -220,25 +217,18 @@ def join_dependency(L: FiniteLattice) -> DependencyRelation:
     bottom, so this is the atom relation: x <= y v u with x not below u.
     """
     elements = L.join_irreducibles()
-    k = len(elements)
-    d = np.zeros((k, k), dtype=bool)
-    witnesses = np.full((k, k), -1, dtype=np.int32)
+    # below[i, e]: elements[i] lies below e
+    below = L.leq[list(elements)]
+    d = np.zeros((len(elements), len(elements)), dtype=bool)
     for j, y in enumerate(elements):
         (y_star,) = L.lower_covers(y)
-        join_y, join_star = L.join_table[y], L.join_table[y_star]
-        for i, x in enumerate(elements):
-            if x == y:
-                continue
-            hits = L.leq[x][join_y] & ~L.leq[x][join_star]
-            if hits.any():
-                d[i, j] = True
-                witnesses[i, j] = int(np.argmax(hits))
+        d[:, j] = (below[:, L.join_table[y]] & ~below[:, L.join_table[y_star]]).any(axis=1)
+    np.fill_diagonal(d, False)
     # a step of d followed by any number of further steps
     strict_tc = _bool_product(d, _bool_closure(d))
     d.setflags(write=False)
     strict_tc.setflags(write=False)
-    witnesses.setflags(write=False)
-    return DependencyRelation(L, elements, d, strict_tc, witnesses)
+    return DependencyRelation(elements, d, strict_tc)
 
 
 def is_lower_bounded(L: FiniteLattice) -> bool:
@@ -323,16 +313,12 @@ class BiatomicityProblem(NamedTuple):
 def solve_problem_instance(
     L: FiniteLattice, p: int, a: int, b: int
 ) -> tuple[int, int] | None:
-    """First atom pair (x, y), x <= a, y <= b, with p <= x v y, if any."""
+    """First atom pair (x, y) in atom order with x <= a, y <= b, p <= x v y, or None."""
     _check_indices(L, "p, a or b", (p, a, b))
-    atoms = L.atoms()
-    for x in atoms:
-        if not L.leq[x, a]:
-            continue
-        for y in atoms:
-            if L.leq[y, b] and L.leq[p, L.join_table[x, y]]:
-                return (int(x), int(y))
-    return None
+    atoms = np.array(L.atoms(), dtype=np.int64)
+    xs, ys = atoms[L.leq[atoms, a]], atoms[L.leq[atoms, b]]
+    hits = np.argwhere(L.leq[p][L.join_table[np.ix_(xs, ys)]])
+    return (int(xs[hits[0, 0]]), int(ys[hits[0, 1]])) if len(hits) else None
 
 
 def biatomicity_problems(L: FiniteLattice) -> list[BiatomicityProblem]:

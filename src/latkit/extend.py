@@ -347,11 +347,12 @@ def jsd_extension_criteria(pair: ExtensionPair):
     if len(missing):
         return False, ("maximal_outside_not_in_m", int(missing[0]))
     atoms = np.array(L.atoms(), dtype=np.int64)
+    distinct = ~np.eye(len(atoms), dtype=bool)
     for x in range(L.n):
         fu = f[L.join_table[x, atoms]]
         same = fu[:, None] == fu[None, :]
         ok = L.leq[atoms, f[x]]
-        bad = same & ~np.eye(len(atoms), dtype=bool) & ~ok[:, None]
+        bad = same & distinct & ~ok[:, None]
         if bad.any():
             i, j = map(int, np.argwhere(bad)[0])
             return False, ("closure_merges_atoms", int(x), int(atoms[i]), int(atoms[j]))

@@ -290,8 +290,8 @@ def oracle_join_irreducibles(L: FiniteLattice) -> list[int]:
     return out
 
 
-def oracle_lower_bounded(L: FiniteLattice) -> bool:
-    """No cycle in the dependency relation on join-irreducibles.
+def oracle_dependency(L: FiniteLattice) -> tuple[list[int], list[list[bool]]]:
+    """The join-irreducibles and the dependency relation D on them.
 
     x D y iff x != y and some u has x <= y v u, x <= y* v u fails, where
     y* is the unique lower cover of the join-irreducible y.
@@ -301,23 +301,25 @@ def oracle_lower_bounded(L: FiniteLattice) -> bool:
     for y in ji:
         below = [z for z in range(L.n) if L.leq[z, y] and z != y]
         star[y] = [z for z in below if all(not (L.leq[z, w] and z != w) for w in below)][0]
-    d = {(x, y): False for x in ji for y in ji}
-    for x in ji:
-        for y in ji:
-            if x == y:
-                continue
-            for u in range(L.n):
-                if L.leq[x, oracle_lub(L, y, u)] and not L.leq[x, oracle_lub(L, star[y], u)]:
-                    d[(x, y)] = True
-                    break
-    # transitive closure, then look for a cycle through any element
-    reach = dict(d)
-    for k in ji:
-        for i in ji:
-            for j in ji:
-                if reach[(i, k)] and reach[(k, j)]:
-                    reach[(i, j)] = True
-    return not any(reach[(x, x)] for x in ji)
+    lub = oracle_lub_table(L.leq)
+    d = [
+        [
+            x != y
+            and any(
+                L.leq[x, lub[y, u]] and not L.leq[x, lub[star[y], u]] for u in range(L.n)
+            )
+            for y in ji
+        ]
+        for x in ji
+    ]
+    return ji, d
+
+
+def oracle_lower_bounded(L: FiniteLattice) -> bool:
+    """No cycle in the dependency relation on join-irreducibles."""
+    _, d = oracle_dependency(L)
+    reach = oracle_transitive_closure(d)
+    return not any(reach[i][i] for i in range(len(d)))
 
 
 def oracle_decompositions(L: FiniteLattice, a: int) -> list[frozenset[int]]:

@@ -15,6 +15,7 @@ from conftest import (
     oracle_atomistic,
     oracle_atoms,
     oracle_biatomicity_problems,
+    oracle_dependency,
     oracle_least_decomposition,
     oracle_lower_bounded,
     oracle_separates,
@@ -213,22 +214,23 @@ def test_lower_bounded_matches_oracle(m3, n5):
 # -- dependency relation -----------------------------------------------------
 
 
-def test_dependency_entries_have_valid_witnesses(m3):
-    for L in [m3, boolean(3), co_chain(3), co_chain(4)]:
+def test_dependency_matches_oracle(n5):
+    rng = np.random.default_rng(18)
+    lattices = [L for k in range(1, 8) for L in enumerate_lattices(k)]
+    lattices += [n5, *hull_lattices(5), *hull_lattices(2026)]
+    lattices += [shuffled(L, rng) for L in lattices for _ in range(5)]
+    beyond_atoms = 0
+    for L in lattices:
         rel = join_dependency(L)
-        k = len(rel.elements)
-        for i in range(k):
-            for j in range(k):
-                x, y = rel.elements[i], rel.elements[j]
-                expected = x != y and any(
-                    L.le(x, L.join(y, u)) and not L.le(x, u) for u in range(L.n)
-                )
-                assert bool(rel.d[i, j]) == expected
-                if rel.d[i, j]:
-                    u = int(rel.witnesses[i, j])
-                    assert L.le(x, L.join(y, u)) and not L.le(x, u)
-                else:
-                    assert rel.witnesses[i, j] == -1
+        ji, d = oracle_dependency(L)
+        shape = (len(ji), len(ji))
+        assert rel.elements == tuple(ji), L.to_json()
+        assert np.array_equal(rel.d, np.array(d, dtype=bool).reshape(shape)), L.to_json()
+        want = np.array(oracle_transitive_closure(d), dtype=bool).reshape(shape)
+        assert np.array_equal(rel.strict_tc, want), L.to_json()
+        # a join-irreducible above an atom has a nonzero lower cover y_*
+        beyond_atoms += ji != oracle_atoms(L)
+    assert beyond_atoms > len(lattices) // 2
 
 
 def test_dependency_closures(m3):
@@ -344,6 +346,16 @@ def test_solve_problem_instance(m3):
     b3 = boolean(3)
     x, y, z = b3.index("{0}"), b3.index("{1}"), b3.index("{2}")
     assert solve_problem_instance(b3, x, y, z) is None  # x is not below y v z
+
+
+def test_solve_problem_instance_matches_the_problem_list():
+    lattices = [L for k in range(1, 8) for L in enumerate_lattices(k)]
+    solved = []
+    for L in lattices + hull_lattices(5) + hull_lattices(2026):
+        for pr in biatomicity_problems(L):
+            assert solve_problem_instance(L, pr.p, pr.a, pr.b) == pr.solution, L.to_json()
+            solved.append(pr.solved)
+    assert len(solved) > 5000 and set(solved) == {True, False}
 
 
 def test_biatomicity_problems_all_solved_on_biatomic(m3):

@@ -11,8 +11,10 @@ from conftest import (
     oracle_closure_onto,
     oracle_closure_violation,
     oracle_atomistic,
+    oracle_atoms,
     oracle_biatomic,
     oracle_isomorphic,
+    oracle_least_decomposition,
     oracle_meet_closed,
     oracle_separating_map,
     triangle_with_center_lattice,
@@ -459,6 +461,42 @@ def test_solve_instance_checks_its_termination_measure():
         extend._solve_instance(L, p, a, b, [], limit=2)
     K, x, y = extend._solve_instance(L, p, a, b, [], limit=3)
     assert K.leq[p, K.join(x, y)]
+
+
+def test_solve_instance_passes_its_measure_down(monkeypatch):
+    solve = extend._solve_instance
+    callers, limits = [], {"recursive": [], "swap": []}
+
+    # in an atomistic jsd lattice the least decomposition is the irredundant one
+    def measure(K, a, b):
+        return len(oracle_least_decomposition(K, a)) + len(oracle_least_decomposition(K, b))
+
+    def spied(K, p, a, b, steps, limit=None):
+        if callers:
+            K0, a0, b0, limit0 = callers[-1]
+            # a caller that makes a call has passed its base cases, so it
+            # swaps its sides iff b is an atom, and recurses otherwise
+            if b0 in oracle_atoms(K0):
+                limits["swap"].append((limit, limit0))
+            else:
+                limits["recursive"].append((limit, measure(K0, a0, b0) - 1))
+        callers.append((K, a, b, limit))
+        try:
+            return solve(K, p, a, b, steps, limit)
+        finally:
+            callers.pop()
+
+    monkeypatch.setattr(extend, "_solve_instance", spied)
+    triangle = triangle_with_center_lattice()
+    p, a, b = (triangle.index(x) for x in ("{m}", "{a}", "{b,c}"))
+    extend._solve_instance(triangle, p, b, a, [], limit=3)
+    assert limits["swap"] == [(3, 3)]
+    for L in [triangle] + [K for K in hull_lattices() if K.n <= 40]:
+        if is_atomistic(L) and is_join_semidistributive(L):
+            partial_biatomization(L)
+    recursive = limits["recursive"]
+    assert len(recursive) == 7
+    assert all(passed == wanted for passed, wanted in recursive), recursive
 
 
 def test_partial_biatomization_rejects_bad_bases(m3, n5):
