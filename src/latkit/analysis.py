@@ -313,12 +313,16 @@ class BiatomicityProblem(NamedTuple):
 def solve_problem_instance(
     L: FiniteLattice, p: int, a: int, b: int
 ) -> tuple[int, int] | None:
-    """First atom pair (x, y) in atom order with x <= a, y <= b, p <= x v y, or None."""
+    """First atom pair (x, y), x <= a, y <= b, with p <= x v y, if any."""
     _check_indices(L, "p, a or b", (p, a, b))
-    atoms = np.array(L.atoms(), dtype=np.int64)
-    xs, ys = atoms[L.leq[atoms, a]], atoms[L.leq[atoms, b]]
-    hits = np.argwhere(L.leq[p][L.join_table[np.ix_(xs, ys)]])
-    return (int(xs[hits[0, 0]]), int(ys[hits[0, 1]])) if len(hits) else None
+    atoms = L.atoms()
+    for x in atoms:
+        if not L.leq[x, a]:
+            continue
+        for y in atoms:
+            if L.leq[y, b] and L.leq[p, L.join_table[x, y]]:
+                return (int(x), int(y))
+    return None
 
 
 def biatomicity_problems(L: FiniteLattice) -> list[BiatomicityProblem]:

@@ -1,9 +1,9 @@
 """Print one sha256 over the exit code and stdout of every benchmark task.
 
-    python3 tools/task_digest.py [--seeds 1 2]
+    python3 tools/task_digest.py
 
 The tasks are those that ``perfbench/workloads.py`` lists for the query,
-exhaust and construct workloads, one list per seed.  Each runs in-process,
+exhaust and construct workloads, for seeds 1 and 2.  Each runs in-process,
 as ``latkit.cli.main(argv)``, against the ``src/`` of the checkout that holds
 this script.  The inputs are written under ``.task-digest/`` in the current
 directory, so two checkouts run from the same directory pass the same paths
@@ -13,7 +13,6 @@ exit codes on every task.  The last field is the number of tasks hashed.
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import hashlib
 import io
@@ -23,19 +22,17 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 WORK = Path(".task-digest")
 WORKLOADS = ("query", "exhaust", "construct")
+SEEDS = (1, 2)
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--seeds", type=int, nargs="+", default=[1, 2])
-    args = parser.parse_args(argv)
+def main() -> int:
     sys.dont_write_bytecode = True  # leave the checkout as it is
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
     from latkit import cli
     import workloads
 
     digest, count = hashlib.sha256(), 0
-    for seed in args.seeds:
+    for seed in SEEDS:
         for workload in WORKLOADS:
             workdir = WORK / f"{workload}-s{seed}"
             workdir.mkdir(parents=True, exist_ok=True)
