@@ -13,6 +13,12 @@ The token ``v`` is read as the join operator exactly when an operator is
 expected, so ``v`` is also a legal variable name.  A term nests at most 100
 levels, counting each operator and each pair of parentheses above a
 variable; a deeper one is a syntax error.
+
+:func:`evaluate` decides a quasi-identity on a finite lattice by trying every
+assignment, in lexicographic order of the declared variables, a block of
+partial assignments at a time.  A premise is checked at the variable it binds
+last, on the grid of a block's rows against every value of that variable, so
+the assignments it rules out are never built.
 """
 
 from __future__ import annotations
@@ -297,9 +303,10 @@ BUILTINS = {"theta": theta, "sd-join": sd_join}
 
 # -- evaluation ----------------------------------------------------------------
 
-# Rows one block of the frontier may hold.  A block whose extension would pass
-# it is split into consecutive sub-blocks, so memory is bounded by the budget
-# and the number of variables, not by n ** k.
+# Cells, rows times n, of the grid on which one block binds its next variable;
+# the block it leaves has at most that many rows.  A block whose grid would
+# pass it is split into consecutive sub-blocks, so memory is bounded by the
+# budget, the number of variables and the nesting of terms, not by n ** k.
 _ROW_BUDGET = 1 << 15
 
 
@@ -314,17 +321,30 @@ def _last_var(eq: Equation, index: dict[str, int]) -> int:
     return max(index[v] for v in _term_vars(eq.lhs) | _term_vars(eq.rhs))
 
 
-def _values(t: Term, index: dict[str, int], block, tables, n: int) -> np.ndarray:
-    """The value of ``t`` on every row of ``block``, by table gathers."""
+def _values(t: Term, index: dict[str, int], cols, tables, n: int, new=None) -> np.ndarray:
+    """The value of ``t`` on the rows of ``cols``, by table gathers.
+
+    The columns broadcast.  On a grid, ``new`` is the (1, n) row of every
+    value of the variable being bound and the bound variables are (rows, 1)
+    columns, so a subterm free of the new variable costs one gather per row,
+    and one that holds it a (rows, n) gather.  A join or meet of ``new`` with
+    a column is a gather of whole table rows.
+    """
     if isinstance(t, Var):
-        return block[index[t.name]]
-    left = _values(t.left, index, block, tables, n)
-    right = _values(t.right, index, block, tables, n)
-    return tables[t.kind].take(left * n + right)
+        return cols[index[t.name]]
+    left = _values(t.left, index, cols, tables, n, new)
+    right = _values(t.right, index, cols, tables, n, new)
+    table = tables[t.kind]
+    if right is new:
+        left, right = right, left  # join and meet commute
+    if left is new and right.shape[1] == 1:
+        return table.take(right[:, 0], axis=0)
+    return table.take(left * n + right)
 
 
-def _holds(eq: Equation, index: dict[str, int], block, tables, n: int) -> np.ndarray:
-    return _values(eq.lhs, index, block, tables, n) == _values(eq.rhs, index, block, tables, n)
+def _holds(eq: Equation, index: dict[str, int], cols, tables, n: int, new=None) -> np.ndarray:
+    lhs = _values(eq.lhs, index, cols, tables, n, new)
+    return lhs == _values(eq.rhs, index, cols, tables, n, new)
 
 
 def evaluate(L: FiniteLattice, q: QuasiIdentity) -> Verdict:
@@ -333,15 +353,18 @@ def evaluate(L: FiniteLattice, q: QuasiIdentity) -> Verdict:
     The search holds blocks of partial assignments, one integer array per
     bound variable, with rows in lexicographic order of the declared
     variables.  Extending a block binds its next variable on every row at
-    once; each premise is checked, by gathers from the join and meet tables,
-    at the depth that binds its last variable, and the rows failing it are
-    dropped.  A block that would grow past ``_ROW_BUDGET`` rows is split into
-    consecutive sub-blocks searched in order, depth first, so complete
-    assignments are reached in lexicographic order and the search stops at
-    the first block whose conclusion fails.  The counterexample returned, if
-    any, is therefore the lexicographically first among complete
-    assignments, and ``assignments_checked`` counts the complete assignments
-    satisfying every premise, in that order, up to and including it.
+    once.  If premises have that variable as their last, they are computed,
+    by gathers from the join and meet tables, on the grid of the block's rows
+    against the n values, and the block left holds the (row, value) cells
+    passing all of them, taken in row-major order; otherwise every row is
+    repeated once per value.  A block whose grid would pass ``_ROW_BUDGET``
+    cells is split into consecutive sub-blocks searched in order, depth
+    first, so complete assignments are reached in lexicographic order, the
+    conclusion is checked on each block of them, and the search stops at the
+    first block where it fails.  The counterexample returned, if any, is
+    therefore the lexicographically first among complete assignments, and
+    ``assignments_checked`` counts the complete assignments satisfying every
+    premise, in that order, up to and including it.
     """
     names = q.variables
     k = len(names)
@@ -354,10 +377,11 @@ def evaluate(L: FiniteLattice, q: QuasiIdentity) -> Verdict:
     n = L.n
     # flat table positions l * n + r fit in int32, as n <= MAX_ELEMENTS
     tables = {
-        "join": L.join_table.astype(np.int32, copy=False).ravel(),
-        "meet": L.meet_table.astype(np.int32, copy=False).ravel(),
+        "join": L.join_table.astype(np.int32, copy=False),
+        "meet": L.meet_table.astype(np.int32, copy=False),
     }
     values = np.arange(n, dtype=np.int32)
+    new = values[None, :]
     rows_per_block = max(1, _ROW_BUDGET // n)
     checked = 0
     stack: list[list[np.ndarray]] = [[]]
@@ -376,11 +400,16 @@ def evaluate(L: FiniteLattice, q: QuasiIdentity) -> Verdict:
                 [col[start:start + rows_per_block] for col in block]
                 for start in reversed(range(0, rows, rows_per_block))
             )
+        elif premises_at[len(block)]:
+            eqs = premises_at[len(block)]
+            grid = [col[:, None] for col in block] + [new]
+            mask = _holds(eqs[0], index, grid, tables, n, new)
+            for eq in eqs[1:]:
+                mask = mask & _holds(eq, index, grid, tables, n, new)
+            # row-major order keeps the rows lexicographic
+            keep, value = np.nonzero(np.broadcast_to(mask, (rows, n)))
+            if len(keep):
+                stack.append([col.take(keep) for col in block] + [value.astype(np.int32)])
         else:
-            block = [np.repeat(col, n) for col in block] + [np.tile(values, rows)]
-            for eq in premises_at[len(block) - 1]:
-                keep = np.flatnonzero(_holds(eq, index, block, tables, n))
-                block = [col.take(keep) for col in block]
-            if len(block[0]):
-                stack.append(block)
+            stack.append([np.repeat(col, n) for col in block] + [np.tile(values, rows)])
     return Verdict(True, None, checked)

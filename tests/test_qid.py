@@ -16,6 +16,7 @@ from latkit.generators import (
     sub_meet_semilattice,
 )
 from latkit.geometry import PointConfiguration, RationalPoint, co_points, five_point_configuration
+from latkit import qid
 from latkit.qid import (
     Equation,
     Op,
@@ -152,12 +153,11 @@ def test_format_parse_fixpoint():
 NAMES = ("x", "y", "v", "w")
 
 
-def terms(depth: int):
-    """Terms over NAMES nesting at most ``depth`` operators."""
-    leaf = st.sampled_from(NAMES).map(Var)
+def terms(depth: int, leaf=st.sampled_from(NAMES).map(Var)):
+    """Terms over the leaves ``leaf`` draws, nesting at most ``depth`` operators."""
     if depth == 0:
         return leaf
-    sub = terms(depth - 1)
+    sub = terms(depth - 1, leaf)
     return st.one_of(leaf, st.builds(Op, st.sampled_from(("join", "meet")), sub, sub))
 
 
@@ -311,7 +311,14 @@ def test_frontier_memory_stays_bounded():
         [RationalPoint.of(x, y)
          for x, y in [(0, 0), (6, 0), (9, 4), (6, 8), (0, 8), (-3, 4), (3, 4)]],
     )
-    cases = [(co_chain(7), theta()), (co_points(hexagon_and_centre), sd_join())]
+    # forty premises checked on z's grids, each with two grid subterms of its own
+    wide = parse_qid(
+        "w,x,y,z | "
+        + " & ".join(f"z ^ ({' v '.join(['w'] * i)}) <= z" for i in range(1, 41))
+        + " => x <= x v y"
+    )
+    cases = [(co_chain(7), theta()), (co_points(hexagon_and_centre), sd_join()),
+             (co_chain(7), wide)]
     assert cases[1][0].n == 89
     for L, q in cases:
         tracemalloc.start()
@@ -321,8 +328,75 @@ def test_frontier_memory_stays_bounded():
         finally:
             tracemalloc.stop()
         assert verdict.holds
-        # with no row budget, theta on co_chain(7) alone needs more
+        # with no row budget, theta on co_chain(7) alone needs more, and so
+        # does the wide qid if every grid subterm of a block is kept
         assert peak < 8 * 2**20
+    # every premise of the wide qid holds, so each of its grids is full
+    assert verdict.assignments_checked == co_chain(7).n ** 4
+
+
+def test_tiny_budgets_agree_with_oracle(monkeypatch):
+    # a budget below n leaves one row per block and splits every grid
+    config = five_point_configuration()
+    lattices = [co_points(_relabelled(config, order))
+                for order in [(0, 1, 2, 3, 4), (2, 3, 1, 0, 4), (4, 3, 2, 1, 0)]]
+    lattices += [co_chain(n) for n in range(1, 6)] + [boolean(n) for n in range(4)]
+    for n in range(1, 6):
+        lattices.extend(enumerate_lattices(n))
+    qids = [
+        theta(),
+        sd_join(),
+        parse_qid("x,y,z | x ^ x = x v x => x ^ y <= z"),
+        parse_qid("u,v,w | u v v = w => v <= w ^ u"),
+    ]
+    for L in lattices:
+        for q in qids:
+            expected = oracle_evaluate(L, q)
+            for budget in (1, L.n - 1, 64):
+                monkeypatch.setattr(qid, "_ROW_BUDGET", budget)
+                assert evaluate(L, q) == expected, (L.n, format_qid(q), budget)
+
+
+SMALL_LATTICES = [L for n in range(1, 7) for L in enumerate_lattices(n)]
+
+
+@st.composite
+def random_qids(draw):
+    """Quasi-identities over up to four variables, one of them maybe unused."""
+    names = NAMES[:draw(st.integers(1, 4))]
+    used = draw(st.lists(st.sampled_from(names), min_size=1, unique=True))
+
+    def some_variables():
+        # each term may use any subset of the variables, such as the first
+        # alone, or only the one its premise binds last
+        side = draw(st.lists(st.sampled_from(used), min_size=1, unique=True))
+        return st.sampled_from(side).map(Var)
+
+    # subterms that several equations may share; terms nest at most 3 levels
+    shared = draw(st.lists(terms(1, some_variables()), max_size=3))
+
+    def term():
+        leaf = some_variables()
+        if shared:
+            return draw(st.one_of(
+                terms(3, leaf), terms(2, st.one_of(leaf, st.sampled_from(shared)))
+            ))
+        return draw(terms(3, leaf))
+
+    def equation():
+        lhs, rhs = term(), term()
+        if draw(st.booleans()):
+            return Equation(Op("join", lhs, rhs), rhs)  # lhs <= rhs, as parsed
+        return Equation(lhs, rhs)
+
+    premises = tuple(equation() for _ in range(draw(st.integers(0, 4))))
+    return QuasiIdentity(names, premises, equation())
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(SMALL_LATTICES), random_qids())
+def test_random_qids_agree_with_oracle(L, q):
+    assert evaluate(L, q) == oracle_evaluate(L, q)
 
 
 def test_flat_table_positions_fit_in_int32():
