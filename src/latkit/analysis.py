@@ -12,8 +12,11 @@ The biatomicity verdict is read off one table per lattice: the set of atoms
 below each element, packed into 64-bit words.  Unions of these sets over
 the atoms below a and below b, taken a block of pairs at a time, give every
 pair (a, b) at once the atoms that some atom pair below them reaches.  The
-problem list instead goes atom by atom, since it reports each problem with
-its first solution.
+problem list, which reports each problem with its first solution, takes a
+block of atoms p at a time instead: the problems of the block are the
+nonzeros of one (p, a, b) cube, and their solutions come from one gather
+each.  Join-dependency packs the join-irreducibles below each element into
+words the same way and fills its relation a block of columns at a time.
 
 Join-semidistributivity is decided one group at a time: for x and a, the
 y with x v y = a are reduced to their meet m, and L is join-semidistributive
@@ -42,7 +45,9 @@ from .core import (
 # Upper bound on the uint64 words of one block of atom-set unions in
 # _biatomic: 256 KB.  Twice the block of core's kernels, since a block
 # of unions often has rows of only a few words, and the per-block numpy
-# calls would otherwise cost as much as the work.
+# calls would otherwise cost as much as the work.  The same 256 KB bounds
+# a block of the problem cube, of join-dependency's gathers and of
+# extend.jsd_extension_criteria's table.
 _SET_BLOCK_WORDS = 1 << 15
 
 # Keys (x, x v y) in the first and the largest chunk of rows x of
@@ -209,20 +214,35 @@ class DependencyRelation:
 
 
 def join_dependency(L: FiniteLattice) -> DependencyRelation:
-    """Compute join-dependency on join-irreducibles, one column per y.
+    """Compute join-dependency on join-irreducibles, a block of y at a time.
 
     For join-irreducibles x, y, with y_* the lower cover of y: x depends on y
     iff x != y and some u has x <= y v u with x not below y_* v u.  In an
     atomistic lattice the join-irreducibles are the atoms and y_* is the
     bottom, so this is the atom relation: x <= y v u with x not below u.
+    Every y_* is read off the cover matrix by one ``argmax`` over the columns
+    of the join-irreducibles.  The join-irreducibles below each element are
+    packed into words, and the columns of ``d`` for a block of y come from
+    one gather of the sets below y v u and one of those below y_* v u, for
+    every u.  A block's gathers hold about ``_SET_BLOCK_WORDS`` words each,
+    or one y where that alone takes more.
     """
     elements = L.join_irreducibles()
-    # below[i, e]: elements[i] lies below e
-    below = L.leq[list(elements)]
-    d = np.zeros((len(elements), len(elements)), dtype=bool)
-    for j, y in enumerate(elements):
-        (y_star,) = L.lower_covers(y)
-        d[:, j] = (below[:, L.join_table[y]] & ~below[:, L.join_table[y_star]]).any(axis=1)
+    ys = np.array(elements, dtype=np.int64)
+    m = len(ys)
+    # the only lower cover of each y, the one True of its cover-matrix column
+    y_stars = L.cover_matrix()[:, ys].argmax(axis=0)
+    # sets[e]: the join-irreducibles below e, elements[i] in bit i % 64 of word i // 64
+    sets = np.ascontiguousarray(_packed_rows(L.leq[ys].T).T)
+    d = np.empty((m, m), dtype=bool)
+    step = max(1, _SET_BLOCK_WORDS // max(1, sets.size))
+    for j in range(0, m, step):
+        block = slice(j, j + step)
+        # reach[y, u]: the x below y v u but not below y_* v u
+        reach = sets[L.join_table[ys[block]]]
+        reach &= ~sets[L.join_table[y_stars[block]]]
+        hits = np.bitwise_or.reduce(reach, axis=1).view(np.uint8)
+        d[:, block] = np.unpackbits(hits, axis=1, count=m, bitorder="little").T
     np.fill_diagonal(d, False)
     # a step of d followed by any number of further steps
     strict_tc = _bool_product(d, _bool_closure(d))
@@ -329,27 +349,51 @@ def biatomicity_problems(L: FiniteLattice) -> list[BiatomicityProblem]:
     """All problems p <= a v b, deduplicated to a <= b by index, sorted.
 
     A solution is the first atom x <= a, in atom order, that some atom
-    y <= b splits with, paired with the first such y.
+    y <= b splits with, paired with the first such y.  The atoms p are taken
+    a block at a time: the block's cube ``problem[h, a, b]`` holds its
+    problems, and the flat nonzeros of its upper triangle a <= b are its
+    rows in ascending (p, a, b) order.  Every x of the block then comes from
+    one gather of the split table, and every y from one gather of the join
+    table.  A cube holds about ``_SET_BLOCK_WORDS`` words, or one atom where
+    its n x n slice alone takes more.  Its slices are gathered one atom at a
+    time, since numpy lays the result of ``up[:, join_table]`` out as
+    (a, b, p), which would make every later pass over the cube strided.
     """
+    n = L.n
     atoms = np.array(L.atoms(), dtype=np.int64)
     k = len(atoms)
     # below[a, i]: the i-th atom lies below a
     below = L.leq[atoms, :].T
-    atom_join = L.join_table[np.ix_(atoms, atoms)]
+    atom_join = L.join_table[atoms[:, None], atoms]
     # splits[h, i, b]: some atom y <= b has p <= x v y for p, x the h-th, i-th atoms
     splits = _bool_product(below.T[:, atom_join].reshape(k * k, k), below.T)
+    splits = splits.reshape(k, k, n)
+    # upper[a, b]: a <= b by index
+    index = np.arange(n)
+    upper = index[:, None] <= index
+    step = max(1, 8 * _SET_BLOCK_WORDS // (n * n))
     out = []
-    for p, split in zip(atoms.tolist(), splits.reshape(k, k, L.n)):
-        up = L.leq[p]
-        # problem[a, b]: p <= a v b, p below neither a nor b (so both are nonzero)
-        problem = up[L.join_table] & ~up[:, None] & ~up[None, :]
-        a_idx, b_idx = np.nonzero(np.triu(problem))
-        # x_ok[k, i]: the i-th atom lies below a_k and splits with some atom below b_k
-        x_ok = below[a_idx] & split[:, b_idx].T
+    for h0 in range(0, k, step):
+        up = L.leq[atoms[h0 : h0 + step]]
+        # problem[h, a, b]: p <= a v b, p below neither a nor b (so both are nonzero)
+        problem = np.empty((len(up), n, n), dtype=bool)
+        for i, row in enumerate(up):
+            problem[i] = row[L.join_table]
+        problem &= ~up[:, :, None]
+        problem &= ~up[:, None, :]
+        problem &= upper
+        h, ab = np.divmod(np.flatnonzero(problem), n * n)
+        a, b = np.divmod(ab, n)
+        h += h0
+        ps = atoms[h]
+        # x_ok[r, i]: the i-th atom lies below a and splits with some atom below b
+        x_ok = below[a] & splits[h, :, b]
         xs = atoms[x_ok.argmax(axis=1)]
-        y_ok = below[b_idx] & up[L.join_table[np.ix_(xs, atoms)]]
+        y_ok = below[b] & L.leq[ps[:, None], L.join_table[xs[:, None], atoms]]
         ys = atoms[y_ok.argmax(axis=1)]
-        rows = (a_idx, b_idx, x_ok.any(axis=1), xs, ys)
-        for a, b, solved, x, y in zip(*(r.tolist() for r in rows)):
-            out.append(BiatomicityProblem(p, a, b, solved, (x, y) if solved else None))
+        rows = (ps, a, b, x_ok.any(axis=1), xs, ys)
+        out += [
+            BiatomicityProblem(p, a, b, solved, (x, y) if solved else None)
+            for p, a, b, solved, x, y in zip(*(r.tolist() for r in rows))
+        ]
     return out

@@ -337,10 +337,6 @@ class FiniteLattice:
         """All cover pairs (lower, upper), sorted."""
         return [(int(i), int(j)) for i, j in np.argwhere(self.cover_matrix())]
 
-    def lower_covers(self, x: int) -> tuple[int, ...]:
-        """Elements y < x that are the only z with y <= z < x."""
-        return tuple(int(y) for y in np.flatnonzero(self.cover_matrix()[:, x]))
-
     def join_irreducibles(self) -> tuple[int, ...]:
         """Elements with exactly one lower cover."""
         counts = self.cover_matrix().sum(axis=0)

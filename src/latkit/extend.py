@@ -40,6 +40,7 @@ from .core import (
     verify_embedding,
 )
 from .analysis import (
+    _SET_BLOCK_WORDS,
     _atom_joins,
     _irredundant_atoms,
     is_atomistic,
@@ -333,6 +334,10 @@ def jsd_extension_criteria(pair: ExtensionPair):
     filter belongs to M and (ii) the closure never merges joins with two
     distinct atoms: f(x v u) = f(x v v) forces u <= f(x).  Returns
     (verdict, witness); the witness names the violated criterion.
+    Criterion (ii) is checked a block of x at a time, with one gather of
+    f(x v u) for the block.  A block's table of (x, u, v) takes about
+    ``_SET_BLOCK_WORDS`` words, or one x where that alone takes more, and
+    its first violation in row-major order is the witness with the least x.
     """
     L = pair.lattice
     if not is_atomistic(L):
@@ -347,15 +352,21 @@ def jsd_extension_criteria(pair: ExtensionPair):
     if len(missing):
         return False, ("maximal_outside_not_in_m", int(missing[0]))
     atoms = np.array(L.atoms(), dtype=np.int64)
-    distinct = ~np.eye(len(atoms), dtype=bool)
-    for x in range(L.n):
-        fu = f[L.join_table[x, atoms]]
-        same = fu[:, None] == fu[None, :]
-        ok = L.leq[atoms, f[x]]
-        bad = same & distinct & ~ok[:, None]
-        if bad.any():
-            i, j = map(int, np.argwhere(bad)[0])
-            return False, ("closure_merges_atoms", int(x), int(atoms[i]), int(atoms[j]))
+    k = len(atoms)
+    distinct = ~np.eye(k, dtype=bool)
+    step = max(1, 8 * _SET_BLOCK_WORDS // max(1, k * k))
+    for x0 in range(0, L.n, step):
+        xs = np.arange(x0, min(L.n, x0 + step))
+        # fu[x, i]: f(x v u) for u the i-th atom
+        fu = f[L.join_table[xs[:, None], atoms]]
+        # bad[x, i, j]: u, v distinct with f(x v u) = f(x v v), and u not below f(x)
+        bad = fu[:, :, None] == fu[:, None, :]
+        bad &= distinct
+        bad &= ~L.leq[atoms, f[xs][:, None]][:, :, None]
+        first = int(bad.argmax())  # the first violation in row-major order, if any
+        if bad.flat[first]:
+            x, i, j = map(int, np.unravel_index(first, bad.shape))
+            return False, ("closure_merges_atoms", x0 + x, int(atoms[i]), int(atoms[j]))
     return True, None
 
 

@@ -21,7 +21,7 @@ from itertools import combinations
 from typing import Sequence
 
 from .core import FiniteLattice, LatticeError, TooLarge
-from .core import _check_size, _closed_sets, _inclusion_order, _set_labels
+from .core import _check_size, _closed_sets, _inclusion_order
 
 
 class TooManyPoints(TooLarge):
@@ -170,20 +170,32 @@ def co_points(config: PointConfiguration) -> FiniteLattice:
     pair's trace is the points on its segment; a proper triangle's, the points
     on no edge's far side.  A collinear triple needs no rule of its own: the
     pair of its two ends forces the same points.
+
+    The coordinates are scaled to a common denominator in integer arithmetic
+    alone, and the triple-sign table is filled from one cross product per
+    unordered triple: the sign is shared by the cyclic orders of a triple
+    and flips for the other three.  Each closed set's member list serves as
+    both its sort key and its label.
     """
     n = len(config)
     if n > 20:
         raise TooManyPoints("co_points is bounded at 20 points")
     # a positive scale keeps every orientation sign, so integer points give the same ones
     scale = math.lcm(*(q.denominator for p in config.points for q in (p.x, p.y)))
-    pts = [RationalPoint(int(p.x * scale), int(p.y * scale)) for p in config.points]
-    # s[i][j][k]: the orientation sign of the triangle (i, j, k)
-    s = [[[orientation(a, b, c) for c in pts] for b in pts] for a in pts]
+    xs = [p.x.numerator * (scale // p.x.denominator) for p in config.points]
+    ys = [p.y.numerator * (scale // p.y.denominator) for p in config.points]
+    # s[i][j][k]: the orientation sign of the triangle (i, j, k), computed once
+    # per triple i < j < k; it is 0 with a repeated point and flips with a swap
+    s = [[[0] * n for _ in range(n)] for _ in range(n)]
+    for i, j, k in combinations(range(n), 3):
+        cross = (xs[j] - xs[i]) * (ys[k] - ys[i]) - (ys[j] - ys[i]) * (xs[k] - xs[i])
+        t = (cross > 0) - (cross < 0)
+        s[i][j][k] = s[j][k][i] = s[k][i][j] = t
+        s[j][i][k] = s[i][k][j] = s[k][j][i] = -t
     rules = []
     for i, j in combinations(range(n), 2):
-        a, b = pts[i], pts[j]
-        on = [k for k, c in enumerate(pts) if s[i][j][k] == 0
-              and (c.x - a.x) * (c.x - b.x) + (c.y - a.y) * (c.y - b.y) <= 0]
+        on = [k for k in range(n) if s[i][j][k] == 0
+              and (xs[k] - xs[i]) * (xs[k] - xs[j]) + (ys[k] - ys[i]) * (ys[k] - ys[j]) <= 0]
         rules.append((1 << i | 1 << j, sum(1 << k for k in on)))
     for i, j, k in combinations(range(n), 3):
         if t := s[i][j][k]:
@@ -195,4 +207,6 @@ def co_points(config: PointConfiguration) -> FiniteLattice:
     members = {m: [i for i in range(n) if m >> i & 1] for m in closed}
     # by size, then by the sorted member list
     masks = sorted(members, key=lambda m: (len(members[m]), members[m]))
-    return FiniteLattice(_inclusion_order(masks), _set_labels(masks, config.labels))
+    names = config.labels
+    labels = ["{" + ",".join(names[i] for i in members[m]) + "}" for m in masks]
+    return FiniteLattice(_inclusion_order(masks), labels)

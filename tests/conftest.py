@@ -8,6 +8,8 @@ that the packed-row kernels of ``latkit.core`` replaced;
 ``biatomic_by_splitting`` and ``oracle_atomistic_violation`` keep the
 per-atom loops that ``latkit.analysis`` replaced, and ``oracle_jsd_violation``
 the pair scan of every row that its grouped meet check replaced.
+``oracle_jsd_extension_criteria`` keeps the per-element loop of criterion
+(ii) that ``jsd_extension_criteria`` replaced with blocked gathers.
 ``oracle_closure_violation`` checks the closure laws of a map by a pair
 scan, which the library, building every closure from its image, never
 re-checks; ``oracle_meet_closed`` and ``oracle_closure_onto`` keep the pair
@@ -235,21 +237,18 @@ def oracle_biatomicity_problems(L: FiniteLattice) -> list[tuple]:
     pair (x, y), x <= a, y <= b, with p <= x v y in atom order, or None.
     """
     atoms = oracle_atoms(L)
+    leq, join = L.leq.tolist(), L.join_table.tolist()
+    below = [[x for x in atoms if leq[x][e]] for e in range(L.n)]
     out = []
     for p in atoms:
         for a in range(L.n):
             for b in range(a, L.n):
-                if a == L.bottom or b == L.bottom or L.leq[p, a] or L.leq[p, b]:
+                if a == L.bottom or b == L.bottom or leq[p][a] or leq[p][b]:
                     continue
-                if not L.leq[p, L.join(a, b)]:
+                if not leq[p][join[a][b]]:
                     continue
                 solution = next(
-                    (
-                        (x, y)
-                        for x in atoms
-                        for y in atoms
-                        if L.leq[x, a] and L.leq[y, b] and L.leq[p, L.join(x, y)]
-                    ),
+                    ((x, y) for x in below[a] for y in below[b] if leq[p][join[x][y]]),
                     None,
                 )
                 out.append((p, a, b, solution))
@@ -301,13 +300,11 @@ def oracle_dependency(L: FiniteLattice) -> tuple[list[int], list[list[bool]]]:
     for y in ji:
         below = [z for z in range(L.n) if L.leq[z, y] and z != y]
         star[y] = [z for z in below if all(not (L.leq[z, w] and z != w) for w in below)][0]
-    lub = oracle_lub_table(L.leq)
+    leq, lub = L.leq.tolist(), oracle_lub_table(L.leq).tolist()
     d = [
         [
             x != y
-            and any(
-                L.leq[x, lub[y, u]] and not L.leq[x, lub[star[y], u]] for u in range(L.n)
-            )
+            and any(leq[x][lub[y][u]] and not leq[x][lub[star[y]][u]] for u in range(L.n))
             for y in ji
         ]
         for x in ji
@@ -488,6 +485,32 @@ def oracle_closure_violation(L: FiniteLattice, mapping) -> str | None:
             if L.leq[x, y] and not L.leq[f[x], f[y]]:
                 return "not monotone"
     return None
+
+
+def oracle_jsd_extension_criteria(pair) -> tuple[bool, tuple | None]:
+    """``jsd_extension_criteria`` with criterion (ii) checked one x at a time.
+
+    The first x whose closure merges the joins with two distinct atoms u, v,
+    u not below f(x), gives the witness, with the first (u, v) of its row.
+    """
+    L = pair.lattice
+    outside = ~L.leq[pair.apex]
+    maximal = outside & ~(L.cover_matrix() & outside).any(axis=1)
+    f = np.array(pair.closure)
+    missing = np.flatnonzero(maximal & (f != np.arange(L.n)))
+    if len(missing):
+        return False, ("maximal_outside_not_in_m", int(missing[0]))
+    atoms = np.array(L.atoms(), dtype=np.int64)
+    distinct = ~np.eye(len(atoms), dtype=bool)
+    for x in range(L.n):
+        fu = f[L.join_table[x, atoms]]
+        same = fu[:, None] == fu[None, :]
+        ok = L.leq[atoms, f[x]]
+        bad = same & distinct & ~ok[:, None]
+        if bad.any():
+            i, j = map(int, np.argwhere(bad)[0])
+            return False, ("closure_merges_atoms", int(x), int(atoms[i]), int(atoms[j]))
+    return True, None
 
 
 def assert_solved_triple(L: FiniteLattice, p: int, q: int, a: int, ext) -> None:

@@ -133,6 +133,32 @@ def test_jsd_violation_memory_stays_bounded():
         assert peak < 2**20
 
 
+def peak_bytes(f, *args):
+    """What f returns and the tracemalloc peak of the call."""
+    tracemalloc.start()
+    try:
+        out = f(*args)
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_biatomicity_problems_memory_stays_bounded():
+    problems, peak = peak_bytes(biatomicity_problems, boolean(10))
+    assert problems == []
+    # one atom's 1 MB cube at a time, beside the 1 MB triangle mask (3.3 MB
+    # in all); the cube of all ten atoms at once peaked at 12.8 MB
+    assert peak < 4e6
+
+
+def test_join_dependency_memory_stays_bounded():
+    rel, peak = peak_bytes(join_dependency, chain(300))
+    assert rel.d.sum() == 0 and len(rel.elements) == 299
+    # the gathers of a block of y hold about _SET_BLOCK_WORDS words each
+    # (0.9 MB in all); every y at once peaked at 7.7 MB
+    assert peak < 2e6
+
+
 def test_atomistic_violation_is_a_real_witness(n5):
     x = atomistic_violation(n5)
     below = [p for p in n5.atoms() if n5.le(p, x)]

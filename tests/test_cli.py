@@ -224,6 +224,9 @@ GENERATOR_CHECKS = [
      "222548a0d4a63e7e06a452f4ef21c1ef09f5049e57c1efa8aef5ab94fab4c2e4"),
     ("subsemi:b2.json",
      "2709e9b5794d94672cec123dc5c89e486d6565d567c725a45409ea7103e29bdd"),
+    # the problem rows and the lower-bounded verdict on 8 and 5 atoms
+    ("co-chain:8", "81502219e2d40282aff405b0a9e68e4c20be0cc199a9c238dc9a9eaec4030343"),
+    ("boolean:5", "70cad36f156447dc15cea17c425909a9e94d4c5a4be495b03cd639dd4e43406f"),
 ]
 
 

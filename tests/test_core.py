@@ -153,8 +153,9 @@ def test_tables_are_frozen(m3):
 def test_covers_and_lower_covers(n5):
     got = {(n5.label(i), n5.label(j)) for i, j in n5.covers()}
     assert got == {("0", "a"), ("a", "b"), ("b", "1"), ("0", "c"), ("c", "1")}
-    assert n5.lower_covers(n5.top) == (n5.index("b"), n5.index("c"))
-    assert n5.lower_covers(n5.bottom) == ()
+    cov = n5.cover_matrix()
+    assert np.flatnonzero(cov[:, n5.top]).tolist() == [n5.index("b"), n5.index("c")]
+    assert not cov[:, n5.bottom].any()
 
 
 def test_atoms_and_lower_covers_match_oracles():
@@ -165,7 +166,7 @@ def test_atoms_and_lower_covers_match_oracles():
         for x in range(L.n):
             below = [y for y in range(L.n) if y != x and L.le(y, x)]
             lower = [y for y in below if not any(y != z and L.le(y, z) for z in below)]
-            assert list(L.lower_covers(x)) == lower
+            assert np.flatnonzero(L.cover_matrix()[:, x]).tolist() == lower
 
 
 def test_atoms_are_computed_once():

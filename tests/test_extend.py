@@ -14,6 +14,7 @@ from conftest import (
     oracle_atoms,
     oracle_biatomic,
     oracle_isomorphic,
+    oracle_jsd_extension_criteria,
     oracle_least_decomposition,
     oracle_meet_closed,
     oracle_separating_map,
@@ -276,6 +277,39 @@ def test_criteria_match_reality_on_small_lattices():
             assert (witness is None) == verdict
             checked += 1
     assert checked > 10
+
+
+def seeded_extension_pairs(L, rng, count: int = 12):
+    """Pairs on seeded apexes, each with the meet-closure of its filter, the
+    bottom, a seeded set of further elements and, for every other apex, the
+    maximal elements outside the filter (so criterion (i) holds)."""
+    apexes = [x for x in range(L.n) if x != L.bottom and x not in L.atoms()]
+    chosen = rng.choice(apexes, size=min(count, len(apexes)), replace=False)
+    for t, apex in enumerate(chosen.tolist()):
+        members = set(L.filter(apex)) | {L.bottom}
+        members |= set(np.flatnonzero(rng.random(L.n) < rng.random()).tolist())
+        if t % 2:
+            outside = ~L.leq[apex]
+            maximal = outside & ~(L.cover_matrix() & outside).any(axis=1)
+            members |= set(np.flatnonzero(maximal).tolist())
+        while meets := {int(L.meet_table[x, y]) for x in members for y in members} - members:
+            members |= meets
+        yield make_extension_pair(L, apex, members)
+
+
+@pytest.mark.parametrize("block_words", [None, 1], ids=["default-blocks", "one-word-blocks"])
+def test_criteria_match_the_per_element_loop(block_words, monkeypatch):
+    if block_words is not None:
+        monkeypatch.setattr(extend, "_SET_BLOCK_WORDS", block_words)
+    rng = np.random.default_rng(20)
+    pairs = [pair for L in atomistic_jsd_corpus(7) for pair in extension_pairs(L)]
+    pairs += [pair for L in hull_lattices() for pair in seeded_extension_pairs(L, rng)]
+    got = [jsd_extension_criteria(pair) for pair in pairs]
+    assert got == [oracle_jsd_extension_criteria(pair) for pair in pairs]
+    kinds = {witness[0] if witness else None for _, witness in got}
+    assert kinds == {None, "maximal_outside_not_in_m", "closure_merges_atoms"}
+    # witnesses past the first x, so the least x must win over later blocks
+    assert any(witness[1] > 1 for _, witness in got if witness and len(witness) == 4)
 
 
 def test_criteria_need_atomistic_jsd_base(m3, n5):

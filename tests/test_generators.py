@@ -73,7 +73,7 @@ def test_co_chain_shape():
     # intervals of a 3-chain plus an empty set: 0 < singletons < pairs < top
     L = co_chain(3)
     assert L.n == 7
-    tops = [x for x in range(L.n) if len(L.lower_covers(x)) > 1]
+    tops = np.flatnonzero(L.cover_matrix().sum(axis=0) > 1).tolist()
     assert L.top in tops
 
 

@@ -1,3 +1,4 @@
+import math
 import time
 from fractions import Fraction
 from itertools import combinations
@@ -275,6 +276,28 @@ def test_co_points_matches_oracle(cfg):
     config_of([(Fraction(1, 3), Fraction(1, 7)), (2, 0), (Fraction(5, 2), 3), (1, 1)]),
 ], ids=["paper5", "triangle-centre", "9-gon", "demo-triangle", "demo-row", "demo-skew"])
 def test_co_points_matches_oracle_on_named_configurations(cfg):
+    assert_matches_oracle(cfg)
+
+
+# pairwise coprime denominators near 10^12: the common scale exceeds 10^36,
+# so the scaled cross products pass 2^63 by far
+D1, D2, D3 = 10**12 + 1, 10**12 + 3, 10**12 + 7
+ON_THIRD = [(Fraction(1, D1), Fraction(1, 3 * D1)), (Fraction(2, D2), Fraction(2, 3 * D2)),
+            (Fraction(3, D3), Fraction(1, D3))]  # three points of y = x / 3
+NUDGE = Fraction(1, D1 * D2 * D3)  # below the resolution of a float at y
+
+
+@pytest.mark.parametrize("cfg", [
+    config_of(ON_THIRD + [(0, Fraction(1, D2)), (Fraction(1, D3), Fraction(-1, D1))]),
+    # the second point of the line, and one just above and one just below it
+    config_of(ON_THIRD + [(x, y + d) for x, y in ON_THIRD[1:2] for d in (NUDGE, -NUDGE)]),
+    # a quadrilateral around the origin, and a point near the origin
+    config_of([(Fraction(1, D1), Fraction(1, D2)), (Fraction(-1, D3), Fraction(1, D1)),
+               (Fraction(-1, D2), Fraction(-1, D3)), (Fraction(1, D3), Fraction(-1, D1)),
+               (Fraction(1, D1 * D2), Fraction(-1, D2 * D3))]),
+], ids=["collinear-thirds", "nudged-off-the-line", "coprime-quadrilateral"])
+def test_co_points_is_exact_past_int64(cfg):
+    assert math.gcd(D1, D2) == math.gcd(D2, D3) == math.gcd(D1, D3) == 1
     assert_matches_oracle(cfg)
 
 

