@@ -123,7 +123,7 @@ def _biatomic(L: FiniteLattice) -> bool:
     sets = np.ascontiguousarray(_packed_rows(L.leq[atoms].T).T)
     width = sets.shape[1]
     # the pairs (j, i) with atom i below nonzero[j], grouped by j; none is empty
-    owner, atom = np.nonzero(L.leq[np.ix_(atoms, nonzero)].T)
+    owner, atom = np.divmod(np.flatnonzero(L.leq[np.ix_(atoms, nonzero)].T), len(atoms))
     starts = np.searchsorted(owner, np.arange(len(nonzero) + 1))
     step = max(1, _SET_BLOCK_WORDS // max(1, width * len(owner)))
     for j0 in range(0, len(nonzero), step):

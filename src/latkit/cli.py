@@ -29,6 +29,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import re
 import sys
 import time
 
@@ -86,10 +87,13 @@ def _write_lines(path: str, lines) -> None:
 
 
 def _int_arg(spec: str, text: str) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise _InputError(f"bad generator spec {spec!r}: {text!r} is not an integer") from None
+    # int() alone also takes "1_0", " 3", "+3" and non-ASCII digits
+    if re.fullmatch("-?[0-9]+", text):
+        try:
+            return int(text)
+        except ValueError:  # past the interpreter's digit limit
+            pass
+    raise _InputError(f"bad generator spec {spec!r}: {text!r} is not an integer")
 
 
 def load_lattices(gen: str | None, file: str | None) -> list[tuple[str, FiniteLattice]]:

@@ -1,10 +1,10 @@
-"""Witness-lattice generators and exhaustive small-lattice enumeration."""
+"""Witness-lattice generators and the lattices with at most 7 elements,
+up to isomorphism, read from a table of down-set masks."""
 
 from __future__ import annotations
 
-from functools import cache
-from itertools import combinations, permutations, product
-from typing import Iterator, Sequence
+from itertools import combinations
+from typing import Iterator
 
 import numpy as np
 
@@ -79,125 +79,54 @@ def sub_meet_semilattice(P) -> FiniteLattice:
 
 # -- exhaustive enumeration ----------------------------------------------------
 
-
-@cache
-def _bits(mask: int) -> tuple[int, ...]:
-    """The positions of the set bits of mask, ascending."""
-    return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
-
-
-def _cover_key(down: Sequence[int]) -> bytes:
-    """A label-independent fingerprint of the lattice whose element k has
-    down-set bitmask ``down[k]``: two lattices share it iff isomorphic.
-
-    It is ``bytes([n])`` plus the minimum, over structure-respecting
-    relabelings, of the flattened 0/1 cover matrix (``cov[i, j]`` iff j
-    covers i).  The lower covers of k are its strict down-set minus the
-    strict down-sets inside it.  Candidate relabelings are restricted by an
-    iteratively refined coloring, which keeps the search tiny at these sizes.
-    """
-    n = len(down)
-    lower, upper, above = [], [0] * n, [1] * n
-    for k, d in enumerate(down):
-        strict, inner = d & ~(1 << k), 0
-        for i in _bits(strict):
-            inner |= down[i] & ~(1 << i)
-            above[i] += 1
-        lower.append(strict & ~inner)
-        for i in _bits(lower[k]):
-            upper[i] |= 1 << k
-    ups, lows = [_bits(u) for u in upper], [_bits(m) for m in lower]
-
-    colors = [(d.bit_count(), above[x], len(lows[x]), len(ups[x])) for x, d in enumerate(down)]
-    while True:
-        palette = {c: i for i, c in enumerate(sorted(set(colors)))}
-        coded = [palette[c] for c in colors]
-        refined = [
-            (
-                coded[x],
-                tuple(sorted([coded[y] for y in ups[x]])),
-                tuple(sorted([coded[y] for y in lows[x]])),
-            )
-            for x in range(n)
-        ]
-        if len(set(refined)) == len(set(colors)):
-            colors = refined
-            break
-        colors = refined
-
-    palette = {c: i for i, c in enumerate(sorted(set(colors)))}
-    classes: dict[int, list[int]] = {}
-    for x in range(n):
-        classes.setdefault(palette[colors[x]], []).append(x)
-    parts = [permutations(classes[c]) for c in sorted(classes)]
-    # order[i] is the element placed at position i
-    best = min(
-        bytes([upper[x] >> y & 1 for x in order for y in order])
-        for order in (sum(perm, ()) for perm in product(*parts))
-    )
-    return bytes([n]) + best
-
-
-def _bounded_meet_semilattices_linear(n: int) -> Iterator[tuple[int, ...]]:
-    """All down-set vectors of lattices on 0..n-1 in linear-extension order.
-
-    ``down[k]`` is the bitmask of elements below-or-equal to k.  Element 0 is
-    the bottom, element n-1 the top, and every binary meet is checked as soon
-    as both elements exist, so each completed vector describes a lattice.
-    """
-
-    def extend(down: list[int]) -> Iterator[tuple[int, ...]]:
-        k = len(down)
-        if k == n:
-            yield tuple(down)
-            return
-        if k == 0:
-            yield from extend([1])
-            return
-        # the top holds everything; the others take a down-set holding the bottom
-        rules = [(0, 1)] + [(1 << i, d) for i, d in enumerate(down)]
-        choices = [(1 << k) - 1] if k == n - 1 else _closed_sets(k, rules)
-        for mask in choices:
-            ok = True
-            newdown = mask | (1 << k)
-            for j in range(k):
-                common = newdown & down[j]
-                if not _has_maximum(common, down):
-                    ok = False
-                    break
-            if ok:
-                yield from extend(down + [newdown])
-
-    yield from extend([])
-
-
-def _has_maximum(common: int, down: list[int]) -> bool:
-    m = common
-    while m:
-        i = m.bit_length() - 1
-        if common & ~down[i] == 0:
-            return True
-        m &= ~(1 << i)
-        # only elements that could dominate all of common matter; scanning
-        # from the top bit down exits quickly in practice
-    return False
+# _DOWN_SETS[n - 1] holds the lattices with n elements, one per isomorphism
+# class, in ascending order of the canonical cover-matrix key: the minimum,
+# over relabelings, of the flattened 0/1 cover matrix.  Each entry gives,
+# one hex byte per element, the bitmask of the elements below-or-equal to it.
+# tests/test_generators.py regenerates the table by an exhaustive search.
+_DOWN_SETS = (
+    ("01",),
+    ("0103",),
+    ("010307",),
+    ("0103070f", "0103050f"),
+    ("0103070f1f", "0103070b1f", "0103050b1f", "0103050f1f", "010305091f"),
+    (
+        "0103070f1f3f", "0103070f173f", "0103070b173f", "0103070b1f3f", "0103070b133f",
+        "0103050b1b3f", "0103050b133f", "0103050b153f", "0103050b1f3f", "0103050b173f",
+        "0103050f1f3f", "01030509133f", "01030509173f", "010305091f3f", "01030509113f",
+    ),
+    (
+        "0103070f1f3f7f", "0103070f1f2f7f", "0103070f172f7f", "0103070f173f7f",
+        "0103070f17277f", "0103070b17377f", "0103070b17277f", "0103070b172b7f",
+        "0103070b173f7f", "0103070b172f7f", "0103070b1f3f7f", "0103070b13277f",
+        "0103070b132f7f", "0103070b133f7f", "0103070b13237f", "0103050b1b3b7f",
+        "0103050b1b2b7f", "0103050b132b7f", "0103050b133b7f", "0103050b13237f",
+        "0103050b1b3f7f", "0103050b1b2f7f", "0103050b172b7f", "0103050b132f7f",
+        "0103050b133f7f", "0103050b13277f", "0103050b153f7f", "0103050b1f3f7f",
+        "0103050b152f7f", "0103050b17377f", "0103050b173f7f", "0103050b15277f",
+        "0103050b152b7f", "0103050b13257f", "0103050f1f3f7f", "0103050f1f2f7f",
+        "0103050913337f", "0103050913237f", "0103050913257f", "0103050913377f",
+        "0103050913277f", "0103050917377f", "01030509133f7f", "01030509132f7f",
+        "01030509173f7f", "01030509172b7f", "01030509132d7f", "010305091f3f7f",
+        "0103050911237f", "0103050911277f", "01030509112f7f", "01030509113f7f",
+        "0103050911217f",
+    ),
+)
 
 
 def enumerate_lattices(n: int) -> Iterator[FiniteLattice]:
     """Every lattice with exactly n elements, one per isomorphism class.
 
-    Each labelled candidate is keyed by :func:`_cover_key` on its down-set
-    masks, and the first candidate of each key is kept; only these class
-    representatives are built as lattices.  Output order is deterministic:
-    ascending canonical cover-matrix key.  Bounded at n = 7.
+    The lattices are read from a table of down-set masks; element 0 is the
+    bottom, element n-1 the top, and the labels are ``e0`` ... ``e{n-1}``.
+    Output order is deterministic: ascending canonical cover-matrix key.
+    Bounded at n = 7 (53 classes; OEIS A006966).
     """
     if n < 1:
         raise TooLarge("enumerate_lattices(n) needs n >= 1")
     if n > 7:
         raise TooLarge("enumerate_lattices is bounded at n = 7")
-    seen: dict[bytes, tuple[int, ...]] = {}
-    for down in _bounded_meet_semilattices_linear(n):
-        seen.setdefault(_cover_key(down), down)
-    for key in sorted(seen):
+    labels = [f"e{i}" for i in range(n)]
+    for entry in _DOWN_SETS[n - 1]:
         # i <= j iff the down-set of i lies inside the down-set of j
-        yield FiniteLattice(_inclusion_order(seen[key]), [f"e{i}" for i in range(n)])
+        yield FiniteLattice(_inclusion_order(list(bytes.fromhex(entry))), labels)

@@ -34,7 +34,7 @@ def _parse_rational(value) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     # only "p" and "p/q": Fraction alone would also take exponents like "1e9999999"
-    if isinstance(value, str) and re.fullmatch(r"[+-]?\d+(/\d+)?", value):
+    if isinstance(value, str) and re.fullmatch(r"[+-]?[0-9]+(/[0-9]+)?", value):
         try:
             return Fraction(value)
         except (ValueError, ZeroDivisionError):

@@ -407,7 +407,7 @@ def evaluate(L: FiniteLattice, q: QuasiIdentity) -> Verdict:
             for eq in eqs[1:]:
                 mask = mask & _holds(eq, index, grid, tables, n, new)
             # row-major order keeps the rows lexicographic
-            keep, value = np.nonzero(np.broadcast_to(mask, (rows, n)))
+            keep, value = np.divmod(np.flatnonzero(np.broadcast_to(mask, (rows, n))), n)
             if len(keep):
                 stack.append([col.take(keep) for col in block] + [value.astype(np.int32)])
         else:

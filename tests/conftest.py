@@ -26,9 +26,9 @@ meet-semilattice inputs of ``sub_meet_semilattice`` from enumerated lattices.
 ``oracle_is_sublattice`` and ``oracle_separates`` keep the pair scans that
 table gathers and one boolean product replaced.  ``oracle_canonical_key``
 keys a built lattice by its numpy cover matrix, and
-``oracle_enumerate_lattices`` builds and keys every labelled candidate,
-where ``enumerate_lattices`` keys down-set masks and builds one lattice per
-class.
+``oracle_enumerate_lattices`` builds and keys every labelled candidate of
+the linear-extension search ``_bounded_meet_semilattices_linear``; it
+regenerates the table of down-set masks that ``enumerate_lattices`` reads.
 """
 
 from functools import reduce
@@ -44,9 +44,9 @@ from latkit.analysis import (
     is_join_semidistributive,
     join_dependency,
 )
-from latkit.core import FiniteLattice, NotALattice, NotAPoset, _inclusion_order
+from latkit.core import FiniteLattice, NotALattice, NotAPoset, _closed_sets, _inclusion_order
 from latkit.extend import make_extension_pair
-from latkit.generators import _bounded_meet_semilattices_linear, enumerate_lattices
+from latkit.generators import enumerate_lattices
 from latkit.geometry import (
     PointConfiguration,
     RationalPoint,
@@ -892,10 +892,48 @@ def oracle_canonical_key(L: FiniteLattice) -> bytes:
     return bytes([n]) + best
 
 
+def _bounded_meet_semilattices_linear(n: int):
+    """All down-set vectors of lattices on 0..n-1 in linear-extension order.
+
+    ``down[k]`` is the bitmask of elements below-or-equal to k.  Element 0 is
+    the bottom, element n-1 the top, and every binary meet is checked as soon
+    as both elements exist, so each completed vector describes a lattice.
+    """
+
+    def extend(down: list[int]):
+        k = len(down)
+        if k == n:
+            yield tuple(down)
+            return
+        if k == 0:
+            yield from extend([1])
+            return
+        # the top holds everything; the others take a down-set holding the bottom
+        rules = [(0, 1)] + [(1 << i, d) for i, d in enumerate(down)]
+        choices = [(1 << k) - 1] if k == n - 1 else _closed_sets(k, rules)
+        for mask in choices:
+            newdown = mask | (1 << k)
+            if all(_has_maximum(newdown & down[j], down) for j in range(k)):
+                yield from extend(down + [newdown])
+
+    yield from extend([])
+
+
+def _has_maximum(common: int, down: list[int]) -> bool:
+    """Whether the set of elements ``common`` holds an element above all of it."""
+    m = common
+    while m:
+        i = m.bit_length() - 1
+        if common & ~down[i] == 0:
+            return True
+        m &= ~(1 << i)
+    return False
+
+
 def oracle_enumerate_lattices(n: int) -> list[FiniteLattice]:
     """One lattice per class, in ascending ``oracle_canonical_key`` order:
-    every labelled candidate of the library's search is built as a lattice
-    and keyed, and the first of each key is kept."""
+    every labelled candidate of ``_bounded_meet_semilattices_linear`` is
+    built as a lattice and keyed, and the first of each key is kept."""
     seen: dict[bytes, FiniteLattice] = {}
     for down in _bounded_meet_semilattices_linear(n):
         L = FiniteLattice(_inclusion_order(down), [f"e{i}" for i in range(n)])

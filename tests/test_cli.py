@@ -280,7 +280,10 @@ def test_source_must_be_unique(capsys, m3_file):
 
 
 def test_bad_generator_specs(capsys):
-    for spec in ["nope:3", "boolean", "boolean:x", "chain:0", "boolean:99"]:
+    for spec in [
+        "nope:3", "boolean", "boolean:x", "chain:0", "boolean:99",
+        "boolean:1_0", "enum:\u0663", "chain: 3", "chain:+3", "chain:-1",
+    ]:
         code, report, _ = run(capsys, "check", "--gen", spec)
         assert code == 2, spec
         assert report["error"]["type"] == "InputError"
@@ -325,7 +328,10 @@ def test_malformed_lattice_file(capsys, tmp_path, body):
 
 @pytest.mark.parametrize(
     "body",
-    ['{"points": [{"label": "a", "x": 0}]}', '{"points": 5}'],
+    [
+        '{"points": [{"label": "a", "x": 0}]}', '{"points": 5}',
+        '{"points": [{"label": "a", "x": "\\u0663/\\u0664", "y": 0}]}',
+    ],
 )
 def test_malformed_point_file(capsys, tmp_path, body):
     path = tmp_path / "bad.json"

@@ -13,8 +13,7 @@ from conftest import (
 from latkit.core import MAX_ELEMENTS, FiniteLattice, LatticeError, _inclusion_order
 from latkit.generators import (
     TooLarge,
-    _bounded_meet_semilattices_linear,
-    _cover_key,
+    _DOWN_SETS,
     boolean,
     chain,
     co_chain,
@@ -97,24 +96,19 @@ def test_enumeration_yields_valid_distinct_lattices():
             FiniteLattice.from_order(L.leq, L.labels)  # revalidates
 
 
-def test_enumeration_matches_oracle():
-    for n in range(1, 8):
-        got, want = list(enumerate_lattices(n)), oracle_enumerate_lattices(n)
-        assert [L.labels for L in got] == [L.labels for L in want]
-        assert [L.leq.tobytes() for L in got] == [L.leq.tobytes() for L in want]
-
-
 def down_sets(L: FiniteLattice) -> list[int]:
     """The down-set of each element of L as a bitmask."""
     return [sum(1 << y for y in np.flatnonzero(L.leq[:, x]).tolist()) for x in range(L.n)]
 
 
-def test_cover_key_matches_oracle_on_every_candidate():
+def test_enumeration_matches_oracle():
+    # regenerates the table: one entry per class, hex down-set masks, key order
+    assert len(_DOWN_SETS) == 7
     for n in range(1, 8):
-        for down in _bounded_meet_semilattices_linear(n):
-            L = FiniteLattice(_inclusion_order(down))
-            assert down_sets(L) == list(down)
-            assert _cover_key(down) == oracle_canonical_key(L)
+        got, want = list(enumerate_lattices(n)), oracle_enumerate_lattices(n)
+        assert [L.labels for L in got] == [L.labels for L in want]
+        assert [L.leq.tobytes() for L in got] == [L.leq.tobytes() for L in want]
+        assert list(_DOWN_SETS[n - 1]) == [bytes(down_sets(L)).hex() for L in want]
 
 
 def test_cover_key_matches_oracle_on_relabelings():
@@ -124,7 +118,7 @@ def test_cover_key_matches_oracle_on_relabelings():
         for _ in range(5):
             perm = rng.permutation(L.n)
             M = FiniteLattice(L.leq[np.ix_(perm, perm)])
-            assert _cover_key(down_sets(M)) == oracle_canonical_key(M) == key
+            assert oracle_canonical_key(M) == key
 
 
 def test_enumeration_pairwise_non_isomorphic():
@@ -135,8 +129,9 @@ def test_enumeration_pairwise_non_isomorphic():
 
 
 def test_enumeration_size_guard():
-    with pytest.raises(TooLarge):
-        list(enumerate_lattices(8))
+    for n, message in [(8, "bounded at n = 7"), (0, "needs n >= 1"), (-1, "needs n >= 1")]:
+        with pytest.raises(TooLarge, match=message):
+            list(enumerate_lattices(n))
 
 
 def test_canonical_key_is_isomorphism_invariant(m3):
@@ -152,7 +147,6 @@ def test_canonical_key_is_isomorphism_invariant(m3):
     leq = m3.leq[np.ix_(perm, perm)]
     shuffled = FiniteLattice.from_order(leq, [m3.label(p) for p in perm])
     assert oracle_canonical_key(shuffled) == oracle_canonical_key(m3)
-    assert _cover_key(down_sets(shuffled)) == _cover_key(down_sets(m3))
 
 
 def test_meet_semilattice_counts():

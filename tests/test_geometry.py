@@ -65,7 +65,7 @@ def test_rational_literals_are_only_integers_and_fractions():
     ]
     # Fraction would build 10^10000000 for the exponent; the pattern refuses it first
     t0 = time.monotonic()
-    for bad in ("1e9", "1.5", "1_0", " 1", "1/0", "1e10000000"):
+    for bad in ("1e9", "1.5", "1_0", " 1", "1/0", "1e10000000", "\u0663/\u0664", "\u0663"):
         with pytest.raises(LatticeError, match="bad rational literal"):
             RationalPoint.of(bad, 0)
     assert time.monotonic() - t0 < 1.0

@@ -2,6 +2,8 @@
 module-level function of the package, every exception class of the
 package is raised, and the package has no matrix product ``@``: every
 boolean product goes through the packed-row kernel ``core._bool_product``.
+The package computes exactly: it has no float literal, ``float`` call, true
+division or float dtype.
 The command line has one report path: only ``main`` writes a report, and
 only it reads the clock; no call in the package pretty-prints JSON with
 ``indent``.  The package's ``__all__`` lists exactly the public
@@ -14,6 +16,7 @@ import ast
 import builtins
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import latkit
@@ -181,6 +184,71 @@ def test_no_matrix_product_in_the_package(path):
 def test_detector_flags_a_matrix_product():
     tree = ast.parse("c = a & b\nd = (a @ b).any()\nc @= d\n")
     assert matmul_sites(tree) == [2, 3]
+
+
+def _is_float_dtype(node: ast.expr) -> bool:
+    if not (isinstance(node, ast.Constant) and isinstance(node.value, str)):
+        return False
+    try:
+        return np.dtype(node.value).kind in "fc"
+    except TypeError:
+        return False
+
+
+def float_sites(tree: ast.Module) -> list[tuple[int, str]]:
+    """Every place a module may compute in floating point, as sorted
+    (line, kind) pairs: float literals, ``float(...)`` calls, true division
+    ``/`` and ``/=``, numpy attributes ``float*``, and strings that numpy
+    reads as a float dtype where a dtype goes (``dtype=``, ``astype``,
+    ``np.dtype``)."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Constant) and isinstance(node.value, float):
+            found.append((node.lineno, "float literal"))
+        elif isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div):
+            found.append((node.lineno, "true division"))
+        elif isinstance(node, ast.Attribute) and node.attr.startswith("float"):
+            if isinstance(node.value, ast.Name) and node.value.id in {"np", "numpy"}:
+                found.append((node.lineno, f"{node.value.id}.{node.attr}"))
+        elif isinstance(node, ast.Call):
+            func = node.func
+            if isinstance(func, ast.Name) and func.id == "float":
+                found.append((node.lineno, "float call"))
+            dtypes = [k.value for k in node.keywords if k.arg == "dtype"]
+            if isinstance(func, ast.Attribute) and func.attr in {"astype", "dtype"}:
+                dtypes += node.args[:1]
+            if any(_is_float_dtype(d) for d in dtypes):
+                found.append((node.lineno, "float dtype"))
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_no_floating_point_in_the_package(path):
+    assert float_sites(ast.parse(path.read_text(encoding="utf-8"))) == []
+
+
+def test_detector_flags_floating_point():
+    tree = ast.parse(
+        "import numpy as np\n"
+        "a = 1.5 + x // 2\n"
+        "b = float(n) if True else 'float'\n"
+        "c = x / y\n"
+        "c /= 2\n"
+        "d = np.float64(0) + np.int64(0)\n"
+        "e = np.zeros(3, dtype='<u8').astype('f4')\n"
+        "f = np.empty(3, dtype='float32') | np.dtype('d').itemsize\n"
+        "g = np.ones(2, dtype=bool).astype(np.int32, copy=False)\n"
+    )
+    assert float_sites(tree) == [
+        (2, "float literal"),
+        (3, "float call"),
+        (4, "true division"),
+        (5, "true division"),
+        (6, "np.float64"),
+        (7, "float dtype"),
+        (8, "float dtype"),
+        (8, "float dtype"),
+    ]
 
 
 def report_path_breaches(tree: ast.Module) -> list[str]:
