@@ -28,10 +28,10 @@ L = co_points(cfg)
 
 print(f"base: {L.n} elements, biatomic={is_biatomic(L)}")
 problems = biatomicity_problems(L)
-unsolved = [pr for pr in problems if not pr.solved]
+unsolved = [(p, a, b) for p, a, b, x, y in problems.tolist() if x < 0]
 print(f"unsolved splitting problems: {len(unsolved)}")
-for pr in unsolved:
-    print(f"  p={L.label(pr.p)}  below  {L.label(pr.a)} v {L.label(pr.b)}")
+for p, a, b in unsolved:
+    print(f"  p={L.label(p)}  below  {L.label(a)} v {L.label(b)}")
 
 ext, emb, steps = partial_biatomization(L)
 
@@ -47,6 +47,7 @@ print("  embedding:", emb.preserved.as_dict())
 
 # every original problem is now solvable inside the extension
 solved = all(
-    solve_problem_instance(ext, pr.p, pr.a, pr.b) is not None for pr in problems
+    solve_problem_instance(ext, p, a, b) is not None
+    for p, a, b in problems[:, :3].tolist()
 )
 print("  all original problems solved:", solved)

@@ -12,10 +12,11 @@ The biatomicity verdict is read off one table per lattice: the set of atoms
 below each element, packed into 64-bit words.  Unions of these sets over
 the atoms below a and below b, taken a block of pairs at a time, give every
 pair (a, b) at once the atoms that some atom pair below them reaches.  The
-problem list, which reports each problem with its first solution, takes a
-block of atoms p at a time instead: the problems of the block are the
-nonzeros of one (p, a, b) cube, and their solutions come from one gather
-each.  Join-dependency packs the join-irreducibles below each element into
+problem list is one int32 array of rows (p, a, b, x, y): each problem with
+its first solution (x, y), or x = y = -1 where it is open.  It takes a block
+of atoms p at a time instead: the problems of the block are the nonzeros of
+one (p, a, b) cube, and their solutions come from one gather each.
+Join-dependency packs the join-irreducibles below each element into
 words the same way and fills its relation a block of columns at a time.
 
 Join-semidistributivity is decided one group at a time: for x and a, the
@@ -28,7 +29,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import NamedTuple
 
 import numpy as np
 
@@ -316,20 +316,6 @@ def separates(L: FiniteLattice, probes, among) -> bool:
 # -- biatomicity problems ----------------------------------------------------
 
 
-class BiatomicityProblem(NamedTuple):
-    """An instance p <= a v b with the atom p below neither a nor b.
-
-    ``solution`` holds atoms (x, y) with x <= a, y <= b, p <= x v y when
-    one exists in the ambient lattice; otherwise the problem is open.
-    """
-
-    p: int
-    a: int
-    b: int
-    solved: bool
-    solution: tuple[int, int] | None
-
-
 def solve_problem_instance(
     L: FiniteLattice, p: int, a: int, b: int
 ) -> tuple[int, int] | None:
@@ -345,18 +331,19 @@ def solve_problem_instance(
     return None
 
 
-def biatomicity_problems(L: FiniteLattice) -> list[BiatomicityProblem]:
-    """All problems p <= a v b, deduplicated to a <= b by index, sorted.
+def biatomicity_problems(L: FiniteLattice) -> np.ndarray:
+    """All problems p <= a v b, deduplicated to a <= b by index, as int32 rows.
 
-    A solution is the first atom x <= a, in atom order, that some atom
-    y <= b splits with, paired with the first such y.  The atoms p are taken
-    a block at a time: the block's cube ``problem[h, a, b]`` holds its
-    problems, and the flat nonzeros of its upper triangle a <= b are its
-    rows in ascending (p, a, b) order.  Every x of the block then comes from
-    one gather of the split table, and every y from one gather of the join
-    table.  A cube holds about ``_SET_BLOCK_WORDS`` words, or one atom where
-    its n x n slice alone takes more.  Its slices are gathered one atom at a
-    time, since numpy lays the result of ``up[:, join_table]`` out as
+    Row r is (p, a, b, x, y), the rows in ascending (p, a, b) order.  The
+    solution (x, y) is the first atom x <= a, in atom order, that some atom
+    y <= b splits with, paired with the first such y; x = y = -1 where the
+    problem is open.  The atoms p are taken a block at a time: the block's
+    cube ``problem[h, a, b]`` holds its problems, and the flat nonzeros of
+    its upper triangle a <= b are its rows.  Every x of the block then comes
+    from one gather of the split table, and every y from one gather of the
+    join table.  A cube holds about ``_SET_BLOCK_WORDS`` words, or one atom
+    where its n x n slice alone takes more.  Its slices are gathered one atom
+    at a time, since numpy lays the result of ``up[:, join_table]`` out as
     (a, b, p), which would make every later pass over the cube strided.
     """
     n = L.n
@@ -372,7 +359,7 @@ def biatomicity_problems(L: FiniteLattice) -> list[BiatomicityProblem]:
     index = np.arange(n)
     upper = index[:, None] <= index
     step = max(1, 8 * _SET_BLOCK_WORDS // (n * n))
-    out = []
+    out = [np.empty((0, 5), dtype=np.int32)]
     for h0 in range(0, k, step):
         up = L.leq[atoms[h0 : h0 + step]]
         # problem[h, a, b]: p <= a v b, p below neither a nor b (so both are nonzero)
@@ -391,9 +378,7 @@ def biatomicity_problems(L: FiniteLattice) -> list[BiatomicityProblem]:
         xs = atoms[x_ok.argmax(axis=1)]
         y_ok = below[b] & L.leq[ps[:, None], L.join_table[xs[:, None], atoms]]
         ys = atoms[y_ok.argmax(axis=1)]
-        rows = (ps, a, b, x_ok.any(axis=1), xs, ys)
-        out += [
-            BiatomicityProblem(p, a, b, solved, (x, y) if solved else None)
-            for p, a, b, solved, x, y in zip(*(r.tolist() for r in rows))
-        ]
-    return out
+        unsolved = ~x_ok.any(axis=1)
+        xs[unsolved] = ys[unsolved] = -1
+        out.append(np.stack((ps, a, b, xs, ys), axis=1, dtype=np.int32))
+    return np.concatenate(out)

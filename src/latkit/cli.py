@@ -86,14 +86,21 @@ def _write_lines(path: str, lines) -> None:
         raise _OutputError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
-def _int_arg(spec: str, text: str) -> int:
+def _decimal(text: str) -> int:
     # int() alone also takes "1_0", " 3", "+3" and non-ASCII digits
     if re.fullmatch("-?[0-9]+", text):
         try:
             return int(text)
         except ValueError:  # past the interpreter's digit limit
             pass
-    raise _InputError(f"bad generator spec {spec!r}: {text!r} is not an integer")
+    raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
+
+
+def _int_arg(spec: str, text: str) -> int:
+    try:
+        return _decimal(text)
+    except argparse.ArgumentTypeError as exc:
+        raise _InputError(f"bad generator spec {spec!r}: {exc}") from None
 
 
 def load_lattices(gen: str | None, file: str | None) -> list[tuple[str, FiniteLattice]]:
@@ -233,19 +240,15 @@ def _run_props(L: FiniteLattice, props) -> dict:
         elif prop == "lower-bounded":
             out["lower-bounded"] = is_lower_bounded(L)
         elif prop == "problems":
+            problems, labels = biatomicity_problems(L), L.labels
             rows = []
-            for item in biatomicity_problems(L):
-                row = {
-                    "p": L.labels[item.p],
-                    "a": L.labels[item.a],
-                    "b": L.labels[item.b],
-                    "solved": item.solved,
-                }
-                if item.solution is not None:
-                    row["solution"] = [L.labels[x] for x in item.solution]
+            for p, a, b, x, y in problems.tolist():
+                row = {"p": labels[p], "a": labels[a], "b": labels[b], "solved": x >= 0}
+                if x >= 0:
+                    row["solution"] = [labels[x], labels[y]]
                 rows.append(row)
             out["problems"] = rows
-            out["unsolved_problems"] = sum(1 for r in rows if not r["solved"])
+            out["unsolved_problems"] = int((problems[:, 3] < 0).sum())
         else:
             raise _InputError(
                 f"unknown property {prop!r}; choose from {', '.join(ALL_PROPS)}"
@@ -417,8 +420,7 @@ def _suite_completion(max_size: int, found: dict) -> dict | None:
     checked = 0
     for n in range(1, max_size + 1):
         for L in enumerate_lattices(n):
-            atoms = len(L.atoms())
-            doubled = L.n - 1 - atoms if L.n > 1 else 0
+            doubled = L.n - 1 - len(L.atoms())
             result, emb = biatomic_completion(L)
             checked += 1
             ok = (
@@ -569,7 +571,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_corpus = sub.add_parser("corpus", help="sweep enumerated lattices through a suite")
     p_corpus.add_argument("--suite", required=True, choices=sorted(SUITES))
-    p_corpus.add_argument("--max", type=int, default=6, help="largest lattice size")
+    p_corpus.add_argument("--max", type=_decimal, default=6, help="largest lattice size")
 
     return parser
 

@@ -571,14 +571,13 @@ def partial_biatomization(
         )
     current = L
     steps: list[BiatomizationStep] = []
-    for problem in biatomicity_problems(L):
-        if problem.solved or solve_problem_instance(
-            current, problem.p, problem.a, problem.b
-        ):
+    problems = biatomicity_problems(L)
+    for p, a, b in problems[problems[:, 3] < 0, :3].tolist():
+        if solve_problem_instance(current, p, a, b):
             continue
-        current, x, y = _solve_instance(current, problem.p, problem.a, problem.b, steps)
+        current, x, y = _solve_instance(current, p, a, b, steps)
         _ensure(
-            bool(current.leq[problem.p, current.join(x, y)]),
+            bool(current.leq[p, current.join(x, y)]),
             "problem remained unsolved after extension",
         )
 

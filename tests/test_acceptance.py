@@ -317,9 +317,9 @@ def test_a6_biatomization(triangle):
     for name, L in bases:
         ext, emb, steps = partial_biatomization(L)
         where = f"{name} ({L.n} -> {ext.n}, {len(steps)} steps)"
-        for pr in biatomicity_problems(L):
-            if solve_problem_instance(ext, pr.p, pr.a, pr.b) is None:
-                failures.append(f"{where}: problem {pr.p},{pr.a},{pr.b} unsolved")
+        for p, a, b, _, _ in biatomicity_problems(L).tolist():
+            if solve_problem_instance(ext, p, a, b) is None:
+                failures.append(f"{where}: problem {p},{a},{b} unsolved")
         if not is_atomistic(ext):
             failures.append(f"{where}: not atomistic")
         if not is_join_semidistributive(ext):

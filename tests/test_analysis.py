@@ -25,7 +25,6 @@ from conftest import (
 )
 from latkit import analysis
 from latkit.analysis import (
-    BiatomicityProblem,
     atomistic_violation,
     biatomicity_problems,
     ell,
@@ -145,10 +144,15 @@ def peak_bytes(f, *args):
 
 def test_biatomicity_problems_memory_stays_bounded():
     problems, peak = peak_bytes(biatomicity_problems, boolean(10))
-    assert problems == []
+    assert problems.shape == (0, 5)
     # one atom's 1 MB cube at a time, beside the 1 MB triangle mask (3.3 MB
     # in all); the cube of all ten atoms at once peaked at 12.8 MB
     assert peak < 4e6
+    problems, peak = peak_bytes(biatomicity_problems, co_chain(30))
+    assert len(problems) == 201_376
+    # the int32 rows take 4 MB, and the blocks are held until they are joined
+    # (8.9 MB in all); a record per row peaked at 33.6 MB
+    assert peak < 12e6
 
 
 def test_join_dependency_memory_stays_bounded():
@@ -378,30 +382,30 @@ def test_solve_problem_instance_matches_the_problem_list():
     lattices = [L for k in range(1, 8) for L in enumerate_lattices(k)]
     solved = []
     for L in lattices + hull_lattices(5) + hull_lattices(2026):
-        for pr in biatomicity_problems(L):
-            assert solve_problem_instance(L, pr.p, pr.a, pr.b) == pr.solution, L.to_json()
-            solved.append(pr.solved)
+        for p, a, b, x, y in biatomicity_problems(L).tolist():
+            solution = None if x < 0 else (x, y)
+            assert solve_problem_instance(L, p, a, b) == solution, L.to_json()
+            solved.append(x >= 0)
     assert len(solved) > 5000 and set(solved) == {True, False}
 
 
 def test_biatomicity_problems_all_solved_on_biatomic(m3):
     for L in [m3, boolean(3), co_chain(4)]:
         problems = biatomicity_problems(L)
-        assert all(pr.solved for pr in problems)
-        for pr in problems:
-            x, y = pr.solution
+        assert (problems[:, 3:] >= 0).all()
+        for p, a, b, x, y in problems.tolist():
             assert x in L.atoms() and y in L.atoms()
-            assert L.le(x, pr.a) and L.le(y, pr.b)
-            assert L.le(pr.p, L.join(x, y))
+            assert L.le(x, a) and L.le(y, b)
+            assert L.le(p, L.join(x, y))
 
 
 def test_biatomicity_problems_shape(m3):
-    problems = biatomicity_problems(m3)
-    assert problems == sorted(problems, key=lambda pr: (pr.p, pr.a, pr.b))
-    for pr in problems:
-        assert pr.a <= pr.b
-        assert not m3.le(pr.p, pr.a) and not m3.le(pr.p, pr.b)
-        assert m3.le(pr.p, m3.join(pr.a, pr.b))
+    problems = biatomicity_problems(m3).tolist()
+    assert problems == sorted(problems)
+    for p, a, b, _, _ in problems:
+        assert a <= b
+        assert not m3.le(p, a) and not m3.le(p, b)
+        assert m3.le(p, m3.join(a, b))
     # each atom sits under the join of the other two, and of atom-top pairs
     assert len(problems) >= 3
 
@@ -413,8 +417,12 @@ def test_biatomicity_problems_match_oracle():
     lattices += hull_lattices(seed=5) + hull_lattices(seed=2026)
     for L in lattices:
         problems = biatomicity_problems(L)
-        assert all(pr.solved == (pr.solution is not None) for pr in problems)
-        got = [(pr.p, pr.a, pr.b, pr.solution) for pr in problems]
+        assert problems.dtype == np.int32 and problems.flags.c_contiguous
+        assert problems.shape == (len(problems), 5)
+        assert ((problems[:, 3] < 0) == (problems[:, 4] < 0)).all()
+        got = [
+            (p, a, b, None if x < 0 else (x, y)) for p, a, b, x, y in problems.tolist()
+        ]
         assert got == oracle_biatomicity_problems(L)
 
 
@@ -427,20 +435,11 @@ def test_biatomic_verdict_is_the_problem_list_all_solved():
     verdicts = set()
     for L in lattices:
         verdict = is_biatomic(L)
-        assert verdict == all(pr.solved for pr in biatomicity_problems(L)), L.to_json()
+        assert verdict == (biatomicity_problems(L)[:, 3] >= 0).all(), L.to_json()
         verdicts.add(verdict)
     assert verdicts == {True, False}
 
 
-def test_biatomicity_problem_is_an_immutable_record():
-    pr = BiatomicityProblem(p=1, a=2, b=3, solved=True, solution=(4, 5))
-    assert (pr.p, pr.a, pr.b, pr.solved, pr.solution) == (1, 2, 3, True, (4, 5))
-    assert pr == BiatomicityProblem(1, 2, 3, True, (4, 5))
-    assert pr != BiatomicityProblem(1, 2, 3, False, None)
-    with pytest.raises(AttributeError):
-        pr.solved = False
-
-
 def test_problem_set_empty_on_boolean_squares():
     b2 = boolean(2)
-    assert biatomicity_problems(b2) == []
+    assert biatomicity_problems(b2).shape == (0, 5)

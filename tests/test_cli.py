@@ -1,5 +1,7 @@
 import argparse
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -420,6 +422,67 @@ def test_deeply_nested_json_gives_one_error_report(capsys, tmp_path, source, bod
     assert_invalid_json_report(capsys, tmp_path, source, body)
 
 
+# -- fuzzing the file sources ------------------------------------------------------
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=12,
+)
+any_bodies = st.one_of(
+    st.binary(max_size=40),
+    st.text(st.characters(exclude_categories=["Cs"])).map(str.encode),
+    json_values.map(lambda v: json.dumps(v).encode()),
+)
+# near-valid inputs get past the key checks: at most five elements or points
+names = st.sampled_from("abcde")
+labels = names | json_values
+lattice_json = st.fixed_dictionaries({
+    "elements": st.lists(names, unique=True, max_size=5) | st.lists(labels, max_size=5),
+    "covers": st.lists(st.lists(names, min_size=2, max_size=2) | json_values, max_size=6),
+})
+coordinates = st.integers(-3, 3) | st.sampled_from(["1/2", "-3/4", "1/0", "x"]) | json_values
+point_json = st.fixed_dictionaries({
+    "points": st.lists(
+        st.fixed_dictionaries({"label": labels, "x": coordinates, "y": coordinates})
+        | json_values,
+        max_size=5,
+    ),
+})
+terms = st.recursive(
+    st.sampled_from("xyzw"),  # w is not declared
+    lambda inner: st.builds("({} {} {})".format, inner, st.sampled_from("v^"), inner),
+    max_leaves=4,
+)
+formulas = st.builds("{} {} {}".format, terms, st.sampled_from(["=", "<="]), terms)
+qid_text = st.builds(
+    "x,y,z | {} => {}".format, st.lists(formulas, max_size=3).map(" & ".join), formulas
+) | st.text("xyzv^|&=<>() ,\n", max_size=30)
+FUZZ_SOURCES = {
+    "file": (["check", "--file", ""], lattice_json.map(json.dumps)),
+    "co-points": (["check", "--gen", "co-points:"], point_json.map(json.dumps)),
+    "subsemi": (["check", "--gen", "subsemi:"], lattice_json.map(json.dumps)),
+    "qid": (["eval", "--gen", "chain:2", "--qid", "file:"], qid_text),
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_file_sources_always_give_one_report(tmp_path_factory, data):
+    argv, near_valid = FUZZ_SOURCES[data.draw(st.sampled_from(sorted(FUZZ_SOURCES)))]
+    body = data.draw(near_valid.map(str.encode) if data.draw(st.booleans()) else any_bodies)
+    path = tmp_path_factory.getbasetemp() / "fuzz-input"
+    path.write_bytes(body)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([*argv[:-1], argv[-1] + str(path)])
+    report, end = json.JSONDecoder().raw_decode(out.getvalue())
+    assert out.getvalue()[end:] == "\n"  # exactly one object
+    assert code in (0, 1, 2, 3) and "Traceback" not in err.getvalue()
+    assert ("error" in report) == (code == 2)
+
+
 # -- build ----------------------------------------------------------------------
 
 
@@ -697,10 +760,22 @@ def test_corpus_theta_bi(capsys):
 
 
 def test_corpus_max_bounds(capsys):
-    code, report, _ = run(capsys, "corpus", "--suite", "completion", "--max", "8")
-    assert code == 2
-    code, report, _ = run(capsys, "corpus", "--suite", "completion", "--max", "0")
-    assert code == 2
+    # int() alone takes the non-ASCII digit, "+3" and " 3", and reads "1_0" as 10
+    malformed = ["\u0663", "+3", " 3", "1_0"]
+    for value in ["8", "0", *malformed]:
+        code = main(["corpus", "--suite", "completion", "--max", value])
+        out = capsys.readouterr().out
+        report, end = json.JSONDecoder().raw_decode(out)
+        assert (code, out[end:]) == (2, "\n"), value  # exactly one object
+        assert report["error"]["type"] == "InputError"
+        assert ("is not an integer" in report["error"]["message"]) == (value in malformed)
+
+
+def test_corpus_violation_exits_1(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "is_biatomic", lambda L: False)
+    code, report, _ = run(capsys, "corpus", "--suite", "completion", "--max", "3")
+    assert code == 1
+    assert report["results"]["violation"]["detail"] == "completion contract failed"
 
 
 # -- helpers ----------------------------------------------------------------------

@@ -474,10 +474,10 @@ def test_partial_biatomization_of_triangle_with_center():
     assert emb.preserved.all_flags()
     assert is_atomistic(ext) and is_join_semidistributive(ext)
     # every original problem now has a solution in the extension
-    for pr in biatomicity_problems(L):
+    for p, a, b, _, _ in biatomicity_problems(L).tolist():
         from latkit.analysis import solve_problem_instance
 
-        assert solve_problem_instance(ext, pr.p, pr.a, pr.b) is not None
+        assert solve_problem_instance(ext, p, a, b) is not None
     for step in steps:
         d = step.as_dict()
         assert set(d) == {"problem", "decomposition", "apex", "new_atom"}

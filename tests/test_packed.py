@@ -331,7 +331,10 @@ def test_problems_and_dependency_across_block_edges(blocks):
         assert rel.elements == tuple(elements)
         assert rel.d.tolist() == d
         if len(L.atoms()) < 100:
-            got = [(pr.p, pr.a, pr.b, pr.solution) for pr in biatomicity_problems(L)]
+            got = [
+                (p, a, b, None if x < 0 else (x, y))
+                for p, a, b, x, y in biatomicity_problems(L).tolist()
+            ]
             assert got == oracle_biatomicity_problems(L)
             listed.add(len(L.atoms()))
     assert listed >= {0, 1, 5, 63, 64, 65, 81}
