@@ -9,12 +9,17 @@ identical inputs; only ``--help`` and ``--version`` print their text
 instead.  The report's bytes are exactly ``json.dumps(report, indent=2,
 sort_keys=True)`` followed by one newline: ASCII only, non-ASCII text as
 ``\\uXXXX`` escapes, integers and no floats.  :func:`_format` writes them
-without the stdlib's pure-Python pretty-printer.  Progress and timings go
-to stderr.  ``main`` parses the command line with one parser, built on the
-first call and shared by every later call in the process, and runs the
-subcommand's ``cmd_*`` function, looked up in ``COMMANDS`` on each call.
-Each ``cmd_*`` returns its report body, exit code and closing stderr line;
-``main`` alone times, wraps, writes and reports the errors of every command.
+without the stdlib's pure-Python pretty-printer.  The two large parts of a
+report, the biatomicity problem rows of ``check`` and the lattice of
+``build`` or of a ``corpus`` violation, go in as fragments
+(:class:`_Fragment`): they keep their arrays and write their own text,
+from labels escaped once and fixed templates, at the indent ``_format``
+gives them.  Progress and timings go to stderr.  ``main`` parses the
+command line with one parser, built on the first call and shared by every
+later call in the process, and runs the subcommand's ``cmd_*`` function,
+looked up in ``COMMANDS`` on each call.  Each ``cmd_*`` returns its report
+body, exit code and closing stderr line; ``main`` alone times, wraps,
+writes and reports the errors of every command.
 
 Exit codes: 0 success (for ``eval``: the quasi-identity holds; for ``corpus``:
 no violation), 1 a quasi-identity failed or a corpus suite found a violation,
@@ -32,6 +37,8 @@ import json
 import re
 import sys
 import time
+
+import numpy as np
 
 from . import __version__
 from .core import FiniteLattice, LatticeError, PreconditionFailed
@@ -139,7 +146,106 @@ def load_lattices(gen: str | None, file: str | None) -> list[tuple[str, FiniteLa
 
 
 _escape = json.encoder.encode_basestring_ascii
-_CONTAINERS = (dict, list, tuple)
+_ROWS_PER_BLOCK = 4096
+
+
+class _Fragment:
+    """A report value that writes its own JSON text.
+
+    ``render(indent)`` returns the bytes :func:`_format` would write, at that
+    indent, for the plain value the fragment stands for.  A fragment escapes
+    each label once and writes its items from fixed templates, where the
+    plain value would be one dict or list per item for ``_format`` to walk.
+    """
+
+    __slots__ = ("labels",)
+
+    def __init__(self, labels):
+        self.labels = labels
+
+    def _escaped(self) -> np.ndarray:
+        """The escaped labels as an object array, for gathers by index."""
+        return np.array([_escape(label) for label in self.labels], dtype=object)
+
+
+def _written_list(items: list[str], indent: str) -> str:
+    """A list whose items are already written, laid out as ``_format`` does.
+
+    The brackets go onto the first and last item in place, so the text is
+    copied once, by the join, however long it is.
+    """
+    if not items:
+        return "[]"
+    inner = indent + "  "
+    items[0] = "[" + inner + items[0]
+    items[-1] += indent + "]"
+    return ("," + inner).join(items)
+
+
+class _ProblemRows(_Fragment):
+    """The rows (p, a, b, x, y) of ``biatomicity_problems``, written as the
+    list of ``{"a", "b", "p", "solution": [x, y], "solved"}`` dicts of labels
+    (no ``solution`` where x < 0, the problem is open)."""
+
+    __slots__ = ("rows",)
+
+    def __init__(self, rows: np.ndarray, labels):
+        super().__init__(labels)
+        self.rows = rows
+
+    def render(self, indent: str) -> str:
+        keys = indent + "    "
+        pair = keys + "  "
+        head = "{" + keys + '"a": %s,' + keys + '"b": %s,' + keys + '"p": %s,' + keys
+        tail = indent + "  }"
+        solved = (
+            head + '"solution": [' + pair + "%s," + pair + "%s" + keys + "],"
+            + keys + '"solved": true' + tail
+        )
+        unsolved = head + '"solved": false' + tail
+        escaped, sep = self._escaped(), "," + indent + "  "
+        # a block of rows is joined as soon as it is written, so the list of
+        # row strings never holds more than one block beside the text
+        blocks = []
+        for start in range(0, len(self.rows), _ROWS_PER_BLOCK):
+            rows = self.rows[start : start + _ROWS_PER_BLOCK]
+            p, a, b, x, y = escaped[rows.T].tolist()
+            done = (rows[:, 3] >= 0).tolist()
+            blocks.append(sep.join([
+                solved % row[:5] if row[5] else unsolved % row[:3]
+                for row in zip(a, b, p, x, y, done)
+            ]))
+        return _written_list(blocks, indent)
+
+
+class _Lattice(_Fragment):
+    """A lattice written as its ``FiniteLattice.to_dict()``: its cover pairs
+    in row-major order of the cover matrix, then its labels."""
+
+    __slots__ = ("cover_matrix",)
+
+    def __init__(self, L: FiniteLattice):
+        super().__init__(L.labels)
+        self.cover_matrix = L.cover_matrix()
+
+    def render(self, indent: str) -> str:
+        keys = indent + "  "
+        pair = keys + "    "
+        template = "[" + pair + "%s," + pair + "%s" + keys + "  ]"
+        escaped = self._escaped()
+        # the row-major order of covers(); 2-D np.nonzero is several times slower
+        lower, upper = np.divmod(np.flatnonzero(self.cover_matrix), len(escaped))
+        covers = [
+            template % cover
+            for cover in zip(escaped[lower].tolist(), escaped[upper].tolist())
+        ]
+        return (
+            "{" + keys + '"covers": ' + _written_list(covers, keys) + ","
+            + keys + '"elements": ' + _written_list(escaped.tolist(), keys) + indent + "}"
+        )
+
+
+_NESTED = (dict, list, tuple, _Fragment)
 
 
 def _scalar(value) -> str:
@@ -161,12 +267,15 @@ def _format(value, indent: str = "\n") -> str:
     """``json.dumps(value, indent=2, sort_keys=True)``, byte for byte.
 
     ``value`` is built from str, int, bool, None, lists, tuples and dicts
-    with str keys; anything else, a float included, raises TypeError.
-    Strings go through the C escaper that ``json.dumps`` uses.  A container
-    collects its parts in a list, one separator after each item, and joins
-    them as soon as it is done, so the stdlib's one list of every token of
-    the report never exists.  Dicts and lists share the loop; a dict's items
-    are its sorted (key, value) pairs, each written after its key.  The loop
+    with str keys, and from :class:`_Fragment` values, which write
+    themselves at the indent they are given: the problem rows of ``check``
+    and the lattices of ``build`` and ``corpus``.  Anything else, a float or
+    an object with its own ``render`` included, raises TypeError.  Strings
+    go through the C escaper that ``json.dumps`` uses.  A container collects
+    its parts in a list, one separator after each item, and joins them as
+    soon as it is done, so the stdlib's one list of every token of the
+    report never exists.  Dicts and lists share the loop; a dict's items are
+    its sorted (key, value) pairs, each written after its key.  The loop
     writes plain strings itself: most items are labels, and a recursive call
     per item is about a third slower.
     """
@@ -178,6 +287,8 @@ def _format(value, indent: str = "\n") -> str:
         if not value:
             return "[]"
         items, keyed, opening, closing = value, False, "[", "]"
+    elif isinstance(value, _Fragment):
+        return value.render(indent)
     else:
         return _scalar(value)
     inner = indent + "  "
@@ -190,7 +301,7 @@ def _format(value, indent: str = "\n") -> str:
             add(_escape(key) + ": ")
         if type(item) is str:
             add(_escape(item))
-        elif isinstance(item, _CONTAINERS):
+        elif isinstance(item, _NESTED):
             add(_format(item, inner))
         else:
             add(_scalar(item))
@@ -200,7 +311,9 @@ def _format(value, indent: str = "\n") -> str:
 
 
 def _emit(report: dict) -> None:
-    sys.stdout.write(_format(report) + "\n")
+    # two writes, so the report is not copied once more to end it with "\n"
+    sys.stdout.write(_format(report))
+    sys.stdout.write("\n")
 
 
 def _note(message: str) -> None:
@@ -240,14 +353,8 @@ def _run_props(L: FiniteLattice, props) -> dict:
         elif prop == "lower-bounded":
             out["lower-bounded"] = is_lower_bounded(L)
         elif prop == "problems":
-            problems, labels = biatomicity_problems(L), L.labels
-            rows = []
-            for p, a, b, x, y in problems.tolist():
-                row = {"p": labels[p], "a": labels[a], "b": labels[b], "solved": x >= 0}
-                if x >= 0:
-                    row["solution"] = [labels[x], labels[y]]
-                rows.append(row)
-            out["problems"] = rows
+            problems = biatomicity_problems(L)
+            out["problems"] = _ProblemRows(problems, L.labels)
             out["unsolved_problems"] = int((problems[:, 3] < 0).sum())
         else:
             raise _InputError(
@@ -353,7 +460,7 @@ def cmd_build(args):
         _write_lines(args.out, [result.to_json()])
         results["out"] = args.out
     else:
-        results["lattice"] = result.to_dict()
+        results["lattice"] = _Lattice(result)
     if args.trace:
         rows = [json.dumps(row, sort_keys=True) for row in trace_rows]
         _write_lines(args.trace, rows)
@@ -430,7 +537,7 @@ def _suite_completion(max_size: int, found: dict) -> dict | None:
                 and is_biatomic(result)
             )
             if not ok:
-                return {"lattice": L.to_dict(), "detail": "completion contract failed"}
+                return {"lattice": _Lattice(L), "detail": "completion contract failed"}
     found["lattices_checked"] = checked
     return None
 
@@ -445,7 +552,7 @@ def _suite_extension_jsd(max_size: int, found: dict) -> dict | None:
             actual = is_join_semidistributive(one_atom_extension(pair).result)
             if verdict != actual:
                 return {
-                    "lattice": L.to_dict(),
+                    "lattice": _Lattice(L),
                     "detail": {
                         "apex": L.labels[pair.apex],
                         "subsemilattice": [
@@ -473,7 +580,7 @@ def _suite_theta_bi(max_size: int, found: dict) -> dict | None:
         verdict = evaluate(L, qid)
         if not verdict.holds:
             return {
-                "lattice": L.to_dict(),
+                "lattice": _Lattice(L),
                 "detail": {
                     "counterexample": {
                         var: L.labels[idx]

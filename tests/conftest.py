@@ -31,6 +31,7 @@ the linear-extension search ``_bounded_meet_semilattices_linear``; it
 regenerates the table of down-set masks that ``enumerate_lattices`` reads.
 """
 
+import functools
 from functools import reduce
 from itertools import combinations, permutations, product
 from types import SimpleNamespace
@@ -45,8 +46,8 @@ from latkit.analysis import (
     join_dependency,
 )
 from latkit.core import FiniteLattice, NotALattice, NotAPoset, _closed_sets, _inclusion_order
-from latkit.extend import make_extension_pair
-from latkit.generators import enumerate_lattices
+from latkit.extend import biatomic_completion, make_extension_pair
+from latkit.generators import co_chain, enumerate_lattices
 from latkit.geometry import (
     PointConfiguration,
     RationalPoint,
@@ -664,6 +665,51 @@ def triangle_with_center_lattice() -> FiniteLattice:
          RationalPoint.of(3, -3), RationalPoint.of(0, -1)],
     )
     return co_points(cfg)
+
+
+# atom counts on both sides of one, two and three 64-bit words
+ATOM_COUNTS = [0, 1, 63, 64, 65, 127, 128, 129]
+
+
+def diamond(k: int, rng) -> FiniteLattice:
+    """M_k, k atoms between a bottom and a top, on shuffled indices."""
+    atoms = [f"a{i}" for i in range(k)]
+    covers = [("0", a) for a in atoms] + [(a, "1") for a in atoms]
+    labels = ["0", *atoms, "1"] if k else ["0"]
+    return FiniteLattice.from_covers([str(v) for v in rng.permutation(labels)], covers)
+
+
+def one_unsolved_atom(k: int, rng) -> FiniteLattice:
+    """A lattice on k >= 5 atoms, not biatomic through its last atom only.
+
+    The atoms are q1 .. q(k-4), x, y, z and p; the other elements are the
+    atom sets {x, z}, Y = {y, q1, ..}, Y + x, Y + z and the top.  Then
+    p <= {x, z} v y, but neither x v y = Y + x nor z v y = Y + z holds p.
+    The elements are shuffled with the atoms kept in this order, so p is the
+    last atom: its bit ends or starts a word for k = 64, 65, 128 and 129.
+    """
+    qs = [f"q{i}" for i in range(1, k - 3)]
+    atoms = qs + ["x", "y", "z", "p"]
+    covers = [("0", a) for a in atoms] + [(q, "Y") for q in qs]
+    covers += [("x", "xz"), ("z", "xz"), ("y", "Y"), ("Y", "Yx"), ("x", "Yx")]
+    covers += [("Y", "Yz"), ("z", "Yz")] + [(e, "1") for e in ("xz", "Yx", "Yz", "p")]
+    labels = [str(v) for v in rng.permutation(["0", *atoms, "xz", "Y", "Yx", "Yz", "1"])]
+    slots = [i for i, label in enumerate(labels) if label in atoms]
+    for i, label in zip(slots, atoms):
+        labels[i] = label
+    return FiniteLattice.from_covers(labels, covers)
+
+
+@functools.cache
+def boundary_lattices() -> tuple[FiniteLattice, ...]:
+    """Lattices around the 64-bit word sizes: M_k and ``one_unsolved_atom(k)``
+    for the ``ATOM_COUNTS``, and the biatomic completions of ``co_chain(8)``
+    and ``co_chain(9)``, with 64 and 81 atoms."""
+    rng = np.random.default_rng(64)
+    lattices = [diamond(k, rng) for k in ATOM_COUNTS]
+    lattices += [one_unsolved_atom(k, rng) for k in [5, 6] + ATOM_COUNTS[2:]]
+    lattices += [biatomic_completion(co_chain(m))[0] for m in (8, 9)]
+    return tuple(lattices)
 
 
 def hull_lattices(seed: int = 5) -> list[FiniteLattice]:

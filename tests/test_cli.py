@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import functools
 import hashlib
 import io
 import json
@@ -13,10 +14,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import boundary_lattices, hull_lattices, one_unsolved_atom
 from latkit import __version__, cli, extend
+from latkit.analysis import biatomicity_problems
 from latkit.cli import _split_labels, main
 from latkit.core import FiniteLattice, PreconditionFailed
-from latkit.generators import boolean, chain
+from latkit.generators import boolean, chain, enumerate_lattices
 
 
 def run(capsys, *argv):
@@ -208,14 +211,79 @@ def test_formatter_writes_the_bytes_of_json_dumps(value, depth):
     assert cli._format(value) == json.dumps(value, indent=2, sort_keys=True)
 
 
+class Renders:
+    """Not a report fragment, though it has a ``render`` method."""
+
+    def render(self, indent):
+        return "{}"
+
+
 @pytest.mark.parametrize(
     "value",
-    [1.0, np.int64(1), {1, 2}, {1: "a"}, {"a": [0.5]}],
-    ids=["float", "np.int64", "set", "int key", "nested float"],
+    [1.0, np.int64(1), {1, 2}, {1: "a"}, {"a": [0.5]}, Renders(), [Renders()]],
+    ids=["float", "np.int64", "set", "int key", "nested float", "render", "nested render"],
 )
 def test_formatter_rejects_values_outside_reports(value):
     with pytest.raises(TypeError):
         cli._format(value)
+
+
+def problem_row_dicts(L):
+    """The problem rows of ``check`` as dicts of labels, the plain value that
+    ``cli._ProblemRows`` stands for."""
+    rows = []
+    for p, a, b, x, y in biatomicity_problems(L).tolist():
+        row = {"p": L.labels[p], "a": L.labels[a], "b": L.labels[b], "solved": x >= 0}
+        if x >= 0:
+            row["solution"] = [L.labels[x], L.labels[y]]
+        rows.append(row)
+    return rows
+
+
+def with_escaped_labels(L):
+    """L relabelled with labels that JSON writes with escapes: a quote, a
+    backslash, a control character, non-ASCII text and a surrogate pair."""
+    return FiniteLattice(L.leq, [f'"{i}\\é\n☃\U0001f600' for i in range(L.n)])
+
+
+@functools.cache
+def fragment_lattices() -> tuple[FiniteLattice, ...]:
+    """Every enumerated lattice (the one-element lattice has no covers and
+    no problems), the lattices around the word sizes, the seeded hull
+    lattices, and two lattices relabelled, one of them with open problems."""
+    lattices = [L for n in range(1, 8) for L in enumerate_lattices(n)]
+    lattices += [*boundary_lattices(), *hull_lattices(5), *hull_lattices(2026)]
+    lattices += [
+        with_escaped_labels(boolean(3)),
+        with_escaped_labels(one_unsolved_atom(5, np.random.default_rng(0))),
+    ]
+    return tuple(lattices)
+
+
+def test_lattice_fragment_writes_the_bytes_of_json_dumps():
+    for L in fragment_lattices():
+        fragment, plain = cli._Lattice(L), L.to_dict()
+        for depth in range(9):
+            want = json.dumps(nested(depth, plain), indent=2, sort_keys=True)
+            assert cli._format(nested(depth, fragment)) == want, (L, depth)
+    assert min(L.n for L in fragment_lattices()) == 1
+
+
+@pytest.mark.parametrize("rows_per_block", [cli._ROWS_PER_BLOCK, 1, 7])
+def test_problem_rows_fragment_writes_the_bytes_of_json_dumps(monkeypatch, rows_per_block):
+    monkeypatch.setattr(cli, "_ROWS_PER_BLOCK", rows_per_block)
+    sizes, kinds = [], set()
+    # up to 20 atoms: the boundary lattices with 63 atoms and more have
+    # 10^5 to 10^6 problems, too many for the stdlib's pure-Python encoder
+    for L in [L for L in fragment_lattices() if len(L.atoms()) <= 20]:
+        plain = problem_row_dicts(L)
+        fragment = cli._ProblemRows(biatomicity_problems(L), L.labels)
+        for depth in range(9):
+            want = json.dumps(nested(depth, plain), indent=2, sort_keys=True)
+            assert cli._format(nested(depth, fragment)) == want, (L, depth)
+        sizes.append(len(plain))
+        kinds |= {row["solved"] for row in plain}
+    assert 0 in sizes and max(sizes) > 7 and kinds == {True, False}
 
 
 # stdout of generator checks, which pins each generator's element order
@@ -268,6 +336,36 @@ def test_enum_sd_join_stdout_pinned(capsys):
     assert main(["eval", "--gen", "enum:7", "--qid", "builtin:sd-join"]) == 1
     out = capsys.readouterr().out
     digest = "9947f669c472b399bbca16c4299a29bf8ec412437a4beff889dd05c67fb07d36"
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# stdout of a one-atom extension of a hull-trace lattice whose criteria find a
+# jsd witness, of a completion with 15 doublings, and of the problem list and
+# verdicts of the one-element lattice
+PAPER5_UV_FILTER = "{},{u,v},{a,u,v},{b,u,v},{c,u,v},{a,b,u,v},{a,c,u,v},{b,c,u,v},{a,b,c,u,v}"
+FRAGMENT_REPORTS = [
+    (
+        ["build", "--gen", "co-points:paper5", "--op", "one-atom",
+         "--apex", "{u,v}", "--subsemilattice", PAPER5_UV_FILTER],
+        "6277028d6b904b1501b8570c7a11742258ea7c73e14816f6f1ab91418fef2773",
+    ),
+    (
+        ["build", "--gen", "co-chain:6", "--op", "biatomic-completion"],
+        "5c988621c73856d1ce2c39ce2ad9a0798b21791293e9225c97214a4c1e19f701",
+    ),
+    (
+        ["check", "--gen", "chain:1"],
+        "fd20306af01416b94a0e8ce0ba7e2b6e6f1864933e9a72bb848eabfe1ba28a40",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,digest", FRAGMENT_REPORTS, ids=["one-atom-paper5", "completion-co-chain6", "check-chain1"]
+)
+def test_fragment_reports_stdout_pinned(capsys, argv, digest):
+    assert main(argv) == 0
+    out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 

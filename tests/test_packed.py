@@ -20,8 +20,10 @@ import numpy as np
 import pytest
 
 from conftest import (
+    ATOM_COUNTS,
     biatomic_by_single_atom,
     biatomic_by_splitting,
+    boundary_lattices,
     hull_lattices,
     meet_semilattices,
     oracle_atoms,
@@ -32,6 +34,7 @@ from conftest import (
     oracle_cover_matrix,
     oracle_dependency,
     oracle_lub_table,
+    one_unsolved_atom,
 )
 from latkit import analysis, core
 from latkit.analysis import (
@@ -49,7 +52,6 @@ from latkit.core import (
     _lub_table,
     _packed_rows,
 )
-from latkit.extend import biatomic_completion
 from latkit.generators import boolean, co_chain, enumerate_lattices
 
 # sizes around one and two 64-bit words, and a few between
@@ -257,53 +259,16 @@ def test_is_biatomic_matches_the_product_route(blocks):
     assert set(verdicts) == {True, False}
 
 
-# atom counts on both sides of one, two and three 64-bit words
-ATOM_COUNTS = [0, 1, 63, 64, 65, 127, 128, 129]
-
-
-def diamond(k: int, rng) -> FiniteLattice:
-    """M_k, k atoms between a bottom and a top, on shuffled indices."""
-    atoms = [f"a{i}" for i in range(k)]
-    covers = [("0", a) for a in atoms] + [(a, "1") for a in atoms]
-    labels = ["0", *atoms, "1"] if k else ["0"]
-    return FiniteLattice.from_covers([str(v) for v in rng.permutation(labels)], covers)
-
-
-def one_unsolved_atom(k: int, rng) -> FiniteLattice:
-    """A lattice on k >= 5 atoms, not biatomic through its last atom only.
-
-    The atoms are q1 .. q(k-4), x, y, z and p; the other elements are the
-    atom sets {x, z}, Y = {y, q1, ..}, Y + x, Y + z and the top.  Then
-    p <= {x, z} v y, but neither x v y = Y + x nor z v y = Y + z holds p.
-    The elements are shuffled with the atoms kept in this order, so p is the
-    last atom: its bit ends or starts a word for k = 64, 65, 128 and 129.
-    """
-    qs = [f"q{i}" for i in range(1, k - 3)]
-    atoms = qs + ["x", "y", "z", "p"]
-    covers = [("0", a) for a in atoms] + [(q, "Y") for q in qs]
-    covers += [("x", "xz"), ("z", "xz"), ("y", "Y"), ("Y", "Yx"), ("x", "Yx")]
-    covers += [("Y", "Yz"), ("z", "Yz")] + [(e, "1") for e in ("xz", "Yx", "Yz", "p")]
-    labels = [str(v) for v in rng.permutation(["0", *atoms, "xz", "Y", "Yx", "Yz", "1"])]
-    slots = [i for i, label in enumerate(labels) if label in atoms]
-    for i, label in zip(slots, atoms):
-        labels[i] = label
-    return FiniteLattice.from_covers(labels, covers)
-
-
 @functools.cache
 def boundary_cases() -> list[tuple]:
-    """Lattices around the word sizes, each with its verdicts by the two
-    per-atom routes and, where the lattice is small, by the brute-force oracle
-    (its loops grow as the fifth power of the atoms)."""
-    rng = np.random.default_rng(64)
-    lattices = [diamond(k, rng) for k in ATOM_COUNTS]
-    lattices += [one_unsolved_atom(k, rng) for k in [5, 6] + ATOM_COUNTS[2:]]
-    # biatomic completions with 64 and 81 atoms
-    lattices += [biatomic_completion(co_chain(m))[0] for m in (8, 9)]
+    """The lattices around the word sizes, ``conftest.boundary_lattices``,
+    each with its verdicts by the two per-atom routes and, where the lattice
+    is small, by the brute-force oracle (its loops grow as the fifth power of
+    the atoms)."""
     return [
         (L, biatomic_by_splitting(L), biatomic_by_single_atom(L),
          oracle_biatomic(L) if L.n <= 20 else None)
-        for L in lattices
+        for L in boundary_lattices()
     ]
 
 
