@@ -8,18 +8,19 @@ prints exactly one JSON report to stdout, byte-identical across runs on
 identical inputs; only ``--help`` and ``--version`` print their text
 instead.  The report's bytes are exactly ``json.dumps(report, indent=2,
 sort_keys=True)`` followed by one newline: ASCII only, non-ASCII text as
-``\\uXXXX`` escapes, integers and no floats.  :func:`_format` writes them
-without the stdlib's pure-Python pretty-printer.  The two large parts of a
-report, the biatomicity problem rows of ``check`` and the lattice of
-``build`` or of a ``corpus`` violation, go in as fragments
-(:class:`_Fragment`): they keep their arrays and write their own text,
-from labels escaped once and fixed templates, at the indent ``_format``
-gives them.  Progress and timings go to stderr.  ``main`` parses the
-command line with one parser, built on the first call and shared by every
-later call in the process, and runs the subcommand's ``cmd_*`` function,
-looked up in ``COMMANDS`` on each call.  Each ``cmd_*`` returns its report
-body, exit code and closing stderr line; ``main`` alone times, wraps,
-writes and reports the errors of every command.
+``\\uXXXX`` escapes, integers and no floats.  :func:`_write` appends them
+to one list of pieces without the stdlib's pure-Python pretty-printer, and
+:func:`_emit` passes that list to ``sys.stdout.writelines``, so no report
+is ever held as one string.  The two large parts of a report, the
+biatomicity problem rows of ``check`` and the covers and labels of the
+lattice of ``build`` or of a ``corpus`` violation, go in as :class:`_Items`:
+they keep their arrays and write their items from labels escaped once and
+fixed templates, a block at a time.  Progress and timings go to stderr.
+``main`` parses the command line with one parser, built on the first call
+and shared by every later call in the process, and runs the subcommand's
+``cmd_*`` function, looked up in ``COMMANDS`` on each call.  Each ``cmd_*``
+returns its report body, exit code and closing stderr line; ``main`` alone
+times, wraps, writes and reports the errors of every command.
 
 Exit codes: 0 success (for ``eval``: the quasi-identity holds; for ``corpus``:
 no violation), 1 a quasi-identity failed or a corpus suite found a violation,
@@ -149,103 +150,79 @@ _escape = json.encoder.encode_basestring_ascii
 _ROWS_PER_BLOCK = 4096
 
 
-class _Fragment:
-    """A report value that writes its own JSON text.
+class _Items:
+    """A report list written from rows, not walked item by item.
 
-    ``render(indent)`` returns the bytes :func:`_format` would write, at that
-    indent, for the plain value the fragment stands for.  A fragment escapes
-    each label once and writes its items from fixed templates, where the
-    plain value would be one dict or list per item for ``_format`` to walk.
+    ``write(block, inner)`` gives the item strings of a slice of ``rows``,
+    from labels escaped once and a fixed template.  ``texts(inner)`` joins
+    them a block of ``_ROWS_PER_BLOCK`` at a time, at the item indent
+    ``inner``; :func:`_write` adds the brackets and the other separators.
     """
 
-    __slots__ = ("labels",)
+    __slots__ = ("rows", "write")
 
-    def __init__(self, labels):
-        self.labels = labels
+    def __init__(self, rows, write):
+        self.rows = rows
+        self.write = write
 
-    def _escaped(self) -> np.ndarray:
-        """The escaped labels as an object array, for gathers by index."""
-        return np.array([_escape(label) for label in self.labels], dtype=object)
-
-
-def _written_list(items: list[str], indent: str) -> str:
-    """A list whose items are already written, laid out as ``_format`` does.
-
-    The brackets go onto the first and last item in place, so the text is
-    copied once, by the join, however long it is.
-    """
-    if not items:
-        return "[]"
-    inner = indent + "  "
-    items[0] = "[" + inner + items[0]
-    items[-1] += indent + "]"
-    return ("," + inner).join(items)
+    def texts(self, inner: str) -> list[str]:
+        sep, rows = "," + inner, self.rows
+        return [
+            sep.join(self.write(rows[start : start + _ROWS_PER_BLOCK], inner))
+            for start in range(0, len(rows), _ROWS_PER_BLOCK)
+        ]
 
 
-class _ProblemRows(_Fragment):
+def _escaped(labels) -> np.ndarray:
+    """The escaped labels as an object array, for gathers by index."""
+    return np.array([_escape(label) for label in labels], dtype=object)
+
+
+def _problem_rows(rows: np.ndarray, labels) -> _Items:
     """The rows (p, a, b, x, y) of ``biatomicity_problems``, written as the
     list of ``{"a", "b", "p", "solution": [x, y], "solved"}`` dicts of labels
     (no ``solution`` where x < 0, the problem is open)."""
+    escaped = _escaped(labels)
 
-    __slots__ = ("rows",)
-
-    def __init__(self, rows: np.ndarray, labels):
-        super().__init__(labels)
-        self.rows = rows
-
-    def render(self, indent: str) -> str:
-        keys = indent + "    "
+    def write(block, inner):
+        keys = inner + "  "
         pair = keys + "  "
         head = "{" + keys + '"a": %s,' + keys + '"b": %s,' + keys + '"p": %s,' + keys
-        tail = indent + "  }"
+        tail = inner + "}"
         solved = (
             head + '"solution": [' + pair + "%s," + pair + "%s" + keys + "],"
             + keys + '"solved": true' + tail
         )
         unsolved = head + '"solved": false' + tail
-        escaped, sep = self._escaped(), "," + indent + "  "
-        # a block of rows is joined as soon as it is written, so the list of
-        # row strings never holds more than one block beside the text
-        blocks = []
-        for start in range(0, len(self.rows), _ROWS_PER_BLOCK):
-            rows = self.rows[start : start + _ROWS_PER_BLOCK]
-            p, a, b, x, y = escaped[rows.T].tolist()
-            done = (rows[:, 3] >= 0).tolist()
-            blocks.append(sep.join([
-                solved % row[:5] if row[5] else unsolved % row[:3]
-                for row in zip(a, b, p, x, y, done)
-            ]))
-        return _written_list(blocks, indent)
-
-
-class _Lattice(_Fragment):
-    """A lattice written as its ``FiniteLattice.to_dict()``: its cover pairs
-    in row-major order of the cover matrix, then its labels."""
-
-    __slots__ = ("cover_matrix",)
-
-    def __init__(self, L: FiniteLattice):
-        super().__init__(L.labels)
-        self.cover_matrix = L.cover_matrix()
-
-    def render(self, indent: str) -> str:
-        keys = indent + "  "
-        pair = keys + "    "
-        template = "[" + pair + "%s," + pair + "%s" + keys + "  ]"
-        escaped = self._escaped()
-        # the row-major order of covers(); 2-D np.nonzero is several times slower
-        lower, upper = np.divmod(np.flatnonzero(self.cover_matrix), len(escaped))
-        covers = [
-            template % cover
-            for cover in zip(escaped[lower].tolist(), escaped[upper].tolist())
+        p, a, b, x, y = escaped[block.T].tolist()
+        done = (block[:, 3] >= 0).tolist()
+        return [
+            solved % row[:5] if row[5] else unsolved % row[:3]
+            for row in zip(a, b, p, x, y, done)
         ]
-        return (
-            "{" + keys + '"covers": ' + _written_list(covers, keys) + ","
-            + keys + '"elements": ' + _written_list(escaped.tolist(), keys) + indent + "}"
-        )
+
+    return _Items(rows, write)
 
 
-_NESTED = (dict, list, tuple, _Fragment)
+def _lattice(L: FiniteLattice) -> dict:
+    """A lattice as its ``FiniteLattice.to_dict()``: its cover pairs in
+    row-major order of the cover matrix, then its labels."""
+    escaped = _escaped(L.labels)
+    # the row-major order of covers(); 2-D np.nonzero is several times slower
+    covers = np.column_stack(np.divmod(np.flatnonzero(L.cover_matrix()), L.n))
+
+    def write_covers(block, inner):
+        pair = inner + "  "
+        template = "[" + pair + "%s," + pair + "%s" + inner + "]"
+        return [template % cover for cover in zip(*escaped[block.T].tolist())]
+
+    return {
+        "covers": _Items(covers, write_covers),
+        "elements": _Items(escaped, lambda block, inner: block.tolist()),
+    }
+
+
+_NESTED = (dict, list, tuple, _Items)
 
 
 def _scalar(value) -> str:
@@ -263,57 +240,59 @@ def _scalar(value) -> str:
     raise TypeError(f"a report cannot hold {type(value).__name__} {value!r}")
 
 
-def _format(value, indent: str = "\n") -> str:
-    """``json.dumps(value, indent=2, sort_keys=True)``, byte for byte.
+def _write(value, indent: str, out: list[str]) -> None:
+    """Append ``json.dumps(value, indent=2, sort_keys=True)`` to ``out``,
+    byte for byte, as pieces; ``indent`` is the value's own (``"\\n"`` at
+    the top).
 
     ``value`` is built from str, int, bool, None, lists, tuples and dicts
-    with str keys, and from :class:`_Fragment` values, which write
-    themselves at the indent they are given: the problem rows of ``check``
-    and the lattices of ``build`` and ``corpus``.  Anything else, a float or
-    an object with its own ``render`` included, raises TypeError.  Strings
-    go through the C escaper that ``json.dumps`` uses.  A container collects
-    its parts in a list, one separator after each item, and joins them as
-    soon as it is done, so the stdlib's one list of every token of the
-    report never exists.  Dicts and lists share the loop; a dict's items are
-    its sorted (key, value) pairs, each written after its key.  The loop
-    writes plain strings itself: most items are labels, and a recursive call
-    per item is about a third slower.
+    with str keys, and from :class:`_Items`.  Anything else, a float or an
+    object with its own ``texts`` included, raises TypeError.  Strings go
+    through the C escaper that ``json.dumps`` uses.  No container joins its
+    parts, so no part of the report is copied once more per level around
+    it.  A dict's items are its sorted (key, value) pairs, each written
+    after its key.  The loop writes plain strings itself: most items are
+    labels, and a recursive call per item is about a third slower.
     """
     if isinstance(value, dict):
-        if not value:
-            return "{}"
         items, keyed, opening, closing = sorted(value.items()), True, "{", "}"
-    elif isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
+    elif isinstance(value, (list, tuple, _Items)):
         items, keyed, opening, closing = value, False, "[", "]"
-    elif isinstance(value, _Fragment):
-        return value.render(indent)
     else:
-        return _scalar(value)
+        out.append(_scalar(value))
+        return
     inner = indent + "  "
     sep = "," + inner
-    parts = [opening, inner]
-    add = parts.append
-    for item in items:
-        if keyed:
-            key, item = item
-            add(_escape(key) + ": ")
-        if type(item) is str:
-            add(_escape(item))
-        elif isinstance(item, _NESTED):
-            add(_format(item, inner))
-        else:
-            add(_scalar(item))
-        add(sep)
-    parts[-1] = indent + closing
-    return "".join(parts)
+    first = len(out)
+    add = out.append
+    add(opening + inner)
+    if isinstance(value, _Items):
+        for text in value.texts(inner):
+            out += text, sep
+    else:
+        for item in items:
+            if keyed:
+                key, item = item
+                add(_escape(key) + ": ")
+            if type(item) is str:
+                add(_escape(item))
+            elif isinstance(item, _NESTED):
+                _write(item, inner, out)
+            else:
+                add(_scalar(item))
+            add(sep)
+    if len(out) == first + 1:  # no items
+        out[first] = opening + closing
+    else:
+        out[-1] = indent + closing
 
 
 def _emit(report: dict) -> None:
-    # two writes, so the report is not copied once more to end it with "\n"
-    sys.stdout.write(_format(report))
-    sys.stdout.write("\n")
+    # one list of pieces, so the report never exists as one string
+    out: list[str] = []
+    _write(report, "\n", out)
+    out.append("\n")
+    sys.stdout.writelines(out)
 
 
 def _note(message: str) -> None:
@@ -354,7 +333,7 @@ def _run_props(L: FiniteLattice, props) -> dict:
             out["lower-bounded"] = is_lower_bounded(L)
         elif prop == "problems":
             problems = biatomicity_problems(L)
-            out["problems"] = _ProblemRows(problems, L.labels)
+            out["problems"] = _problem_rows(problems, L.labels)
             out["unsolved_problems"] = int((problems[:, 3] < 0).sum())
         else:
             raise _InputError(
@@ -460,7 +439,7 @@ def cmd_build(args):
         _write_lines(args.out, [result.to_json()])
         results["out"] = args.out
     else:
-        results["lattice"] = _Lattice(result)
+        results["lattice"] = _lattice(result)
     if args.trace:
         rows = [json.dumps(row, sort_keys=True) for row in trace_rows]
         _write_lines(args.trace, rows)
@@ -537,7 +516,7 @@ def _suite_completion(max_size: int, found: dict) -> dict | None:
                 and is_biatomic(result)
             )
             if not ok:
-                return {"lattice": _Lattice(L), "detail": "completion contract failed"}
+                return {"lattice": _lattice(L), "detail": "completion contract failed"}
     found["lattices_checked"] = checked
     return None
 
@@ -552,7 +531,7 @@ def _suite_extension_jsd(max_size: int, found: dict) -> dict | None:
             actual = is_join_semidistributive(one_atom_extension(pair).result)
             if verdict != actual:
                 return {
-                    "lattice": _Lattice(L),
+                    "lattice": _lattice(L),
                     "detail": {
                         "apex": L.labels[pair.apex],
                         "subsemilattice": [
@@ -580,7 +559,7 @@ def _suite_theta_bi(max_size: int, found: dict) -> dict | None:
         verdict = evaluate(L, qid)
         if not verdict.holds:
             return {
-                "lattice": _Lattice(L),
+                "lattice": _lattice(L),
                 "detail": {
                     "counterexample": {
                         var: L.labels[idx]

@@ -372,9 +372,8 @@ class FiniteLattice:
 
 
 def _inclusion_order(masks: Sequence[int]) -> np.ndarray:
-    """Inclusion order of sets given as bitmasks; wide masks stay Python ints."""
-    wide = int(max(masks)).bit_length() >= 63
-    m = np.array(masks, dtype=object if wide else np.int64)
+    """Inclusion order of sets given as bitmasks that fit in an int64."""
+    m = np.array(masks, dtype=np.int64)
     return (m[:, None] & ~m[None, :]) == 0
 
 

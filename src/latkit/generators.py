@@ -53,11 +53,12 @@ def co_chain(n: int) -> FiniteLattice:
     if n < 1:
         raise TooLarge("co_chain(n) needs n >= 1")
     _check_size(1 + n * (n + 1) // 2, f"co_chain({n})")
-    # by length, then by left end; [i, j] is the mask of bits i-1 .. j-1
+    # by length, then by left end; [i, j] lies inside [k, l] iff k <= i and
+    # j <= l, and the empty set, which ends before it begins, below everything
     intervals = [(i, i + d) for d in range(n) for i in range(1, n - d + 1)]
-    masks = [0] + [((1 << (j - i + 1)) - 1) << (i - 1) for i, j in intervals]
     labels = ["{}"] + [f"[{i},{j}]" for i, j in intervals]
-    return FiniteLattice(_inclusion_order(masks), labels)
+    i, j = np.array([(n + 1, 0)] + intervals).T
+    return FiniteLattice((i <= i[:, None]) & (j[:, None] <= j), labels)
 
 
 # -- meet-closed subsets ------------------------------------------------------

@@ -42,12 +42,6 @@ def _parse_rational(value) -> Fraction:
     raise LatticeError(f"bad rational literal {value!r}")
 
 
-def _fmt_rational(q: Fraction) -> str | int:
-    if q.denominator == 1:
-        return int(q)
-    return f"{q.numerator}/{q.denominator}"
-
-
 @dataclass(frozen=True, order=True)
 class RationalPoint:
     """A point of the rational plane."""
@@ -130,13 +124,6 @@ class PointConfiguration:
                 RationalPoint(_parse_rational(row["x"]), _parse_rational(row["y"]))
             )
         return cls(labels, points)
-
-    def to_json(self) -> str:
-        rows = [
-            {"label": lab, "x": _fmt_rational(p.x), "y": _fmt_rational(p.y)}
-            for lab, p in zip(self.labels, self.points)
-        ]
-        return json.dumps({"points": rows}, sort_keys=True)
 
 
 def five_point_configuration() -> PointConfiguration:

@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -204,18 +205,25 @@ def nested(depth: int, leaf):
     return leaf
 
 
+def written(value) -> str:
+    """The text ``cli._emit`` writes for ``value``, without its newline."""
+    out = []
+    cli._write(value, "\n", out)
+    return "".join(out)
+
+
 @settings(max_examples=300, deadline=None)
 @given(report_values, st.integers(min_value=0, max_value=8))
 def test_formatter_writes_the_bytes_of_json_dumps(value, depth):
     value = nested(depth, value)
-    assert cli._format(value) == json.dumps(value, indent=2, sort_keys=True)
+    assert written(value) == json.dumps(value, indent=2, sort_keys=True)
 
 
 class Renders:
-    """Not a report fragment, though it has a ``render`` method."""
+    """Not a report list, though it has a ``texts`` method."""
 
-    def render(self, indent):
-        return "{}"
+    def texts(self, inner):
+        return ["1"]
 
 
 @pytest.mark.parametrize(
@@ -225,12 +233,12 @@ class Renders:
 )
 def test_formatter_rejects_values_outside_reports(value):
     with pytest.raises(TypeError):
-        cli._format(value)
+        written(value)
 
 
 def problem_row_dicts(L):
     """The problem rows of ``check`` as dicts of labels, the plain value that
-    ``cli._ProblemRows`` stands for."""
+    ``cli._problem_rows`` stands for."""
     rows = []
     for p, a, b, x, y in biatomicity_problems(L).tolist():
         row = {"p": L.labels[p], "a": L.labels[a], "b": L.labels[b], "solved": x >= 0}
@@ -262,10 +270,10 @@ def fragment_lattices() -> tuple[FiniteLattice, ...]:
 
 def test_lattice_fragment_writes_the_bytes_of_json_dumps():
     for L in fragment_lattices():
-        fragment, plain = cli._Lattice(L), L.to_dict()
+        fragment, plain = cli._lattice(L), L.to_dict()
         for depth in range(9):
             want = json.dumps(nested(depth, plain), indent=2, sort_keys=True)
-            assert cli._format(nested(depth, fragment)) == want, (L, depth)
+            assert written(nested(depth, fragment)) == want, (L, depth)
     assert min(L.n for L in fragment_lattices()) == 1
 
 
@@ -277,13 +285,27 @@ def test_problem_rows_fragment_writes_the_bytes_of_json_dumps(monkeypatch, rows_
     # 10^5 to 10^6 problems, too many for the stdlib's pure-Python encoder
     for L in [L for L in fragment_lattices() if len(L.atoms()) <= 20]:
         plain = problem_row_dicts(L)
-        fragment = cli._ProblemRows(biatomicity_problems(L), L.labels)
+        fragment = cli._problem_rows(biatomicity_problems(L), L.labels)
         for depth in range(9):
             want = json.dumps(nested(depth, plain), indent=2, sort_keys=True)
-            assert cli._format(nested(depth, fragment)) == want, (L, depth)
+            assert written(nested(depth, fragment)) == want, (L, depth)
         sizes.append(len(plain))
         kinds |= {row["solved"] for row in plain}
     assert 0 in sizes and max(sizes) > 7 and kinds == {True, False}
+
+
+def test_report_is_written_without_a_second_copy(tmp_path):
+    # 5 MB of problem rows: were any container to join its parts, the
+    # rows' text would exist twice at a time, about 2.2 times the report
+    path = tmp_path / "report.json"
+    with open(path, "w", encoding="utf-8") as handle, contextlib.redirect_stdout(handle):
+        tracemalloc.start()
+        try:
+            assert main(["check", "--gen", "co-chain:20", "--props", "problems"]) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert peak < 1.6 * path.stat().st_size
 
 
 # stdout of generator checks, which pins each generator's element order
@@ -955,7 +977,7 @@ def test_parser_is_built_once(capsys, monkeypatch):
     assert cli.build_parser() is cli.build_parser()
 
 
-def test_module_entry_point_in_a_fresh_interpreter():
+def test_module_entry_point_in_a_fresh_interpreter(capsys):
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])
@@ -976,3 +998,7 @@ def test_module_entry_point_in_a_fresh_interpreter():
     check = run_module("check", "--gen", "chain:2")
     assert check.returncode == 0
     assert json.loads(check.stdout)["results"]["chain:2"]["size"] == 2
+    # the report's pieces through a real TextIOWrapper, not a StringIO
+    problems = run_module("check", "--gen", "co-chain:6")
+    assert main(["check", "--gen", "co-chain:6"]) == problems.returncode == 0
+    assert problems.stdout == capsys.readouterr().out

@@ -10,7 +10,7 @@ from conftest import (
     oracle_sub_meet_semilattice,
     without_top,
 )
-from latkit.core import MAX_ELEMENTS, FiniteLattice, LatticeError, _inclusion_order
+from latkit.core import MAX_ELEMENTS, FiniteLattice, LatticeError
 from latkit.generators import (
     TooLarge,
     _DOWN_SETS,
@@ -248,8 +248,13 @@ def test_set_lattices_are_inclusion_orders():
                 assert L.leq[s, t] == (sets[s] <= sets[t])
 
 
-def test_inclusion_order_keeps_wide_masks_exact():
-    wide = [0, 1 << 70, 1 << 63, (1 << 71) - 1]
-    expected = [[True, True, True, True], [False, True, False, True],
-                [False, False, True, True], [False, False, False, True]]
-    assert _inclusion_order(wide).tolist() == expected
+@pytest.mark.parametrize("n", [62, 63, 64])
+def test_co_chain_is_the_inclusion_order_of_its_intervals(n):
+    # around the int64 word: [i, j] as a Python int mask of bits i-1 .. j-1
+    L = co_chain(n)
+    masks = [0]
+    for label in L.labels[1:]:
+        i, j = map(int, label.strip("[]").split(","))
+        masks.append(((1 << (j - i + 1)) - 1) << (i - 1))
+    expected = [[s & ~t == 0 for t in masks] for s in masks]
+    assert L.leq.tolist() == expected

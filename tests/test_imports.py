@@ -300,7 +300,7 @@ def indented_json_calls(tree: ast.Module) -> list[int]:
     that passes ``indent``.
 
     The pretty-printer runs the stdlib's pure-Python encoder; the command
-    line writes its reports with ``cli._format`` instead, and compact JSON
+    line writes its reports with ``cli._write`` instead, and compact JSON
     goes through the C encoder.
     """
     return sorted(
