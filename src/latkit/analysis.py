@@ -6,7 +6,8 @@ decompositions into atoms, and the enumeration of biatomicity problems.
 Atomicity needs no predicate: it holds on every ``FiniteLattice``, since a
 minimal nonzero element below x is an atom.  The atomistic, jsd and
 biatomic verdicts are decided once per lattice and stored on it
-(:func:`_verdict`), since constructions re-check the same ambient lattice.
+(:func:`_verdict`), since constructions re-check the same ambient lattice;
+:func:`biatomicity_problems` stores the biatomic verdict its rows give.
 
 The biatomicity verdict is read off one table per lattice: the set of atoms
 below each element, packed into 64-bit words.  Unions of these sets over
@@ -19,10 +20,13 @@ one (p, a, b) cube, and their solutions come from one gather each.
 Join-dependency packs the join-irreducibles below each element into
 words the same way and fills its relation a block of columns at a time.
 
-Join-semidistributivity is decided one group at a time: for x and a, the
-y with x v y = a are reduced to their meet m, and L is join-semidistributive
-iff x v m = a for every group.  The first failing x then gets a pair scan of
-its row alone, so the witness is the lexicographically first (x, y, z).
+Join-semidistributivity is decided from the meet-irreducibles alone: L is
+join-semidistributive iff for every m with one upper cover m*, the set
+K(m) of elements below m* but not below m has a least element (the dual of
+kappa(m) in Freese, Jezek and Nation, *Free Lattices*, ch. II).  Each K(m)
+is two columns of the order matrix, so the test costs O(|M(L)| n).  Only
+a lattice that fails it gets the group scan of :func:`jsd_violation`,
+which finds the lexicographically first witness (x, y, z).
 """
 
 from __future__ import annotations
@@ -144,13 +148,54 @@ def _biatomic(L: FiniteLattice) -> bool:
     return True
 
 
+def _jsd(L: FiniteLattice) -> bool:
+    """Join-semidistributivity, decided on the meet-irreducibles.
+
+    For m with exactly one upper cover m*, let K(m) be the set of elements
+    below m* but not below m.  L is join-semidistributive iff every K(m)
+    has a least element:
+
+    - (=>) y, z in K(m) give m v y = m v z = m*, so m v (y ^ z) = m* by SD
+      at x = m: K(m) is closed under meets, and it is finite and nonempty.
+    - (<=) if x v y = x v z but x v (y ^ z) < x v y, take m maximal above
+      x v (y ^ z) and not above x v y.  Every element above m lies above
+      x v y, so m has one upper cover; y and z lie in K(m), but y ^ z does
+      not, and neither does anything below both.
+
+    A least element of K(m) has fewer elements below it than any other
+    member, so the member with the fewest is the only candidate, and it is
+    the least iff every member lies above it: one gather of the candidates'
+    rows of ``leq`` checks a block of m.  The m are taken a block at a
+    time, the block's temporaries about ``_SET_BLOCK_WORDS`` words, or one
+    m where that alone takes more.
+    """
+    n = L.n
+    cov = L.cover_matrix()
+    ms = np.flatnonzero(cov.sum(axis=1) == 1)
+    # size[e]: the number of elements below e; n <= MAX_ELEMENTS fits in int16
+    size = L.leq.sum(axis=0, dtype=np.int16)
+    down = L.leq.T
+    step = max(1, 4 * _SET_BLOCK_WORDS // n)
+    for i in range(0, len(ms), step):
+        block = ms[i : i + step]
+        # the only upper cover of each m, the one True of its cover-matrix row
+        stars = cov[block].argmax(axis=1)
+        # k[j, e]: e lies in K(m) for m the j-th of the block
+        k = down[stars] & ~down[block]
+        least = np.where(k, size, n).argmin(axis=1)
+        if (k & ~L.leq[least]).any():
+            return False
+    return True
+
+
 def jsd_violation(L: FiniteLattice) -> tuple[int, int, int] | None:
     """Lexicographically first (x, y, z) with x v y = x v z but x v y != x v (y ^ z).
 
-    For x and a let S = {y : x v y = a}.  L is join-semidistributive iff
-    x v meet(S) = a for every such group: a failing pair y, z of S has
-    meet(S) <= y ^ z, and if S is closed under meets, meet(S) lies in S.
-    The rows x are taken a chunk at a time, in order.  A chunk's keys
+    None at once where :func:`is_join_semidistributive` holds; otherwise a
+    search for the witness.  For x and a let S = {y : x v y = a}.  The
+    group of x and a fails iff x v meet(S) != a: a failing pair y, z of S
+    has meet(S) <= y ^ z, and if S is closed under meets, meet(S) lies in
+    S.  The rows x are taken a chunk at a time, in order.  A chunk's keys
     x * n + (x v y) are stably sorted, and each group of equal keys is
     reduced to its meet by doubling: at step s, position i takes the meet
     with position i + s wherever both hold the same key.  The first chunk
@@ -159,6 +204,8 @@ def jsd_violation(L: FiniteLattice) -> tuple[int, int, int] | None:
     scan of its row alone, a block of about ``_MAX_CHUNK_KEYS`` pairs at a
     time, which gives the first (y, z) in row-major order.
     """
+    if is_join_semidistributive(L):
+        return None
     n = L.n
     join, meet = L.join_table, L.meet_table
     rows = max(1, _FIRST_CHUNK_KEYS // n)
@@ -183,18 +230,21 @@ def jsd_violation(L: FiniteLattice) -> tuple[int, int, int] | None:
             block = max(1, _MAX_CHUNK_KEYS // n)
             for y0 in range(0, n, block):
                 ys = jx[y0:y0 + block, None]
-                hits = np.argwhere((ys == jx[None, :]) & (ys != jx[meet[y0:y0 + block]]))
+                hits = np.flatnonzero((ys == jx[None, :]) & (ys != jx[meet[y0:y0 + block]]))
                 if len(hits):
-                    y, z = map(int, hits[0])
+                    y, z = divmod(int(hits[0]), n)
                     return (x, y0 + y, z)
         x0 = x1
         rows = max(1, min(2 * rows, _MAX_CHUNK_KEYS // n))
-    return None
+    raise LatticeError("unreachable: a lattice that is not jsd has a failing group")
 
 
 def is_join_semidistributive(L: FiniteLattice) -> bool:
-    """True iff x v y = x v z always forces x v y = x v (y ^ z)."""
-    return _verdict(L, "jsd", lambda L: jsd_violation(L) is None)
+    """True iff x v y = x v z always forces x v y = x v (y ^ z).
+
+    Decided once per lattice by :func:`_jsd`.
+    """
+    return _verdict(L, "jsd", _jsd)
 
 
 # -- join-dependency --------------------------------------------------------
@@ -337,14 +387,16 @@ def biatomicity_problems(L: FiniteLattice) -> np.ndarray:
     Row r is (p, a, b, x, y), the rows in ascending (p, a, b) order.  The
     solution (x, y) is the first atom x <= a, in atom order, that some atom
     y <= b splits with, paired with the first such y; x = y = -1 where the
-    problem is open.  The atoms p are taken a block at a time: the block's
-    cube ``problem[h, a, b]`` holds its problems, and the flat nonzeros of
-    its upper triangle a <= b are its rows.  Every x of the block then comes
-    from one gather of the split table, and every y from one gather of the
-    join table.  A cube holds about ``_SET_BLOCK_WORDS`` words, or one atom
-    where its n x n slice alone takes more.  Its slices are gathered one atom
-    at a time, since numpy lays the result of ``up[:, join_table]`` out as
-    (a, b, p), which would make every later pass over the cube strided.
+    problem is open.  L is biatomic iff no problem is open, and that verdict
+    is stored on L as :func:`is_biatomic` would store it.  The atoms p are
+    taken a block at a time: the block's cube ``problem[h, a, b]`` holds its
+    problems, and the flat nonzeros of its upper triangle a <= b are its
+    rows.  Every x of the block then comes from one gather of the split
+    table, and every y from one gather of the join table.  A cube holds
+    about ``_SET_BLOCK_WORDS`` words, or one atom where its n x n slice
+    alone takes more.  Its slices are gathered one atom at a time, since
+    numpy lays the result of ``up[:, join_table]`` out as (a, b, p), which
+    would make every later pass over the cube strided.
     """
     n = L.n
     atoms = np.array(L.atoms(), dtype=np.int64)
@@ -381,4 +433,6 @@ def biatomicity_problems(L: FiniteLattice) -> np.ndarray:
         unsolved = ~x_ok.any(axis=1)
         xs[unsolved] = ys[unsolved] = -1
         out.append(np.stack((ps, a, b, xs, ys), axis=1, dtype=np.int32))
-    return np.concatenate(out)
+    rows = np.concatenate(out)
+    L._verdicts["biatomic"] = not (rows[:, 3] < 0).any()
+    return rows

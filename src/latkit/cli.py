@@ -314,7 +314,8 @@ ALL_PROPS = ("atomistic", "biatomic", "jsd", "lower-bounded", "problems")
 
 def _run_props(L: FiniteLattice, props) -> dict:
     out: dict = {"size": L.n}
-    for prop in props:
+    # problems first: its rows also decide biatomicity, which is_biatomic then reads
+    for prop in sorted(props, key=lambda prop: prop != "problems"):
         if prop == "atomistic":
             out["atomistic"] = is_atomistic(L)
         elif prop == "biatomic":

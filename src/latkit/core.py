@@ -335,7 +335,8 @@ class FiniteLattice:
 
     def covers(self) -> list[tuple[int, int]]:
         """All cover pairs (lower, upper), sorted."""
-        return [(int(i), int(j)) for i, j in np.argwhere(self.cover_matrix())]
+        lower, upper = np.divmod(np.flatnonzero(self.cover_matrix()), self.n)
+        return list(zip(lower.tolist(), upper.tolist()))
 
     def join_irreducibles(self) -> tuple[int, ...]:
         """Elements with exactly one lower cover."""

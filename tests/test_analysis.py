@@ -2,10 +2,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import (
     biatomic_by_single_atom,
     biatomic_by_splitting,
+    boundary_lattices,
     hull_lattices,
     join_prime_decomposition,
     oracle_biatomic,
@@ -15,6 +17,7 @@ from conftest import (
     oracle_atomistic,
     oracle_atoms,
     oracle_biatomicity_problems,
+    oracle_cover_matrix,
     oracle_dependency,
     oracle_least_decomposition,
     oracle_lower_bounded,
@@ -23,7 +26,7 @@ from conftest import (
     seeded_subsets,
     triangle_with_center_lattice,
 )
-from latkit import analysis
+from latkit import analysis, cli
 from latkit.analysis import (
     atomistic_violation,
     biatomicity_problems,
@@ -38,7 +41,13 @@ from latkit.analysis import (
     separates,
     solve_problem_instance,
 )
-from latkit.core import FiniteLattice, PreconditionFailed
+from latkit.core import (
+    FiniteLattice,
+    PreconditionFailed,
+    _closed_sets,
+    _inclusion_order,
+    _set_labels,
+)
 from latkit.extend import biatomic_completion
 from latkit.generators import (
     boolean,
@@ -97,7 +106,9 @@ def glued_m3(L: FiniteLattice) -> FiniteLattice:
     return FiniteLattice.from_order(leq, [*L.labels, "m3:p", "m3:q", "m3:r", "m3:1"])
 
 
-def test_jsd_violation_matches_the_row_scan():
+def row_scan_inputs():
+    """Small lattices, shuffled copies of them, and larger lattices that fail
+    jsd at x = 1, fail it past the first chunk of rows, or are jsd."""
     rng = np.random.default_rng(12)
     small = [L for k in range(1, 8) for L in enumerate_lattices(k)]
     small += [shuffled(L, rng) for L in small for _ in range(5)]
@@ -109,11 +120,75 @@ def test_jsd_violation_matches_the_row_scan():
     assert [K.n for K in sums] == [260, 215]
     jsd = [co_chain(k) for k in range(1, 13)] + [boolean(k) for k in range(10)]
     jsd.append(co_points(five_point_configuration()))
+    return small, completions, sums, jsd
+
+
+def test_jsd_violation_matches_the_row_scan():
+    small, completions, sums, jsd = row_scan_inputs()
     for L in small + completions + sums + jsd:
         assert jsd_violation(L) == oracle_jsd_violation(L), L.to_json()
     assert [jsd_violation(K)[0] for K in completions] == [1, 1, 1]
     assert [jsd_violation(K)[0] for K in sums] == [256, 211]
     assert all(jsd_violation(L) is None for L in jsd)
+
+
+def test_jsd_verdict_matches_the_row_scan():
+    small, completions, sums, jsd = row_scan_inputs()
+    lattices = small + completions + sums + jsd
+    lattices += [*hull_lattices(5), *hull_lattices(2026), *boundary_lattices()]
+    failing = 0
+    for L in lattices:
+        expected = oracle_jsd_violation(L) is None
+        assert analysis._jsd(L) == expected, L.to_json()
+        failing += not expected
+    assert failing > 100
+
+
+moore_families = st.integers(0, 6).flatmap(
+    lambda n: st.tuples(
+        st.just(n),
+        st.lists(st.tuples(st.integers(0, 2**n - 1), st.integers(0, 2**n - 1)), max_size=8),
+    )
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(moore_families)
+def test_jsd_verdict_on_moore_families(family):
+    # the closed sets of random rules on up to six points: lattices of any
+    # shape, atomistic or not
+    n, rules = family
+    masks = _closed_sets(n, rules)
+    L = FiniteLattice.from_order(_inclusion_order(masks), _set_labels(masks, "abcdef"))
+    assert analysis._jsd(L) == (oracle_jsd_violation(L) is None), L.to_json()
+
+
+def test_jsd_verdict_reads_the_meet_irreducibles_alone(n5):
+    # K(m) has a least element at every cover of m in a jsd lattice, so the
+    # verdict would be the same from every element with an upper cover; only
+    # the work tells: 4 of boolean(4)'s 15 such elements are meet-irreducible
+    gathered = []
+
+    class Recorded(np.ndarray):
+        def __getitem__(self, index):
+            if isinstance(index, np.ndarray):
+                gathered.extend(index.tolist())
+            return super().__getitem__(index)
+
+    for L in (boolean(4), n5, co_chain(4), chain(5)):
+        expected = np.flatnonzero(oracle_cover_matrix(L.leq).sum(axis=1) == 1).tolist()
+        L._cov = L.cover_matrix().view(Recorded)
+        gathered.clear()
+        assert analysis._jsd(L)
+        assert sorted(gathered) == expected, L.to_json()
+
+
+def test_jsd_verdict_memory_stays_bounded():
+    verdict, peak = peak_bytes(is_join_semidistributive, chain(1024))
+    assert verdict
+    # a block of m at a time holds about _SET_BLOCK_WORDS words (0.54 MB in
+    # all); all 1,023 meet-irreducibles at once peaked at 3.2 MB
+    assert peak < 1e6
 
 
 def test_jsd_violation_memory_stays_bounded():
@@ -214,7 +289,7 @@ def test_verdicts_are_decided_once_per_lattice(monkeypatch, m3):
     # each predicate's worker runs on the first call only; a second lattice
     # equal to the first gets its own verdicts
     calls = []
-    for name in ("atomistic_violation", "jsd_violation", "_biatomic"):
+    for name in ("atomistic_violation", "_jsd", "_biatomic"):
         real = getattr(analysis, name)
         monkeypatch.setattr(
             analysis, name, lambda L, real=real, name=name: calls.append(name) or real(L)
@@ -224,7 +299,24 @@ def test_verdicts_are_decided_once_per_lattice(monkeypatch, m3):
         assert (is_atomistic(L), is_join_semidistributive(L), is_biatomic(L)) == (
             True, False, True
         )
-    assert calls == ["atomistic_violation", "jsd_violation", "_biatomic"] * 2
+    assert calls == ["atomistic_violation", "_jsd", "_biatomic"] * 2
+
+
+def test_check_decides_biatomicity_from_the_problem_rows(monkeypatch, m3, n5):
+    # a default check runs problems first, and its rows store the verdict
+    lattices = [*corpus(m3, n5), *hull_lattices(), *boundary_lattices()]
+    expected = [is_biatomic(FiniteLattice(L.leq, L.labels)) for L in lattices]
+    assert not all(expected)
+
+    def refuse(L):
+        raise AssertionError("_biatomic ran during check")
+
+    monkeypatch.setattr(analysis, "_biatomic", refuse)
+    got = [
+        cli._run_props(FiniteLattice(L.leq, L.labels), cli.ALL_PROPS)["biatomic"]
+        for L in lattices
+    ]
+    assert got == expected
 
 
 def test_every_finite_lattice_is_atomic():
