@@ -3,9 +3,16 @@
 A lattice is stored as a dense boolean order matrix ``leq`` together with
 its cover matrix, its atoms and its join and meet tables, all computed once
 at construction, so every lattice operation after it is a lookup.
-Construction validates everything: the order axioms (checked by the same
-product that gives the covers), existence of all binary joins and meets,
-and the presence of a bottom and a top.  Instances are immutable.
+Instances are immutable, and there are two routes to one.  Input from
+outside (an order matrix, a cover list, JSON, an induced suborder) goes
+through ``FiniteLattice(leq, labels)``, which validates everything: the
+order axioms (checked by the same product that gives the covers), the
+existence of all binary joins and meets (:func:`_lub_table`), and the
+presence of a bottom and a top.  The library's own constructions know
+their join and meet tables from their algebra, and hand them to
+:meth:`FiniteLattice._from_tables`, which still checks the order and finds
+the covers but computes no table; each table formula is proved where it
+is computed.  Closure systems share one builder, :func:`_lattice_of_closed`.
 
 Every boolean matrix product and both tables are computed on rows packed
 into 64-bit words (:func:`_packed_rows`), a block of at most
@@ -193,14 +200,19 @@ def _order_from_covers(
 class FiniteLattice:
     """A finite bounded lattice on elements ``0 .. n-1``.
 
-    ``leq[i, j]`` holds iff element ``i`` is below element ``j``.  The
+    ``leq[i, j]`` holds iff element ``i`` is below element ``j``.  Every
     build checks the order and computes its covers in one step
-    (:func:`_cover_matrix`), reads the atoms off the bottom's row of covers,
-    and fills the join and meet tables (:func:`_lub_table`); all of them are
-    read-only.  Every element carries a distinct string label; constructions
-    derive fresh labels from the labels of the inputs.  ``analysis`` stores
-    its atomistic, jsd and biatomic verdicts on the lattice when it first
-    decides them.
+    (:func:`_cover_matrix`) and reads the atoms off the bottom's row of
+    covers; all arrays are read-only.  ``FiniteLattice(leq, labels)`` also
+    finds the bottom and the top and fills the join and meet tables
+    (:func:`_lub_table`), raising if they do not exist; it is the route for
+    every order the library did not make.  :meth:`_from_tables` is the
+    route for the library's own constructions, which pass tables they
+    prove correct.  Every element carries a distinct string label;
+    constructions derive fresh labels from the labels of the inputs.
+    ``analysis`` stores its atomistic, jsd and biatomic verdicts on the
+    lattice when it first decides them, and a construction stores those its
+    theorem gives.
     """
 
     __slots__ = (
@@ -217,25 +229,45 @@ class FiniteLattice:
             raise NotBounded("a bounded lattice cannot be empty")
         _check_size(n, "the order")
         leq = np.array(leq, dtype=bool)
-        self.n = n
         cov = _cover_matrix(leq)
-        self.labels = _checked_labels(labels, n)
-
-        bottoms = np.flatnonzero(leq.all(axis=1))
-        tops = np.flatnonzero(leq.all(axis=0))
-        if len(bottoms) != 1 or len(tops) != 1:
+        labels = _checked_labels(labels, n)
+        if leq.all(axis=1).sum() != 1 or leq.all(axis=0).sum() != 1:
             raise NotBounded("order must have a unique minimum and maximum")
-        self.bottom = int(bottoms[0])
-        self.top = int(tops[0])
+        # symmetric, so the meet table needs no transpose
+        self._fill(leq, cov, _lub_table(leq), _lub_table(leq.T), labels)
 
-        self.join_table = _lub_table(leq)
-        self.meet_table = _lub_table(leq.T)  # symmetric, so no transpose
-        for arr in (leq, cov, self.join_table, self.meet_table):
+    @classmethod
+    def _from_tables(
+        cls, leq: np.ndarray, join: np.ndarray, meet: np.ndarray, labels: Sequence[str]
+    ) -> "FiniteLattice":
+        """A lattice the library builds, with join and meet tables it proves.
+
+        The order is still checked, by the product that gives the covers, and
+        the labels must be distinct, but no table is recomputed: the caller
+        answers for ``join`` and ``meet`` being the lattice's, and for the
+        size being within ``MAX_ELEMENTS``.  The arrays become the lattice's,
+        read-only.  Only the library's constructions call this; input from
+        outside goes through ``FiniteLattice(leq)``.
+        """
+        self = cls.__new__(cls)
+        cov = _cover_matrix(leq)
+        self._fill(leq, cov, join, meet, _checked_labels(labels, leq.shape[0]))
+        return self
+
+    def _fill(self, leq, cov, join, meet, labels) -> None:
+        """Store a checked order, its covers, both int32 tables and the labels."""
+        self.n = leq.shape[0]
+        self.labels = labels
+        self.bottom = int(leq.all(axis=1).argmax())
+        self.top = int(leq.all(axis=0).argmax())
+        for arr in (leq, cov, join, meet):
             arr.setflags(write=False)
         self.leq = leq
         self._cov = cov
+        self.join_table = join
+        self.meet_table = meet
         self._atoms = tuple(np.flatnonzero(cov[self.bottom]).tolist())
-        self._verdicts: dict[str, bool] = {}  # analysis's stored predicate verdicts
+        self._verdicts: dict[str, bool] = {}  # predicate verdicts, decided or proved
 
     # -- constructors -----------------------------------------------------
 
@@ -372,12 +404,6 @@ class FiniteLattice:
         return FiniteLattice(sub, [self.labels[i] for i in elems])
 
 
-def _inclusion_order(masks: Sequence[int]) -> np.ndarray:
-    """Inclusion order of sets given as bitmasks that fit in an int64."""
-    m = np.array(masks, dtype=np.int64)
-    return (m[:, None] & ~m[None, :]) == 0
-
-
 def _set_labels(masks: Sequence[int], names: Sequence[str]) -> list[str]:
     """``{a,b}`` labels of bitmask sets over the named ground elements."""
     return [
@@ -394,6 +420,51 @@ def _closed_sets(n: int, rules: Iterable[tuple[int, int]]) -> list[int]:
         if h & ~t:  # a head inside its premise rejects nothing
             masks = masks[((masks & t) != t) | ((masks & h) == h)]
     return masks.tolist()
+
+
+def _rows_filled(n: int, rows) -> np.ndarray:
+    """The n x n int32 table whose rows ``x0 .. x1-1`` are ``rows(x0, x1)``.
+
+    A block holds about ``_BLOCK_WORDS`` entries (one row, where a row alone
+    is larger), so a formula's temporaries stay small at any n.
+    """
+    table = np.empty((n, n), dtype=np.int32)
+    step = max(1, _BLOCK_WORDS // n)
+    for x0 in range(0, n, step):
+        x1 = min(n, x0 + step)
+        table[x0:x1] = rows(x0, x1)
+    return table
+
+
+def _lattice_of_closed(k: int, masks: Sequence[int], labels: Sequence[str]) -> FiniteLattice:
+    """The lattice of the closed sets of a closure system on k <= 20 points.
+
+    ``masks`` lists every closed set once, as a bitmask, in element order;
+    the full set is among them and the closed sets are closed under
+    intersection (as :func:`_closed_sets` gives them).  Such a family
+    ordered by inclusion is a lattice (Ganter and Wille, *Formal Concept
+    Analysis*, 1999, ch. 1): the meet of A and B is A & B, which is closed,
+    and the join is the least closed superset of A | B, the intersection of
+    all closed supersets.  A table holds that closure for every one of the
+    2^k sets: starting from each closed set itself and the full set
+    elsewhere, one pass per bit i ANDs the entry of s | {i} into that of
+    s, so after the passes the entry of s is the AND over every t holding
+    s, closed or full.  Both tables are then one gather per block of rows,
+    and A <= B iff A & B = A, so the order is read off the meet table.
+    """
+    m = np.array(masks, dtype=np.int32)
+    n = len(m)
+    closure = np.full(1 << k, (1 << k) - 1, dtype=np.int32)
+    closure[m] = m
+    for i in range(k):
+        halves = closure.reshape(-1, 2, 1 << i)  # [:, 0] lacks bit i, [:, 1] holds it
+        halves[:, 0] &= halves[:, 1]
+    pos = np.zeros(1 << k, dtype=np.int32)  # read only at closed sets
+    pos[m] = np.arange(n, dtype=np.int32)
+    join = _rows_filled(n, lambda x0, x1: pos[closure[m[x0:x1, None] | m]])
+    meet = _rows_filled(n, lambda x0, x1: pos[m[x0:x1, None] & m])
+    leq = meet == np.arange(n, dtype=np.int32)[:, None]
+    return FiniteLattice._from_tables(leq, join, meet, labels)
 
 
 def _lub_table(leq: np.ndarray) -> np.ndarray:

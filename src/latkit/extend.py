@@ -10,13 +10,18 @@ lattice while preserving join-semidistributivity, atom dependencies, and
 lower-boundedness.
 
 Each public entry validates its caller's input once, and internal steps
-trust what the construction guarantees.  At runtime there remain the numpy
+trust what the construction guarantees.  Results are built from join and
+meet tables gathered from the base's (``FiniteLattice._from_tables``), by
+formulas proved in the docstrings, after the result's size is checked
+against ``MAX_ELEMENTS``; the verdicts a theorem gives are stored on the
+result.  At runtime there remain the numpy
 postconditions of ``one_atom_extension``, ``verify_embedding`` on every
 embedding, and the constant-time invariants and termination measure of the
 biatomization loop.  The paper's per-step theorems (each adjoined atom keeps
 atomisticity, join-semidistributivity, atom dependencies and
 lower-boundedness) are asserted by the test oracle ``assert_solved_triple``
-in ``tests/conftest.py``.
+in ``tests/conftest.py``; ``assert_rebuilds`` and ``assert_stored_verdicts``
+there check the tables and the stored verdicts against the validating build.
 
 All constructions keep the original element indices: the result lattice
 lists the image of element i of the base at index i, with fresh elements
@@ -36,7 +41,9 @@ from .core import (
     LatticeError,
     PreconditionFailed,
     _check_indices,
+    _check_size,
     _ensure,
+    _rows_filled,
     verify_embedding,
 )
 from .analysis import (
@@ -92,24 +99,48 @@ def biatomic_completion(L: FiniteLattice) -> tuple[FiniteLattice, EmbeddingMap]:
     incomparable elements p(a), q(a) with a = p(a) v q(a); fresh elements sit
     above only 0 and below exactly the filter of a.  The result has
     |L| + 2k elements where k counts the doubled elements, and the inclusion
-    preserves joins, meets, bounds and atoms in both directions.
+    preserves joins, meets, bounds and atoms in both directions.  By the
+    paper's first theorem the result is atomistic and biatomic; both
+    verdicts are stored on it.
+
+    The tables come from L's through g, which fixes the base and sends
+    p(a) and q(a) to a.  Above a fresh element e = p(a) (or q(a)) lie e
+    itself and the base elements above a, and above a base element other
+    than the bottom only base elements.  So for u, v other than the bottom,
+    unless u = v is fresh, the common upper bounds of u and v are the base
+    elements above g(u) and g(v), and u v v = g(u) v g(v); the bottom
+    is the unit of the join, and e v e = e.  Below e lie only e and the
+    bottom: e ^ e = e, e ^ y is e for a base y above a and the bottom for
+    any other y.  The fresh elements below base x and y are those below
+    x ^ y, so base meets are L's.
     """
     atom_set = set(L.atoms())
     doubled = [a for a in range(L.n) if a != L.bottom and a not in atom_set]
     n = L.n
     k = n + 2 * len(doubled)
+    _check_size(k, "the order")
+    g = np.concatenate([np.arange(n), np.repeat(np.array(doubled, dtype=np.int64), 2)])
+    fresh = np.arange(n, k)
     leq = np.zeros((k, k), dtype=bool)
     leq[:n, :n] = L.leq
+    leq[fresh, fresh] = True
+    leq[L.bottom, n:] = True
+    leq[n:, :n] = L.leq[g[n:]]
+    join = _rows_filled(k, lambda x0, x1: L.join_table[g[x0:x1, None], g])
+    join[L.bottom] = join[:, L.bottom] = np.arange(k)
+    join[fresh, fresh] = fresh
+    meet = np.full((k, k), L.bottom, dtype=np.int32)
+    meet[:n, :n] = L.meet_table
+    meet[n:, :n] = np.where(leq[n:, :n], fresh[:, None], L.bottom)
+    meet[:n, n:] = meet[n:, :n].T
+    meet[fresh, fresh] = fresh
     labels = list(L.labels)
     used = set(labels)
-    for t, a in enumerate(doubled):
-        for offset, prefix in ((0, "p"), (1, "q")):
-            idx = n + 2 * t + offset
+    for a in doubled:
+        for prefix in ("p", "q"):
             labels.append(_fresh_label(used, f"{prefix}({L.labels[a]})"))
-            leq[idx, idx] = True
-            leq[L.bottom, idx] = True
-            leq[idx, :n] = L.leq[a]
-    result = FiniteLattice(leq, labels)
+    result = FiniteLattice._from_tables(leq, join, meet, labels)
+    result._verdicts.update(atomistic=True, biatomic=True)
     emb = verify_embedding(L, result, tuple(range(n)))
     _ensure(emb.preserved.all_flags(), "completion embedding lost structure")
     return result, emb
@@ -271,6 +302,17 @@ def one_atom_extension(pair: ExtensionPair) -> OneAtomExtension:
     bounds and atoms; the fresh atom sits below exactly the filter of the
     apex; joining the fresh atom onto the image realizes the closure of M;
     and every new element is such a join.
+
+    The tables are gathered from the base's.  Meets are componentwise: if
+    both operands are on side 1 they lie in M, and so does x ^ y; if not,
+    one of x, y lies outside the apex filter, an up-set, and so does x ^ y.
+    Either way (x ^ y, s ^ t) is an element, hence the meet.  A join with
+    an operand on side 1 has only upper bounds (m, 1) with m in M above
+    x v y, and the least of them is (f(x v y), 1).  Two operands on side 0
+    have the join (x v y, 0) when x v y lies outside the filter; when it
+    lies inside, no (z, 0) is above it, and the join is (x v y, 1) =
+    (f(x v y), 1).  A base element in the filter keeps its index on side 1,
+    so that last case needs no test: the index is x v y in both.
     """
     L = pair.lattice
     apex = pair.apex
@@ -278,11 +320,25 @@ def one_atom_extension(pair: ExtensionPair) -> OneAtomExtension:
     n = L.n
     in_filter = L.leq[apex]
     fresh = [m for m in members if not in_filter[m]]
+    size = n + len(fresh)
+    _check_size(size, "the order")
     # element i is (xs[i], side[i]): each base x, on side 1 iff in the filter,
     # then (m, 1) for each fresh m
     xs = np.array(list(range(n)) + fresh, dtype=np.int64)
     side = np.concatenate([in_filter, np.ones(len(fresh), dtype=bool)])
     leq = L.leq[np.ix_(xs, xs)] & (side[:, None] <= side[None, :])
+    # at[m]: the index of (m, 1) for m in M; lift[z]: that of (f(z), 1)
+    at = np.arange(n, dtype=np.int32)
+    at[fresh] = np.arange(n, size, dtype=np.int32)
+    lift = at[np.array(pair.closure)]
+
+    def join_rows(x0, x1):
+        z = L.join_table[xs[x0:x1, None], xs]
+        return np.where(side[x0:x1, None] | side, lift[z], z)
+
+    def meet_rows(x0, x1):
+        z = L.meet_table[xs[x0:x1, None], xs]
+        return np.where(side[x0:x1, None] & side, lift[z], z)
 
     labels = list(L.labels)
     used = set(labels)
@@ -296,7 +352,9 @@ def one_atom_extension(pair: ExtensionPair) -> OneAtomExtension:
             star if m == L.bottom else _fresh_label(used, f"{star} v {L.labels[m]}")
         )
 
-    result = FiniteLattice(leq, labels)
+    result = FiniteLattice._from_tables(
+        leq, _rows_filled(size, join_rows), _rows_filled(size, meet_rows), labels
+    )
     emb = verify_embedding(L, result, tuple(range(n)))
     _ensure(emb.preserved.all_flags(), "one-atom embedding lost structure")
 
@@ -561,7 +619,8 @@ def partial_biatomization(
     At runtime the recursion checks its
     constant-time invariants and its termination measure, each problem is
     confirmed solved, and the embedding (identity on indices) is verified to
-    preserve joins, meets, bounds and atoms.
+    preserve joins, meets, bounds and atoms.  The result's atomistic and
+    jsd verdicts, which that theorem gives, are stored on it.
     """
     if not is_atomistic(L):
         raise PreconditionFailed("partial_biatomization needs an atomistic base")
@@ -583,4 +642,5 @@ def partial_biatomization(
 
     emb = verify_embedding(L, current, tuple(range(L.n)))
     _ensure(emb.preserved.all_flags(), "biatomization embedding lost structure")
+    current._verdicts.update(atomistic=True, jsd=True)
     return current, emb, steps

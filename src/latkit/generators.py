@@ -14,7 +14,8 @@ from .core import (
     TooLarge,
     _check_size,
     _closed_sets,
-    _inclusion_order,
+    _lattice_of_closed,
+    _rows_filled,
     _set_labels,
 )
 
@@ -32,33 +33,59 @@ def boolean(n: int) -> FiniteLattice:
         )
     masks = range(1 << n)
     names = [str(i) for i in range(n)]
-    return FiniteLattice(_inclusion_order(masks), _set_labels(masks, names))
+    return _lattice_of_closed(n, masks, _set_labels(masks, names))
 
 
 def chain(n: int) -> FiniteLattice:
-    """The n-element chain 0 < 1 < ... < n-1."""
+    """The n-element chain 0 < 1 < ... < n-1.
+
+    In a chain any two elements are comparable, so the join of two is the
+    larger and the meet the smaller.
+    """
     if n < 1:
         raise TooLarge("chain(n) needs n >= 1")
     _check_size(n, f"chain({n})")
+    r = np.arange(n, dtype=np.int32)
     leq = np.triu(np.ones((n, n), dtype=bool))
-    return FiniteLattice(leq, [str(i) for i in range(n)])
+    labels = [str(i) for i in range(n)]
+    return FiniteLattice._from_tables(leq, np.maximum.outer(r, r), np.minimum.outer(r, r), labels)
 
 
 def co_chain(n: int) -> FiniteLattice:
     """Order-convex subsets of the n-element chain, ordered by inclusion.
 
     The elements are the empty set plus the intervals [i, j] with
-    1 <= i <= j <= n, so the lattice has 1 + n(n+1)/2 elements.
+    1 <= i <= j <= n, so the lattice has 1 + n(n+1)/2 elements.  They are
+    listed by length d = j - i, then by left end, so [i, j] has index
+    1 + (n + (n - 1) + ... + (n - d + 1)) + (i - 1) = dn - d(d-1)/2 + i.
+    The empty set is (n + 1, 0), which ends before it begins.  The meet of
+    two convex sets is their intersection, [max i, min j], and their join
+    the least interval holding both, [min i, max j]; either is empty
+    exactly when it ends before it begins.  With the empty set as
+    (n + 1, 0) both formulas hold for it too: it shares no point with
+    anything, and it leaves the other end of a hull unchanged.
     """
     if n < 1:
         raise TooLarge("co_chain(n) needs n >= 1")
-    _check_size(1 + n * (n + 1) // 2, f"co_chain({n})")
-    # by length, then by left end; [i, j] lies inside [k, l] iff k <= i and
-    # j <= l, and the empty set, which ends before it begins, below everything
+    size = 1 + n * (n + 1) // 2
+    _check_size(size, f"co_chain({n})")
     intervals = [(i, i + d) for d in range(n) for i in range(1, n - d + 1)]
     labels = ["{}"] + [f"[{i},{j}]" for i, j in intervals]
-    i, j = np.array([(n + 1, 0)] + intervals).T
-    return FiniteLattice((i <= i[:, None]) & (j[:, None] <= j), labels)
+    i, j = np.array([(n + 1, 0)] + intervals, dtype=np.int32).T
+
+    def index(lo, hi):
+        d = hi - lo
+        return np.where(lo <= hi, d * n - d * (d - 1) // 2 + lo, 0)
+
+    join = _rows_filled(
+        size, lambda x0, x1: index(np.minimum(i[x0:x1, None], i), np.maximum(j[x0:x1, None], j))
+    )
+    meet = _rows_filled(
+        size, lambda x0, x1: index(np.maximum(i[x0:x1, None], i), np.minimum(j[x0:x1, None], j))
+    )
+    # [i, j] lies inside [k, l] iff k <= i and j <= l; the empty set, below everything
+    leq = (i <= i[:, None]) & (j[:, None] <= j)
+    return FiniteLattice._from_tables(leq, join, meet, labels)
 
 
 # -- meet-closed subsets ------------------------------------------------------
@@ -75,7 +102,7 @@ def sub_meet_semilattice(P) -> FiniteLattice:
     pairs = combinations(range(P.n), 2)
     rules = [((1 << x) | (1 << y), 1 << int(P.meet_table[x, y])) for x, y in pairs]
     masks = sorted(_closed_sets(P.n, rules), key=lambda m: (bin(m).count("1"), m))
-    return FiniteLattice(_inclusion_order(masks), _set_labels(masks, P.labels))
+    return _lattice_of_closed(P.n, masks, _set_labels(masks, P.labels))
 
 
 # -- exhaustive enumeration ----------------------------------------------------
@@ -129,5 +156,7 @@ def enumerate_lattices(n: int) -> Iterator[FiniteLattice]:
         raise TooLarge("enumerate_lattices is bounded at n = 7")
     labels = [f"e{i}" for i in range(n)]
     for entry in _DOWN_SETS[n - 1]:
-        # i <= j iff the down-set of i lies inside the down-set of j
-        yield FiniteLattice(_inclusion_order(list(bytes.fromhex(entry))), labels)
+        # the principal down-sets are closed under intersection (that of i and
+        # that of j meet in that of their meet) and hold the whole set (that
+        # of the top), and i <= j iff the down-set of i lies inside that of j
+        yield _lattice_of_closed(n, list(bytes.fromhex(entry)), labels)

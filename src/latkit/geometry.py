@@ -21,7 +21,7 @@ from itertools import combinations
 from typing import Sequence
 
 from .core import FiniteLattice, LatticeError, TooLarge
-from .core import _check_size, _closed_sets, _inclusion_order
+from .core import _check_size, _closed_sets, _lattice_of_closed
 
 
 class TooManyPoints(TooLarge):
@@ -150,8 +150,14 @@ def co_points(config: PointConfiguration) -> FiniteLattice:
 
     Elements are exactly the subsets equal to their hull trace, ordered by
     inclusion; the bottom is the empty set and the top the full set.  Joins
-    are hull traces of unions and meets are intersections, both recovered
-    automatically from the inclusion order.  By Carathéodory, a point lies in
+    are hull traces of unions and meets are intersections, both computed
+    from the closed sets by ``core._lattice_of_closed``.  The hull trace has
+    the anti-exchange property, so the closed sets are those of a convex
+    geometry, and their lattice is join-semidistributive (Adaricheva,
+    Gorbunov and Tumanov, *Join-semidistributive lattices and convex
+    geometries*, Adv. Math. 173, 2003); it is atomistic, since each point
+    is closed and each closed set is the join of its points.  Both verdicts
+    are stored on the result.  By Carathéodory, a point lies in
     the hull of a set iff it lies in the hull of at most three of its points,
     so a set is closed iff it holds the traces of its pairs and triples.  A
     pair's trace is the points on its segment; a proper triangle's, the points
@@ -196,4 +202,6 @@ def co_points(config: PointConfiguration) -> FiniteLattice:
     masks = sorted(members, key=lambda m: (len(members[m]), members[m]))
     names = config.labels
     labels = ["{" + ",".join(names[i] for i in members[m]) + "}" for m in masks]
-    return FiniteLattice(_inclusion_order(masks), labels)
+    L = _lattice_of_closed(n, masks, labels)
+    L._verdicts.update(atomistic=True, jsd=True)
+    return L

@@ -28,7 +28,13 @@ table gathers and one boolean product replaced.  ``oracle_canonical_key``
 keys a built lattice by its numpy cover matrix, and
 ``oracle_enumerate_lattices`` builds and keys every labelled candidate of
 the linear-extension search ``_bounded_meet_semilattices_linear``; it
-regenerates the table of down-set masks that ``enumerate_lattices`` reads.
+regenerates the table of down-set masks that ``enumerate_lattices`` reads;
+``inclusion_order`` keeps the bitmask inclusion order those lattices were
+built from before ``core._lattice_of_closed`` replaced it.
+``assert_rebuilds`` compares a lattice the library built from tables it
+proves (``FiniteLattice._from_tables``) with its rebuild through the
+validating constructor, and ``assert_stored_verdicts`` re-decides every
+verdict a construction stored, on such a rebuild.
 """
 
 import functools
@@ -42,10 +48,11 @@ import pytest
 from latkit.analysis import (
     _irredundant_atoms,
     is_atomistic,
+    is_biatomic,
     is_join_semidistributive,
     join_dependency,
 )
-from latkit.core import FiniteLattice, NotALattice, NotAPoset, _closed_sets, _inclusion_order
+from latkit.core import FiniteLattice, NotALattice, NotAPoset, _closed_sets
 from latkit.extend import biatomic_completion, make_extension_pair
 from latkit.generators import co_chain, enumerate_lattices
 from latkit.geometry import (
@@ -115,6 +122,41 @@ def oracle_cover_matrix(leq: np.ndarray) -> np.ndarray:
     """Strict pairs with no element strictly between, through ``@``."""
     strict = leq & ~np.eye(leq.shape[0], dtype=bool)
     return strict & ~(strict @ strict)
+
+
+def assert_rebuilds(L: FiniteLattice) -> None:
+    """L agrees with its rebuild through the validating constructor.
+
+    A construction hands ``FiniteLattice._from_tables`` join and meet tables
+    it proves; ``FiniteLattice(leq)`` finds them with ``_lub_table`` from
+    the order alone.  The two must give the same order, covers, atoms,
+    bounds, tables (dtype included) and labels.
+    """
+    twin = FiniteLattice(L.leq, L.labels)
+    assert np.array_equal(L.leq, twin.leq)
+    assert np.array_equal(L.cover_matrix(), twin.cover_matrix())
+    assert (L.atoms(), L.bottom, L.top, L.labels) == (
+        twin.atoms(), twin.bottom, twin.top, twin.labels
+    )
+    for table, want in ((L.join_table, twin.join_table), (L.meet_table, twin.meet_table)):
+        assert table.dtype == want.dtype and np.array_equal(table, want)
+
+
+# the analysis predicate that decides each verdict a lattice can store
+DECIDERS = {
+    "atomistic": is_atomistic,
+    "biatomic": is_biatomic,
+    "jsd": is_join_semidistributive,
+}
+
+
+def assert_stored_verdicts(L: FiniteLattice, *names: str) -> None:
+    """L stores a verdict for each of ``names``, and every verdict L stores
+    is the one the analysis decides afresh on a rebuild of L."""
+    assert set(names) <= L._verdicts.keys()
+    twin = FiniteLattice(L.leq, L.labels)
+    for name, verdict in L._verdicts.items():
+        assert DECIDERS[name](twin) == verdict, name
 
 
 def oracle_lub(L: FiniteLattice, x: int, y: int) -> int | None:
@@ -609,6 +651,12 @@ def point_in_hull(p: RationalPoint, points) -> bool:
     return all(orientation(hull[i], hull[(i + 1) % k], p) >= 0 for i in range(k))
 
 
+def inclusion_order(masks) -> np.ndarray:
+    """Inclusion order of sets given as bitmasks that fit in an int64."""
+    m = np.array(masks, dtype=np.int64)
+    return (m[:, None] & ~m[None, :]) == 0
+
+
 def _set_lattice(names, sets) -> tuple[list[str], np.ndarray]:
     """Labels and inclusion order of a list of index sets."""
     labels = ["{" + ",".join(names[i] for i in s) + "}" for s in sets]
@@ -982,7 +1030,7 @@ def oracle_enumerate_lattices(n: int) -> list[FiniteLattice]:
     built as a lattice and keyed, and the first of each key is kept."""
     seen: dict[bytes, FiniteLattice] = {}
     for down in _bounded_meet_semilattices_linear(n):
-        L = FiniteLattice(_inclusion_order(down), [f"e{i}" for i in range(n)])
+        L = FiniteLattice(inclusion_order(down), [f"e{i}" for i in range(n)])
         seen.setdefault(oracle_canonical_key(L), L)
     return [seen[key] for key in sorted(seen)]
 

@@ -9,6 +9,7 @@ from conftest import (
     biatomic_by_splitting,
     boundary_lattices,
     hull_lattices,
+    inclusion_order,
     join_prime_decomposition,
     oracle_biatomic,
     oracle_ell,
@@ -45,7 +46,6 @@ from latkit.core import (
     FiniteLattice,
     PreconditionFailed,
     _closed_sets,
-    _inclusion_order,
     _set_labels,
 )
 from latkit.extend import biatomic_completion
@@ -159,7 +159,7 @@ def test_jsd_verdict_on_moore_families(family):
     # shape, atomistic or not
     n, rules = family
     masks = _closed_sets(n, rules)
-    L = FiniteLattice.from_order(_inclusion_order(masks), _set_labels(masks, "abcdef"))
+    L = FiniteLattice.from_order(inclusion_order(masks), _set_labels(masks, "abcdef"))
     assert analysis._jsd(L) == (oracle_jsd_violation(L) is None), L.to_json()
 
 

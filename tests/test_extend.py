@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import fields
 from itertools import combinations
 
@@ -5,7 +6,10 @@ import numpy as np
 import pytest
 
 from conftest import (
+    assert_rebuilds,
     assert_solved_triple,
+    assert_stored_verdicts,
+    boundary_lattices,
     hull_lattices,
     oracle_atom_restriction,
     oracle_closure_onto,
@@ -28,7 +32,7 @@ from latkit.analysis import (
     is_join_semidistributive,
     join_dependency,
 )
-from latkit.core import LatticeError, PreconditionFailed
+from latkit.core import LatticeError, PreconditionFailed, TooLarge
 from latkit.extend import (
     BadApex,
     BadTriple,
@@ -96,6 +100,29 @@ def test_completion_of_m3(m3):
     ext, _ = biatomic_completion(m3)
     assert ext.n == 7
     assert is_atomistic(ext) and is_biatomic(ext)
+
+
+def test_completions_agree_with_the_validating_build():
+    bases = [L for n in range(1, 7) for L in enumerate_lattices(n)]
+    bases += [L for seed in range(1, 4) for L in hull_lattices(seed)]
+    bases += [boolean(4), co_chain(6), chain(5), *boundary_lattices()]
+    for L in bases:
+        ext, _ = biatomic_completion(L)
+        assert_rebuilds(ext)
+        assert_stored_verdicts(ext, "atomistic", "biatomic")
+
+
+def test_completion_refuses_an_oversized_result_before_building_it():
+    base = co_chain(60)
+    tracemalloc.start()
+    try:
+        message = "^the order has 5371 elements, above the ceiling of 4096$"
+        with pytest.raises(TooLarge, match=message):
+            biatomic_completion(base)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20  # the order matrix alone would take 28 MB
 
 
 # -- extension pairs and closures ------------------------------------------------
@@ -264,6 +291,30 @@ def test_one_atom_extension_order_matches_pair_loop():
             for i, (x, s) in enumerate(reps):
                 for j, (y, t) in enumerate(reps):
                     assert leq[i, j] == (bool(L.leq[x, y]) and s <= t)
+
+
+def test_one_atom_extensions_agree_with_the_validating_build():
+    bases = [L for n in range(1, 6) for L in enumerate_lattices(n)] + [boolean(3), co_chain(3)]
+    built = 0
+    for L in bases:
+        for pair in extension_pairs(L):
+            assert_rebuilds(one_atom_extension(pair).result)
+            built += 1
+    assert built > 100
+
+
+def test_one_atom_extension_refuses_an_oversized_result_before_building_it():
+    L = co_chain(64)  # 2081 elements; 63 intervals hold [1, 2]
+    pair = make_extension_pair(L, L.index("[1,2]"), range(L.n))
+    tracemalloc.start()
+    try:
+        message = "^the order has 4099 elements, above the ceiling of 4096$"
+        with pytest.raises(TooLarge, match=message):
+            one_atom_extension(pair)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20  # the order matrix alone would take 16 MB
 
 
 def test_criteria_match_reality_on_small_lattices():
@@ -448,6 +499,24 @@ def test_biatomization_steps_meet_the_oracle(monkeypatch):
     assert sizes == [(27, 45), (45, 76), (76, 131), (131, 232)]
 
 
+def test_paper5_biatomization_steps_agree_with_the_validating_build(monkeypatch):
+    build = extend.one_atom_extension
+    results = []
+
+    def recorded(pair):
+        ext = build(pair)
+        results.append(ext.result)
+        return ext
+
+    monkeypatch.setattr(extend, "one_atom_extension", recorded)
+    # the tenth step would have 6469 elements, and is refused before it is built
+    with pytest.raises(TooLarge, match="^the order has 6469 elements, above the ceiling of 4096$"):
+        partial_biatomization(co_points(five_point_configuration()))
+    assert [K.n for K in results] == [45, 76, 131, 232, 404, 726, 1299, 2164, 3689]
+    for K in results[:-1]:
+        assert_rebuilds(K)
+
+
 # -- full and partial biatomization ---------------------------------------------------
 
 
@@ -531,6 +600,14 @@ def test_solve_instance_passes_its_measure_down(monkeypatch):
     recursive = limits["recursive"]
     assert len(recursive) == 7
     assert all(passed == wanted for passed, wanted in recursive), recursive
+
+
+def test_partial_biatomization_stores_what_its_theorem_gives():
+    bases = list(atomistic_jsd_corpus(6)) + [triangle_with_center_lattice(), boolean(3)]
+    for L in bases:
+        ext, _, _ = partial_biatomization(L)
+        assert_rebuilds(ext)
+        assert_stored_verdicts(ext, "atomistic", "jsd")
 
 
 def test_partial_biatomization_rejects_bad_bases(m3, n5):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import (
+    assert_rebuilds,
     meet_semilattices,
     oracle_canonical_key,
     oracle_enumerate_lattices,
@@ -258,3 +259,24 @@ def test_co_chain_is_the_inclusion_order_of_its_intervals(n):
         masks.append(((1 << (j - i + 1)) - 1) << (i - 1))
     expected = [[s & ~t == 0 for t in masks] for s in masks]
     assert L.leq.tolist() == expected
+
+
+# every generator builds through FiniteLattice._from_tables; its tables must
+# be those the validating constructor finds
+REBUILT_FAMILIES = {
+    "enum": lambda: [L for n in range(1, 8) for L in enumerate_lattices(n)],
+    "boolean": lambda: [boolean(k) for k in range(11)],
+    "chain": lambda: [chain(n) for n in range(1, 41)],
+    "co_chain": lambda: [co_chain(n) for n in range(1, 41)],
+    "sub_meet_semilattice": lambda: [
+        sub_meet_semilattice(P)
+        for P in [chain(3), boolean(2)]
+        + [P for n in range(1, 6) for P in meet_semilattices(n)]
+    ],
+}
+
+
+@pytest.mark.parametrize("family", REBUILT_FAMILIES)
+def test_generators_agree_with_the_validating_build(family):
+    for L in REBUILT_FAMILIES[family]():
+        assert_rebuilds(L)

@@ -8,7 +8,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import hull_trace, on_segment, oracle_co_points, oracle_isomorphic, point_in_hull
+from conftest import (
+    assert_rebuilds,
+    assert_stored_verdicts,
+    hull_lattices,
+    hull_trace,
+    on_segment,
+    oracle_co_points,
+    oracle_isomorphic,
+    point_in_hull,
+)
 from latkit.analysis import (
     biatomicity_problems,
     is_atomistic,
@@ -347,6 +356,17 @@ def test_co_points_matches_oracle_on_seeded_configurations():
     rational = [cfg for cfg in configs if any(p.x.denominator > 1 for p in cfg.points)]
     assert len(collinear) > len(configs) // 5 and len(rational) > len(configs) // 4
     assert {len(cfg) for cfg in configs} == set(range(1, 9))
+
+
+def test_co_points_agrees_with_the_validating_build():
+    # the tables come from the closure system, and the atomistic and jsd
+    # verdicts from the theorem on convex geometries
+    lattices = [L for seed in range(1, 6) for L in hull_lattices(seed)]
+    lattices += [co_points(cfg) for cfg in seeded_configurations()[:100]]
+    lattices += [co_points(five_point_configuration()), co_points(triangle_with_center())]
+    for L in lattices:
+        assert_rebuilds(L)
+        assert_stored_verdicts(L, "atomistic", "jsd")
 
 
 def test_too_many_points():

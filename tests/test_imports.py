@@ -10,7 +10,9 @@ only it reads the clock; no call in the package pretty-prints JSON with
 names it imports, and each of them resolves; every other public function or
 class of the package, and every public method, property or classmethod of
 its public classes but one listed exception, is read by the package or a
-demo, not by the tests alone."""
+demo, not by the tests alone.  Only the library's own constructions build a
+lattice from tables (``FiniteLattice._from_tables``); every constructor for
+input from outside goes through the validating one."""
 
 import ast
 import builtins
@@ -486,3 +488,75 @@ def test_detector_flags_a_test_only_member():
     ]
     demos = [ast.parse("from a import Shape\n\nprint(Shape().side)\n")]
     assert unread_public_members(package, demos) == ["Shape.test_only"]
+
+
+# Modules whose constructions prove the tables they hand to _from_tables,
+# and the constructors that take input from outside, which must validate it.
+TRUSTED_BUILDERS = {"core", "generators", "geometry", "extend"}
+OUTSIDE_INPUT = {"__init__", "from_order", "from_covers", "from_json", "restrict"}
+
+
+def untrusted_table_builds(modules: dict[str, ast.Module]) -> list[str]:
+    """Calls of ``_from_tables`` outside the trusted constructions.
+
+    A call site is named ``module.function`` by the outermost function or
+    method it sits in (``<module>`` at the top level).  It breaches the rule
+    when its module is not one of ``TRUSTED_BUILDERS``, or when that
+    function is a constructor for input from outside, which must go through
+    ``_lub_table``'s NotALattice check.  The list is sorted.
+    """
+    found = []
+    for name, tree in modules.items():
+        scopes = [(node.name, node) for node in tree.body if isinstance(node, ast.FunctionDef)]
+        scopes += [
+            (member.name, member)
+            for cls in tree.body
+            if isinstance(cls, ast.ClassDef)
+            for member in cls.body
+            if isinstance(member, ast.FunctionDef)
+        ]
+        owner = {id(sub): scope for scope, node in scopes for sub in ast.walk(node)}
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            called = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if called != "_from_tables":
+                continue
+            scope = owner.get(id(node), "<module>")
+            if name not in TRUSTED_BUILDERS or scope in OUTSIDE_INPUT:
+                found.append(f"{name}.{scope}")
+    return sorted(found)
+
+
+def test_only_the_constructions_build_from_tables():
+    modules = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in PACKAGE}
+    assert untrusted_table_builds(modules) == []
+    # the trusted route is in use, so the check above is not vacuous
+    called = {
+        name
+        for name, tree in modules.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr == "_from_tables"
+    }
+    assert {"core", "generators", "extend"} <= called
+
+
+def test_detector_flags_an_untrusted_table_build():
+    modules = {
+        "core": ast.parse(
+            "class FiniteLattice:\n"
+            "    @classmethod\n"
+            "    def from_json(cls, text):\n"
+            "        return cls._from_tables(*parse(text))\n\n"
+            "def _lattice_of_closed(k, masks, labels):\n"
+            "    return FiniteLattice._from_tables(leq, join, meet, labels)\n"
+        ),
+        "cli": ast.parse(
+            "from .core import FiniteLattice\n\n"
+            "def load(text):\n    return FiniteLattice._from_tables(*read(text))\n\n"
+            "L = FiniteLattice._from_tables(a, b, c, d)\n"
+        ),
+        "extend": ast.parse("def grow(L):\n    return FiniteLattice._from_tables(a, b, c, d)\n"),
+    }
+    assert untrusted_table_builds(modules) == ["cli.<module>", "cli.load", "core.from_json"]

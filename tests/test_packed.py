@@ -25,6 +25,7 @@ from conftest import (
     biatomic_by_splitting,
     boundary_lattices,
     hull_lattices,
+    inclusion_order,
     meet_semilattices,
     oracle_atoms,
     oracle_atomistic_violation,
@@ -48,7 +49,6 @@ from latkit.core import (
     LatticeError,
     _bool_product,
     _cover_matrix,
-    _inclusion_order,
     _lub_table,
     _packed_rows,
 )
@@ -140,7 +140,7 @@ def seeded_orders() -> list[np.ndarray]:
 
 def lattice_orders() -> list[np.ndarray]:
     orders = [L.leq for n in range(1, 8) for L in enumerate_lattices(n)]
-    orders += [_inclusion_order(range(1 << n)) for n in range(9)]
+    orders += [inclusion_order(range(1 << n)) for n in range(9)]
     orders += [co_chain(n).leq for n in range(1, 21)]
     return orders
 
