@@ -12,7 +12,10 @@ presence of a bottom and a top.  The library's own constructions know
 their join and meet tables from their algebra, and hand them to
 :meth:`FiniteLattice._from_tables`, which still checks the order and finds
 the covers but computes no table; each table formula is proved where it
-is computed.  Closure systems share one builder, :func:`_lattice_of_closed`.
+is computed.  Closure systems share one builder, :func:`_lattice_of_closed`,
+which reads both tables off a closure table, the least closed superset of
+every subset of the points; :func:`_closure_table` computes that table
+from rules "a set holding all of t holds all of h".
 
 Every boolean matrix product and both tables are computed on rows packed
 into 64-bit words (:func:`_packed_rows`), a block of at most
@@ -412,14 +415,29 @@ def _set_labels(masks: Sequence[int], names: Sequence[str]) -> list[str]:
     ]
 
 
-def _closed_sets(n: int, rules: Iterable[tuple[int, int]]) -> list[int]:
-    """Ascending bitmasks of the subsets of ``range(n)`` that hold all of h
-    whenever they hold all of t, for every rule (t, h) of bitmasks."""
-    masks = np.arange(1 << n, dtype=np.int64)
-    for t, h in rules:
-        if h & ~t:  # a head inside its premise rejects nothing
-            masks = masks[((masks & t) != t) | ((masks & h) == h)]
-    return masks.tolist()
+def _closure_table(k: int, rules: Sequence[tuple[int, int]]) -> np.ndarray:
+    """The closure of every subset of ``range(k)``, k <= 20, under the rules.
+
+    A rule (t, h) of bitmasks says that a set holding all of t holds all of
+    h; entry s of the int32 table is the least superset of s that keeps
+    every rule.  The table starts as the identity with each head ORed in at
+    its premise, and one pass per bit b ORs the entry of s into that of
+    s | {b}; after the passes entry s is s plus every head whose premise s
+    holds, one step f(s) of an extensive, monotone operator.  Squaring the
+    table (``c = c[c]``) doubles the steps taken, and stops once it changes
+    nothing: then f(c[s]) lies between c[s] and c[c[s]] = c[s], so c[s] is
+    closed, and it is the least closed superset, since every closed set
+    holding s holds each step.
+    """
+    closure = np.arange(1 << k, dtype=np.int32)
+    premises, heads = np.array(rules, dtype=np.int32).reshape(-1, 2).T
+    np.bitwise_or.at(closure, premises, heads)
+    for b in range(k):
+        halves = closure.reshape(-1, 2, 1 << b)  # [:, 0] lacks bit b, [:, 1] holds it
+        halves[:, 1] |= halves[:, 0]
+    while not np.array_equal(squared := closure[closure], closure):
+        closure = squared
+    return closure
 
 
 def _rows_filled(n: int, rows) -> np.ndarray:
@@ -436,33 +454,28 @@ def _rows_filled(n: int, rows) -> np.ndarray:
     return table
 
 
-def _lattice_of_closed(k: int, masks: Sequence[int], labels: Sequence[str]) -> FiniteLattice:
+def _lattice_of_closed(
+    closure: np.ndarray, masks: Sequence[int], labels: Sequence[str]
+) -> FiniteLattice:
     """The lattice of the closed sets of a closure system on k <= 20 points.
 
-    ``masks`` lists every closed set once, as a bitmask, in element order;
-    the full set is among them and the closed sets are closed under
-    intersection (as :func:`_closed_sets` gives them).  Such a family
-    ordered by inclusion is a lattice (Ganter and Wille, *Formal Concept
-    Analysis*, 1999, ch. 1): the meet of A and B is A & B, which is closed,
-    and the join is the least closed superset of A | B, the intersection of
-    all closed supersets.  A table holds that closure for every one of the
-    2^k sets: starting from each closed set itself and the full set
-    elsewhere, one pass per bit i ANDs the entry of s | {i} into that of
-    s, so after the passes the entry of s is the AND over every t holding
-    s, closed or full.  Both tables are then one gather per block of rows,
+    ``closure`` is the system's closure table, the least closed superset of
+    each of the 2^k sets (as :func:`_closure_table` gives it), and ``masks``
+    lists every closed set once, in element order.  The closed sets ordered
+    by inclusion form a lattice (Ganter and Wille, *Formal Concept Analysis*,
+    1999, ch. 1): the meet of A and B is A & B, which is closed, and the join
+    is the least closed superset of A | B.  Composing the closure table
+    with the position of each closed set gives the element that is the
+    closure of any set, so both tables are one gather per block of rows,
     and A <= B iff A & B = A, so the order is read off the meet table.
     """
-    m = np.array(masks, dtype=np.int32)
+    m = np.asarray(masks, dtype=np.int32)
     n = len(m)
-    closure = np.full(1 << k, (1 << k) - 1, dtype=np.int32)
-    closure[m] = m
-    for i in range(k):
-        halves = closure.reshape(-1, 2, 1 << i)  # [:, 0] lacks bit i, [:, 1] holds it
-        halves[:, 0] &= halves[:, 1]
-    pos = np.zeros(1 << k, dtype=np.int32)  # read only at closed sets
+    pos = np.zeros(len(closure), dtype=np.int32)  # read only at closed sets
     pos[m] = np.arange(n, dtype=np.int32)
-    join = _rows_filled(n, lambda x0, x1: pos[closure[m[x0:x1, None] | m]])
-    meet = _rows_filled(n, lambda x0, x1: pos[m[x0:x1, None] & m])
+    index = pos[closure]  # the element that is the closure of each set
+    join = _rows_filled(n, lambda x0, x1: index[m[x0:x1, None] | m])
+    meet = _rows_filled(n, lambda x0, x1: index[m[x0:x1, None] & m])
     leq = meet == np.arange(n, dtype=np.int32)[:, None]
     return FiniteLattice._from_tables(leq, join, meet, labels)
 

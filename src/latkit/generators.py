@@ -13,7 +13,7 @@ from .core import (
     FiniteLattice,
     TooLarge,
     _check_size,
-    _closed_sets,
+    _closure_table,
     _lattice_of_closed,
     _rows_filled,
     _set_labels,
@@ -31,9 +31,9 @@ def boolean(n: int) -> FiniteLattice:
         raise TooLarge(
             f"boolean({n}) has 2^{n} elements, above the ceiling of {MAX_ELEMENTS}"
         )
-    masks = range(1 << n)
+    masks = np.arange(1 << n, dtype=np.int32)  # every set is closed
     names = [str(i) for i in range(n)]
-    return _lattice_of_closed(n, masks, _set_labels(masks, names))
+    return _lattice_of_closed(masks, masks, _set_labels(masks.tolist(), names))
 
 
 def chain(n: int) -> FiniteLattice:
@@ -101,8 +101,10 @@ def sub_meet_semilattice(P) -> FiniteLattice:
         raise TooLarge("sub_meet_semilattice is bounded at 5 generators")
     pairs = combinations(range(P.n), 2)
     rules = [((1 << x) | (1 << y), 1 << int(P.meet_table[x, y])) for x, y in pairs]
-    masks = sorted(_closed_sets(P.n, rules), key=lambda m: (bin(m).count("1"), m))
-    return _lattice_of_closed(P.n, masks, _set_labels(masks, P.labels))
+    closure = _closure_table(P.n, rules)
+    closed = np.flatnonzero(closure == np.arange(1 << P.n)).tolist()
+    masks = sorted(closed, key=lambda m: (m.bit_count(), m))
+    return _lattice_of_closed(closure, masks, _set_labels(masks, P.labels))
 
 
 # -- exhaustive enumeration ----------------------------------------------------
@@ -159,4 +161,13 @@ def enumerate_lattices(n: int) -> Iterator[FiniteLattice]:
         # the principal down-sets are closed under intersection (that of i and
         # that of j meet in that of their meet) and hold the whole set (that
         # of the top), and i <= j iff the down-set of i lies inside that of j
-        yield _lattice_of_closed(n, list(bytes.fromhex(entry)), labels)
+        masks = np.frombuffer(bytes.fromhex(entry), dtype=np.uint8).astype(np.int32)
+        # the least closed superset of s is the AND of the closed sets holding
+        # s: start from each closed set itself and the full set elsewhere, and
+        # one pass per bit b ANDs the entry of s | {b} into that of s
+        closure = np.full(1 << n, (1 << n) - 1, dtype=np.int32)
+        closure[masks] = masks
+        for b in range(n):
+            halves = closure.reshape(-1, 2, 1 << b)  # [:, 0] lacks bit b, [:, 1] holds it
+            halves[:, 0] &= halves[:, 1]
+        yield _lattice_of_closed(closure, masks, labels)

@@ -4,10 +4,14 @@ A finite point configuration in the plane induces a closure operator: the
 trace of a subset is every configuration point inside its convex hull.
 The hull-closed subsets ordered by inclusion form a lattice in which the
 meet is intersection and the join is the trace of the union.  The public
-predicates are signed-area orientation tests on ``fractions.Fraction``;
-:func:`co_points` decides hull membership from one table of orientation
-signs, in Python integers over coordinates scaled to a common denominator.
-There is no floating point anywhere in this module.
+predicates are signed-area orientation tests on ``fractions.Fraction``.
+:func:`co_points` computes the trace of every subset at once, from
+orientation signs in Python integers over coordinates scaled to a common
+denominator: by Carathéodory the trace of a set is the union of the traces
+of its pairs and triples, so with those traces as bitmasks (point i at bit
+n - 1 - i) one OR pass per point over all 2^n subsets gives the whole
+closure table, and the closed sets are its fixed points.  There is no
+floating point anywhere in this module.
 """
 
 from __future__ import annotations
@@ -15,13 +19,16 @@ from __future__ import annotations
 import json
 import math
 import re
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from typing import Sequence
 
+import numpy as np
+
 from .core import FiniteLattice, LatticeError, TooLarge
-from .core import _check_size, _closed_sets, _lattice_of_closed
+from .core import _check_size, _closure_table, _lattice_of_closed
 
 
 class TooManyPoints(TooLarge):
@@ -151,24 +158,33 @@ def co_points(config: PointConfiguration) -> FiniteLattice:
     Elements are exactly the subsets equal to their hull trace, ordered by
     inclusion; the bottom is the empty set and the top the full set.  Joins
     are hull traces of unions and meets are intersections, both computed
-    from the closed sets by ``core._lattice_of_closed``.  The hull trace has
-    the anti-exchange property, so the closed sets are those of a convex
-    geometry, and their lattice is join-semidistributive (Adaricheva,
-    Gorbunov and Tumanov, *Join-semidistributive lattices and convex
-    geometries*, Adv. Math. 173, 2003); it is atomistic, since each point
-    is closed and each closed set is the join of its points.  Both verdicts
-    are stored on the result.  By Carathéodory, a point lies in
-    the hull of a set iff it lies in the hull of at most three of its points,
-    so a set is closed iff it holds the traces of its pairs and triples.  A
-    pair's trace is the points on its segment; a proper triangle's, the points
-    on no edge's far side.  A collinear triple needs no rule of its own: the
-    pair of its two ends forces the same points.
+    by ``core._lattice_of_closed`` from one closure table, the hull trace of
+    every subset.  The hull trace has the anti-exchange property, so the
+    closed sets are those of a convex geometry, and their lattice is
+    join-semidistributive (Adaricheva, Gorbunov and Tumanov,
+    *Join-semidistributive lattices and convex geometries*, Adv. Math. 173,
+    2003); it is atomistic, since each point is closed and each closed set
+    is the join of its points.  Both verdicts are stored on the result.
+
+    By Carathéodory, a point lies in the hull of a set iff it lies in the
+    hull of at most three of its points, so the hull trace of S is the union
+    of the traces of S's pairs and triples.  A pair's trace is the points on
+    its segment; a proper triangle's, the points on no edge's far side.  A
+    collinear triple needs no trace of its own: the pair of its two ends
+    gives the same points.  ``core._closure_table`` ORs these traces over
+    all subsets in one pass per point, which gives every hull trace at
+    once, and the closed sets are the table's fixed points.
 
     The coordinates are scaled to a common denominator in integer arithmetic
-    alone, and the triple-sign table is filled from one cross product per
+    alone, and each orientation sign comes from one cross product per
     unordered triple: the sign is shared by the cyclic orders of a triple
-    and flips for the other three.  Each closed set's member list serves as
-    both its sort key and its label.
+    and flips for the other three.  The signs fill, for every directed line
+    through two points, the bitmask of the points strictly on its left, and
+    each trace is the complement of a union of such masks.  Point i sits at
+    bit n - 1 - i, so between two closed sets of one size the one with the
+    smaller first member has the larger mask: elements are listed by size,
+    then by sorted member list, which is descending mask order, and each
+    member list also gives the element's label.
     """
     n = len(config)
     if n > 20:
@@ -177,31 +193,49 @@ def co_points(config: PointConfiguration) -> FiniteLattice:
     scale = math.lcm(*(q.denominator for p in config.points for q in (p.x, p.y)))
     xs = [p.x.numerator * (scale // p.x.denominator) for p in config.points]
     ys = [p.y.numerator * (scale // p.y.denominator) for p in config.points]
-    # s[i][j][k]: the orientation sign of the triangle (i, j, k), computed once
-    # per triple i < j < k; it is 0 with a repeated point and flips with a swap
-    s = [[[0] * n for _ in range(n)] for _ in range(n)]
-    for i, j, k in combinations(range(n), 3):
+    bit = [1 << (n - 1 - i) for i in range(n)]
+    full = (1 << n) - 1
+    # left[i][j]: the points strictly left of the line from i to j;
+    # seg[i][j]: the points on the segment from i to j
+    left = [[0] * n for _ in range(n)]
+    seg = [[bit[i] | bit[j] for j in range(n)] for i in range(n)]
+    triples = list(combinations(range(n), 3))
+    crosses = []
+    for i, j, k in triples:
         cross = (xs[j] - xs[i]) * (ys[k] - ys[i]) - (ys[j] - ys[i]) * (xs[k] - xs[i])
-        t = (cross > 0) - (cross < 0)
-        s[i][j][k] = s[j][k][i] = s[k][i][j] = t
-        s[j][i][k] = s[i][k][j] = s[k][j][i] = -t
-    rules = []
-    for i, j in combinations(range(n), 2):
-        on = [k for k in range(n) if s[i][j][k] == 0
-              and (xs[k] - xs[i]) * (xs[k] - xs[j]) + (ys[k] - ys[i]) * (ys[k] - ys[j]) <= 0]
-        rules.append((1 << i | 1 << j, sum(1 << k for k in on)))
-    for i, j, k in combinations(range(n), 3):
-        if t := s[i][j][k]:
-            on = [m for m in range(n)
-                  if min(t * s[i][j][m], t * s[j][k][m], t * s[k][i][m]) >= 0]
-            rules.append((1 << i | 1 << j | 1 << k, sum(1 << m for m in on)))
-    closed = _closed_sets(n, rules)
+        crosses.append(cross)
+        if cross > 0:  # counterclockwise, and so are (j, k, i) and (k, i, j)
+            left[i][j] |= bit[k]
+            left[j][k] |= bit[i]
+            left[k][i] |= bit[j]
+        elif cross < 0:
+            left[j][i] |= bit[k]
+            left[k][j] |= bit[i]
+            left[i][k] |= bit[j]
+        else:  # collinear: the one between the other two lies on their segment
+            for a, b, c in ((i, j, k), (i, k, j), (j, k, i)):
+                if (xs[c] - xs[a]) * (xs[c] - xs[b]) + (ys[c] - ys[a]) * (ys[c] - ys[b]) <= 0:
+                    seg[a][b] |= bit[c]
+    rules = [(bit[i] | bit[j], seg[i][j]) for i, j in combinations(range(n), 2)]
+    for (i, j, k), cross in zip(triples, crosses):
+        if cross:  # a proper triangle holds what lies right of none of its edges
+            if cross > 0:
+                right = left[j][i] | left[k][j] | left[i][k]
+            else:
+                right = left[i][j] | left[j][k] | left[k][i]
+            rules.append((bit[i] | bit[j] | bit[k], full & ~right))
+    closure = _closure_table(n, rules)
+    closed = np.flatnonzero(closure == np.arange(1 << n, dtype=np.int32))
     _check_size(len(closed), f"co_points on {n} points")
-    members = {m: [i for i in range(n) if m >> i & 1] for m in closed}
-    # by size, then by the sorted member list
-    masks = sorted(members, key=lambda m: (len(members[m]), members[m]))
-    names = config.labels
-    labels = ["{" + ",".join(names[i] for i in members[m]) + "}" for m in masks]
-    L = _lattice_of_closed(n, masks, labels)
+    masks = closed[np.lexsort((-closed, np.bitwise_count(closed)))]
+    points = list(zip(bit, config.labels))
+    labels = ["{" + ",".join([name for b, name in points if m & b]) + "}" for m in masks.tolist()]
+    if len(set(labels)) != len(labels):
+        twice = next(lab for lab, count in Counter(labels).items() if count > 1)
+        raise LatticeError(
+            f"two closed sets are both labelled {twice!r}: point labels that are empty"
+            " or contain ',', '{' or '}' make closed-set labels ambiguous"
+        )
+    L = _lattice_of_closed(closure, masks, labels)
     L._verdicts.update(atomistic=True, jsd=True)
     return L

@@ -30,7 +30,9 @@ keys a built lattice by its numpy cover matrix, and
 the linear-extension search ``_bounded_meet_semilattices_linear``; it
 regenerates the table of down-set masks that ``enumerate_lattices`` reads;
 ``inclusion_order`` keeps the bitmask inclusion order those lattices were
-built from before ``core._lattice_of_closed`` replaced it.
+built from before ``core._lattice_of_closed`` replaced it, and
+``_closed_sets`` the per-rule filters over all subsets that
+``core._closure_table`` replaced.
 ``assert_rebuilds`` compares a lattice the library built from tables it
 proves (``FiniteLattice._from_tables``) with its rebuild through the
 validating constructor, and ``assert_stored_verdicts`` re-decides every
@@ -52,7 +54,7 @@ from latkit.analysis import (
     is_join_semidistributive,
     join_dependency,
 )
-from latkit.core import FiniteLattice, NotALattice, NotAPoset, _closed_sets
+from latkit.core import FiniteLattice, NotALattice, NotAPoset
 from latkit.extend import biatomic_completion, make_extension_pair
 from latkit.generators import co_chain, enumerate_lattices
 from latkit.geometry import (
@@ -649,6 +651,16 @@ def point_in_hull(p: RationalPoint, points) -> bool:
         return on_segment(p, hull[0], hull[1])
     k = len(hull)
     return all(orientation(hull[i], hull[(i + 1) % k], p) >= 0 for i in range(k))
+
+
+def _closed_sets(n: int, rules) -> list[int]:
+    """Ascending bitmasks of the subsets of ``range(n)`` that hold all of h
+    whenever they hold all of t, for every rule (t, h) of bitmasks."""
+    masks = np.arange(1 << n, dtype=np.int64)
+    for t, h in rules:
+        if h & ~t:  # a head inside its premise rejects nothing
+            masks = masks[((masks & t) != t) | ((masks & h) == h)]
+    return masks.tolist()
 
 
 def inclusion_order(masks) -> np.ndarray:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import (
+    _closed_sets,
     biatomic_by_single_atom,
     biatomic_by_splitting,
     boundary_lattices,
@@ -45,7 +46,6 @@ from latkit.analysis import (
 from latkit.core import (
     FiniteLattice,
     PreconditionFailed,
-    _closed_sets,
     _set_labels,
 )
 from latkit.extend import biatomic_completion

@@ -505,6 +505,24 @@ def test_co_points_file_source(capsys, tmp_path):
     assert report["results"][f"co-points:{path}"]["size"] == 8
 
 
+def test_ambiguous_point_labels_give_one_report(capsys, tmp_path):
+    # {a,b} is both the pair of a and b and the point labelled "a,b"
+    points = [("a", 0, 0), ("b", 4, 0), ("a,b", 0, 4)]
+    rows = [{"label": lab, "x": x, "y": y} for lab, x, y in points]
+    path = tmp_path / "ambiguous.json"
+    path.write_text(json.dumps({"points": rows}))
+    code = main(["check", "--gen", f"co-points:{path}"])
+    out = capsys.readouterr().out
+    report, end = json.JSONDecoder().raw_decode(out)
+    assert code == 2
+    assert out[end:] == "\n"  # exactly one object
+    assert report["error"]["type"] == "InputError"
+    assert report["error"]["message"] == (
+        "two closed sets are both labelled '{a,b}': point labels that are empty"
+        " or contain ',', '{' or '}' make closed-set labels ambiguous"
+    )
+
+
 def assert_invalid_json_report(capsys, tmp_path, source, body):
     path = tmp_path / "input.json"
     path.write_text(body)

@@ -2,8 +2,10 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import (
+    _closed_sets,
     hull_lattices,
     oracle_atoms,
     oracle_glb,
@@ -21,6 +23,7 @@ from latkit.core import (
     NotBounded,
     NotInjective,
     TooLarge,
+    _closure_table,
     verify_embedding,
 )
 from latkit.analysis import ell, minimal_decomposition, solve_problem_instance
@@ -35,6 +38,45 @@ from latkit.generators import boolean, chain, co_chain, enumerate_lattices
 
 def sample_lattices(m3, n5):
     return [m3, n5, chain(4), boolean(3), co_chain(3)]
+
+
+@st.composite
+def rule_sets(draw):
+    """Rules (t, h) on up to six points: premises drawn from a few sets, the
+    empty one among them, so they repeat, and some heads inside their premise."""
+    k = draw(st.integers(0, 6))
+    sets = st.integers(0, (1 << k) - 1)
+    premises = [0] + draw(st.lists(sets, min_size=1, max_size=4))
+    rules = []
+    for t, h, inside in draw(st.lists(st.tuples(st.sampled_from(premises), sets, st.booleans()),
+                                      max_size=10)):
+        rules.append((t, h & t if inside else h))
+    return k, rules
+
+
+def least_closed_superset(s: int, rules) -> int:
+    """Apply the rules to s until none adds a point."""
+    while True:
+        grown = s
+        for t, h in rules:
+            if grown & t == t:
+                grown |= h
+        if grown == s:
+            return s
+        s = grown
+
+
+@settings(max_examples=300, deadline=None)
+@given(rule_sets())
+# a chain of rules: one pass over the subsets reaches only its first step
+@example((4, [(0b0001, 0b0010), (0b0010, 0b0100), (0b0100, 0b1000), (0b0001, 0b0001)]))
+def test_closure_table_is_the_least_closed_superset(family):
+    k, rules = family
+    table = _closure_table(k, rules)
+    assert table.dtype == np.int32 and table.shape == (1 << k,)
+    assert table.tolist() == [least_closed_superset(s, rules) for s in range(1 << k)]
+    fixed = np.flatnonzero(table == np.arange(1 << k)).tolist()
+    assert fixed == _closed_sets(k, rules)
 
 
 def test_join_meet_tables_match_pair_scan(m3, n5):

@@ -1,6 +1,7 @@
 import json
 import math
 import time
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations
 
@@ -380,3 +381,36 @@ def test_too_many_closed_sets():
     cfg = config_of([(i, i * i) for i in range(13)])
     with pytest.raises(TooLarge, match="has 8192 elements, above the ceiling of 4096"):
         co_points(cfg)
+
+
+def traced_peak(call):
+    """What ``call()`` returns or raises, and its tracemalloc peak in bytes."""
+    tracemalloc.start()
+    try:
+        try:
+            out = call()
+        except TooLarge as exc:
+            out = exc
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_twenty_points_stay_within_a_small_closure_table():
+    # 2^20 subsets: the closure table is 4 MB of int32 and its square another 4
+    convex, peak = traced_peak(lambda: co_points(config_of([(i, i * i) for i in range(20)])))
+    assert str(convex) == "co_points on 20 points has 1048576 elements, above the ceiling of 4096"
+    assert peak < 24 << 20
+    row, peak = traced_peak(lambda: co_points(config_of([(i, 0) for i in range(20)])))
+    assert row.n == 1 + 20 * 21 // 2  # the empty set and the intervals
+    assert peak < 16 << 20
+
+
+def test_ambiguous_point_labels_are_named():
+    cfg = PointConfiguration(["a", "b", "a,b"], [P(0, 0), P(4, 0), P(0, 4)])
+    with pytest.raises(LatticeError) as info:
+        co_points(cfg)
+    assert str(info.value) == (
+        "two closed sets are both labelled '{a,b}': point labels that are empty"
+        " or contain ',', '{' or '}' make closed-set labels ambiguous"
+    )

@@ -8,7 +8,10 @@ as ``latkit.cli.main(argv)``, against the ``src/`` of the checkout that holds
 this script.  The inputs are written under ``.task-digest/`` in the current
 directory, so two checkouts run from the same directory pass the same paths
 to the command line, and equal digests mean byte-identical stdout and equal
-exit codes on every task.  The last field is the number of tasks hashed.
+exit codes on every task.  One line per workload and seed, ``<sha256>  <tasks>
+<workload>-s<seed>``, comes first, so a mismatch names the workload that
+changed; the last line is the digest over all of them, and its last field the
+number of tasks hashed.
 """
 
 from __future__ import annotations
@@ -39,12 +42,16 @@ def main() -> int:
             files, tasks = workloads.make(workload, seed, str(workdir))
             for path, text in files.items():
                 Path(path).write_text(text, encoding="utf-8")
+            part = hashlib.sha256()
             for task in tasks:
                 out = io.StringIO()
                 with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
                     rc = cli.main(task.argv)
-                digest.update(f"{task.name}\0{rc}\0{out.getvalue()}\0".encode())
-                count += 1
+                record = f"{task.name}\0{rc}\0{out.getvalue()}\0".encode()
+                digest.update(record)
+                part.update(record)
+            count += len(tasks)
+            print(f"{part.hexdigest()}  {len(tasks)}  {workdir.name}", flush=True)
     print(f"{digest.hexdigest()}  {count}")
     return 0
 
