@@ -14,11 +14,18 @@ expected, so ``v`` is also a legal variable name.  A term nests at most 100
 levels, counting each operator and each pair of parentheses above a
 variable; a deeper one is a syntax error.
 
-:func:`evaluate` decides a quasi-identity on a finite lattice by trying every
-assignment, in lexicographic order of the declared variables, a block of
-partial assignments at a time.  A premise is checked at the variable it binds
-last, on the grid of a block's rows against every value of that variable, so
-the assignments it rules out are never built.
+:func:`evaluate` decides a quasi-identity on a finite lattice over every
+assignment of the declared variables, by dynamic programming over interface
+values.  The variables are bound in order.  After the first d of them, the
+search keeps not the prefixes but their states: the values of the interface,
+the maximal subterms over those d variables of the equations checked later.
+Prefixes with equal states have the same completions, because every term
+checked later is built from later variables and interface terms.  A premise is
+checked at the variable it binds last, on a grid of states against every value
+of that variable, so the assignments it rules out are never built.  Counts of
+completions flow back through the states, and a walk in lexicographic order
+finds the first counterexample, so the verdict is that of a search of every
+assignment in order.
 """
 
 from __future__ import annotations
@@ -30,7 +37,7 @@ from typing import Union
 
 import numpy as np
 
-from .core import FiniteLattice
+from .core import FiniteLattice, TooLarge
 
 
 class QidSyntaxError(ValueError):
@@ -303,11 +310,26 @@ BUILTINS = {"theta": theta, "sd-join": sd_join}
 
 # -- evaluation ----------------------------------------------------------------
 
-# Cells, rows times n, of the grid on which one block binds its next variable;
-# the block it leaves has at most that many rows.  A block whose grid would
-# pass it is split into consecutive sub-blocks, so memory is bounded by the
-# budget, the number of variables and the nesting of terms, not by n ** k.
+# Cells, rows times values, of one grid on which a level binds its variable; a
+# level whose grid would pass it is gridded in consecutive blocks of rows.  The
+# first variable is searched in chunks of values sized from it too, so that no
+# level of a chunk holds more states or cells than one grid, unless a single
+# value of the first variable already leads to more.
 _ROW_BUDGET = 1 << 15
+
+# Grid cells one evaluation may check, over every level of every chunk.
+_WORK_BUDGET = 1 << 32
+
+# Passing cells one level of a chunk may hold: they are grouped all at once.
+_HOLD_BUDGET = 1 << 22
+
+# The variable being bound, in a compiled term; interface slots are >= 0.
+_NEW = -1
+
+
+class SearchTooLarge(TooLarge):
+    """An evaluation would check more grid cells than ``_WORK_BUDGET``, or hold
+    more cells at one level than ``_HOLD_BUDGET``."""
 
 
 def _term_vars(t: Term) -> frozenset[str]:
@@ -316,100 +338,378 @@ def _term_vars(t: Term) -> frozenset[str]:
     return _term_vars(t.left) | _term_vars(t.right)
 
 
-def _last_var(eq: Equation, index: dict[str, int]) -> int:
-    """Position of the last declared variable the equation uses."""
-    return max(index[v] for v in _term_vars(eq.lhs) | _term_vars(eq.rhs))
+def _last_var(t: Term, index: dict[str, int]) -> int:
+    """Position of the last declared variable the term uses."""
+    return max(index[v] for v in _term_vars(t))
 
 
-def _values(t: Term, index: dict[str, int], cols, tables, n: int, new=None) -> np.ndarray:
-    """The value of ``t`` on the rows of ``cols``, by table gathers.
+def _checked_at(eq: Equation, index: dict[str, int]) -> int:
+    """The level that checks a premise: the position of its last variable."""
+    return max(_last_var(eq.lhs, index), _last_var(eq.rhs, index))
 
-    The columns broadcast.  On a grid, ``new`` is the (1, n) row of every
-    value of the variable being bound and the bound variables are (rows, 1)
-    columns, so a subterm free of the new variable costs one gather per row,
-    and one that holds it a (rows, n) gather.  A join or meet of ``new`` with
-    a column is a gather of whole table rows.
+
+def _interface(q: QuasiIdentity, d: int) -> tuple[Term, ...]:
+    """The terms whose values the search carries after binding the first ``d`` variables.
+
+    They are the maximal subterms, over those variables alone, of the sides
+    of every equation checked later: the premises whose last variable is the
+    d-th (counting from 0) or later, and the conclusion.  Each term appears
+    once, in the order the equations and their sides first reach it.
     """
+    index = {name: i for i, name in enumerate(q.variables)}
+    later = [eq for eq in q.premises if _checked_at(eq, index) >= d] + [q.conclusion]
+    out: dict[Term, None] = {}
+
+    def collect(t: Term) -> None:
+        if _last_var(t, index) < d:
+            out[t] = None
+        elif isinstance(t, Op):
+            collect(t.left)
+            collect(t.right)
+
+    for eq in later:
+        collect(eq.lhs)
+        collect(eq.rhs)
+    return tuple(out)
+
+
+def _compile(t: Term, slots: dict[Term, int]):
+    """``t`` over an interface: a slot, ``_NEW``, or (kind, left, right)."""
+    slot = slots.get(t)
+    if slot is not None:
+        return slot
     if isinstance(t, Var):
-        return cols[index[t.name]]
-    left = _values(t.left, index, cols, tables, n, new)
-    right = _values(t.right, index, cols, tables, n, new)
-    table = tables[t.kind]
-    if right is new:
-        left, right = right, left  # join and meet commute
-    if left is new and right.shape[1] == 1:
-        return table.take(right[:, 0], axis=0)
-    return table.take(left * n + right)
+        return _NEW  # any earlier variable has a slot, as interface terms are maximal
+    return (t.kind, _compile(t.left, slots), _compile(t.right, slots))
 
 
-def _holds(eq: Equation, index: dict[str, int], cols, tables, n: int, new=None) -> np.ndarray:
-    lhs = _values(eq.lhs, index, cols, tables, n, new)
-    return lhs == _values(eq.rhs, index, cols, tables, n, new)
+def _slots(nodes) -> tuple[int, ...]:
+    """The interface slots that compiled terms read."""
+    out: set[int] = set()
+    stack = list(nodes)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, tuple):
+            stack.extend(node[1:])
+        elif node != _NEW:
+            out.add(node)
+    return tuple(sorted(out))
+
+
+@dataclass(frozen=True)
+class _Level:
+    """How the search binds one variable.
+
+    ``premises`` are the premises whose last variable it is, as pairs of
+    compiled sides, checked on the grid of states against values.  ``next``
+    holds the terms computed on the cells passing them: the next interface,
+    or at the last variable the two sides of the conclusion.  ``grouped``
+    says whether cells with equal next-interface values merge into one
+    state.  It is false where the next interface holds every bound variable
+    bare, for there the states are the prefixes themselves.
+    """
+
+    premises: tuple
+    next: tuple
+    grouped: bool
+    grid_slots: tuple[int, ...]
+    cell_slots: tuple[int, ...]
+
+
+# Plans of recent quasi-identities, by identity: hashing a term walks all of it.
+_PLANS: dict[int, tuple[QuasiIdentity, tuple[_Level, ...]]] = {}
+
+
+def _plan(q: QuasiIdentity) -> tuple[_Level, ...]:
+    """One level per variable; a name the variables lack raises KeyError."""
+    hit = _PLANS.get(id(q))
+    if hit is not None and hit[0] is q:
+        return hit[1]
+    index = {name: i for i, name in enumerate(q.variables)}
+    _checked_at(q.conclusion, index)
+    k = len(q.variables)
+    interfaces = [_interface(q, d) for d in range(k)]
+    levels = []
+    for d in range(k):
+        slots = {t: i for i, t in enumerate(interfaces[d])}
+        premises = tuple(
+            (_compile(eq.lhs, slots), _compile(eq.rhs, slots))
+            for eq in q.premises
+            if _checked_at(eq, index) == d
+        )
+        if d + 1 < k:
+            following = interfaces[d + 1]
+            grouped = not {Var(name) for name in q.variables[:d + 1]} <= set(following)
+        else:
+            following, grouped = (q.conclusion.lhs, q.conclusion.rhs), False
+        nxt = tuple(_compile(t, slots) for t in following)
+        sides = [side for pair in premises for side in pair]
+        levels.append(_Level(premises, nxt, grouped, _slots(sides), _slots(nxt)))
+    if len(_PLANS) >= 64:
+        _PLANS.clear()
+    _PLANS[id(q)] = (q, tuple(levels))
+    return _PLANS[id(q)][1]
+
+
+def _offsets(passing: np.ndarray) -> np.ndarray:
+    """Where each state's cells start among the cells of a level, and where the last ends."""
+    offsets = np.zeros(len(passing) + 1, dtype=np.intp)
+    np.cumsum(passing, out=offsets[1:])
+    return offsets
+
+
+def _segment_sums(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """The sums of ``values`` over the consecutive runs that ``offsets`` bound."""
+    total = np.zeros(len(values) + 1, dtype=values.dtype)
+    np.cumsum(values, out=total[1:])
+    return total[offsets[1:]] - total[offsets[:-1]]
+
+
+def _joined(parts) -> np.ndarray:
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+
+def _group(words: list[np.ndarray], cells: int) -> tuple[list[np.ndarray], np.ndarray]:
+    """The distinct rows of the packed ``words``, sorted, and each cell's row among them."""
+    if len(words) == 1:
+        distinct, inverse = np.unique(words[0], return_inverse=True)
+        return [distinct], inverse
+    order = np.lexsort(words[::-1])
+    ranked = [w[order] for w in words]
+    starts = np.zeros(cells, dtype=bool)
+    starts[:1] = True
+    for w in ranked:
+        starts[1:] |= w[1:] != w[:-1]
+    inverse = np.empty(cells, dtype=np.intp)
+    inverse[order] = np.cumsum(starts) - 1
+    return [w[starts] for w in ranked], inverse
+
+
+class _Search:
+    """One evaluation: the lattice's tables, the plan, and the cells checked so far."""
+
+    def __init__(self, L: FiniteLattice, q: QuasiIdentity):
+        self.plan = _plan(q)
+        self.n = n = L.n
+        # flat table positions l * n + r fit in int32, as n <= MAX_ELEMENTS
+        self.tables = {
+            "join": L.join_table.astype(np.int32, copy=False),
+            "meet": L.meet_table.astype(np.int32, copy=False),
+        }
+        self.values = np.arange(n, dtype=np.int32)
+        self.cells = 0
+        self.grouped = any(level.grouped for level in self.plan)
+        # interface values packed into int64 words in base n, as many as fit
+        self.per_word = 63 // max(1, (n - 1).bit_length())
+        # a state has at most n ** k completions
+        self.count_type = np.int64 if n ** len(q.variables) < 2 ** 63 else object
+
+    def spend(self, cells: int) -> None:
+        if self.cells + cells > _WORK_BUDGET:
+            raise SearchTooLarge(
+                f"the search needs more than its budget of {_WORK_BUDGET} grid cells; "
+                f"{self.cells} were checked"
+            )
+        self.cells += cells
+
+    def run(self, node, cols, new) -> np.ndarray:
+        """The value of a compiled term, by table gathers.
+
+        On a grid the interface columns are (rows, 1) and ``new`` is the
+        (1, values) row of the variable being bound, so a subterm free of it
+        costs one gather per row and one that holds it a (rows, values)
+        gather; a join or meet of every value with a column is a gather of
+        whole table rows.  On cells every array is flat.
+        """
+        if not isinstance(node, tuple):
+            return new if node == _NEW else cols[node]
+        kind, left, right = node
+        left, right = self.run(left, cols, new), self.run(right, cols, new)
+        table = self.tables[kind]
+        if right is new:
+            left, right = right, left  # join and meet commute
+        if left is new and new.ndim == 2 and new.shape[1] == self.n and right.shape[1] == 1:
+            return table.take(right[:, 0], axis=0)
+        return table.take(left * self.n + right)
+
+    def block(self, level: _Level, cols, start: int, stop: int, values: np.ndarray):
+        """Grid states start:stop against ``values``; compute ``next`` on the passing cells.
+
+        Returns how many cells of each state pass, and the state, counted
+        from ``start``, the value and the ``next`` terms of each passing cell,
+        in row-major order.
+        """
+        rows, width = stop - start, len(values)
+        new = values[None, :]
+        grid = {i: cols[i][start:stop, None] for i in level.grid_slots}
+        mask = None
+        for lhs, rhs in level.premises:
+            held = self.run(lhs, grid, new) == self.run(rhs, grid, new)
+            mask = held if mask is None else mask & held
+        if mask is None:
+            row, value = np.divmod(np.arange(rows * width), width)
+            passing = np.full(rows, width)
+        else:
+            if mask.shape != (rows, width):
+                mask = np.broadcast_to(mask, (rows, width))
+            row, value = np.divmod(np.flatnonzero(mask), width)
+            passing = np.bincount(row, minlength=rows)
+        value = values.take(value)  # int32, like the columns, halves what the gathers move
+        cells = {i: cols[i][start:stop].take(row) for i in level.cell_slots}
+        return passing, row, value, [self.run(t, cells, value) for t in level.next]
+
+    def level(self, level: _Level, cols, m: int, values: np.ndarray, last: bool):
+        """Bind one variable on all ``m`` states, a grid of at most ``_ROW_BUDGET`` cells at a time.
+
+        Returns how many cells of each state pass and, at the last variable,
+        the states with a cell failing the conclusion; otherwise the value of
+        each passing cell and its next interface, packed into words if the
+        level groups.
+        """
+        self.spend(m * len(values))
+        step = max(1, _ROW_BUDGET // len(values))
+        blocks, held = [], 0
+        for start in range(0, m, step):
+            passing, row, value, out = self.block(level, cols, start, min(m, start + step), values)
+            if last:
+                lhs, rhs = out
+                blocks.append((passing, row[lhs != rhs] + start))
+                continue
+            held += len(row)
+            if held > _HOLD_BUDGET:
+                raise SearchTooLarge(
+                    f"a level of the search holds more than its budget of {_HOLD_BUDGET} "
+                    f"cells; {self.cells} grid cells were checked"
+                )
+            if level.grouped:
+                words = []
+                for j in range(0, len(out), self.per_word):
+                    word = np.zeros(len(row), dtype=np.int64)
+                    for col in out[j:j + self.per_word]:
+                        word = word * self.n + col
+                    words.append(word)
+                out = words
+            blocks.append((passing, value, *out))
+        return [_joined(part) for part in zip(*blocks)]
+
+    def chunk(self, first: np.ndarray) -> tuple[int, list[int] | None]:
+        """Search the assignments whose first variable takes a value in ``first``.
+
+        Returns the number of complete assignments satisfying every premise,
+        and the values of the lexicographically first that fails the
+        conclusion, if one does.  In that case the number counts only the
+        assignments up to and including it.
+        """
+        levels = []  # per level but the last: passing cells per state, their values and next states
+        cols: list[np.ndarray] = []
+        m = 1  # the empty prefix
+        for d, level in enumerate(self.plan[:-1]):
+            passing, value, *out = self.level(level, cols, m, first if d == 0 else self.values, False)
+            if not level.grouped:
+                cols, child, m = out, None, len(value)
+            elif not out:  # nothing later reads the bound variables
+                cols, child, m = [], np.zeros(len(value), dtype=np.intp), min(len(value), 1)
+            else:
+                words, child = _group(out, len(value))
+                cols, m = [], len(words[0])
+                for j, word in zip(range(0, len(level.next), self.per_word), words):
+                    width = min(self.per_word, len(level.next) - j)
+                    digits = []
+                    for _ in range(width):
+                        word, digit = np.divmod(word, self.n)
+                        digits.append(digit.astype(np.int32))
+                    cols.extend(reversed(digits))
+            levels.append((passing, value, child))
+            if m == 0:
+                return 0, None
+        values = first if len(self.plan) == 1 else self.values
+        passing, failed = self.level(self.plan[-1], cols, m, values, True)
+        if not failed.size and not self.grouped:
+            return int(passing.sum()), None
+        levels = [(_offsets(passing), value, child) for passing, value, child in levels]
+        # a state's completions are the sums over its cells of their next states' completions
+        counts = [passing.astype(self.count_type)]
+        for offsets, _, child in reversed(levels):
+            count = counts[-1] if child is None else counts[-1][child]
+            counts.append(_segment_sums(count, offsets))
+        if not failed.size:
+            return int(counts[-1][0]), None
+        failing = np.zeros(m, dtype=np.int64)
+        failing[failed] = 1
+        fails = [failing]
+        for offsets, _, child in reversed(levels):
+            fail = fails[-1] if child is None else fails[-1][child]
+            fails.append(np.minimum(_segment_sums(fail, offsets), 1))
+        return self.walk(levels, counts[::-1], fails[::-1], cols, values)
+
+    def walk(self, levels, counts, fails, cols, values):
+        """Descend to the first failing assignment, adding the completions passed on the way."""
+        state, prefix, checked = 0, [], 0
+        for d, (offsets, value, child) in enumerate(levels):
+            lo, hi = offsets[state], offsets[state + 1]
+            kids = np.arange(lo, hi) if child is None else child[lo:hi]
+            j = int(np.argmax(fails[d + 1][kids]))
+            checked += int(counts[d + 1][kids[:j]].sum())
+            prefix.append(int(value[lo + j]))
+            state = int(kids[j])
+        self.spend(len(values))
+        _, _, value, (lhs, rhs) = self.block(self.plan[-1], cols, state, state + 1, values)
+        j = int(np.argmax(lhs != rhs))
+        prefix.append(int(value[j]))
+        return checked + j + 1, prefix
 
 
 def evaluate(L: FiniteLattice, q: QuasiIdentity) -> Verdict:
     """Exhaustively evaluate a quasi-identity over every assignment.
 
-    The search holds blocks of partial assignments, one integer array per
-    bound variable, with rows in lexicographic order of the declared
-    variables.  Extending a block binds its next variable on every row at
-    once.  If premises have that variable as their last, they are computed,
-    by gathers from the join and meet tables, on the grid of the block's rows
-    against the n values, and the block left holds the (row, value) cells
-    passing all of them, taken in row-major order; otherwise every row is
-    repeated once per value.  A block whose grid would pass ``_ROW_BUDGET``
-    cells is split into consecutive sub-blocks searched in order, depth
-    first, so complete assignments are reached in lexicographic order, the
-    conclusion is checked on each block of them, and the search stops at the
-    first block where it fails.  The counterexample returned, if any, is
-    therefore the lexicographically first among complete assignments, and
-    ``assignments_checked`` counts the complete assignments satisfying every
-    premise, in that order, up to and including it.
-    """
-    names = q.variables
-    k = len(names)
-    index = {name: i for i, name in enumerate(names)}
-    premises_at: list[list[Equation]] = [[] for _ in range(k)]
-    for eq in q.premises:
-        premises_at[_last_var(eq, index)].append(eq)
-    _last_var(q.conclusion, index)  # an undeclared name fails before any search
+    The search binds the declared variables in order, one level each, by
+    dynamic programming over interface values (see :func:`_interface`).  A
+    state after d variables stands for every prefix with the same values of
+    the d-th interface, with its multiplicity.  Level d grids the states
+    against the n values of variable d, a block of at most ``_ROW_BUDGET``
+    cells at a time, keeps the cells passing the premises whose last
+    variable it is, and computes the next interface on them; cells with
+    equal next-interface values become one state, found with one
+    ``np.unique`` (or ``np.lexsort`` over several words) of the values
+    packed in base n.  A level whose next interface holds every bound
+    variable bare skips the grouping, as its cells already differ there.  At
+    the last variable the conclusion is checked on the passing cells.  Then
+    each state's number of premise-satisfying completions, and whether one
+    fails the conclusion, are summed back through the cells of every level.
 
-    n = L.n
-    # flat table positions l * n + r fit in int32, as n <= MAX_ELEMENTS
-    tables = {
-        "join": L.join_table.astype(np.int32, copy=False),
-        "meet": L.meet_table.astype(np.int32, copy=False),
-    }
-    values = np.arange(n, dtype=np.int32)
-    new = values[None, :]
-    rows_per_block = max(1, _ROW_BUDGET // n)
+    Grouping is exact.  A premise checked at level d, and a term of the
+    interface after d + 1 variables, are built by joins and meets from
+    variable d and from maximal subterms free of it, over the first d
+    variables; each such subterm belongs to the interface after d variables,
+    as its parent holds variable d or is checked later.  So two prefixes with
+    equal interface values pass the same values at level d and reach states
+    with equal interface values: they have the same completions, and the
+    conclusion, checked on interface values at the last level, judges them
+    alike.
+
+    The first variable's values are searched in consecutive chunks of
+    ``_ROW_BUDGET // n ** (k - 2)`` values (at least one), in order, and the
+    search stops at the first chunk where the conclusion fails.  There a walk
+    over the values in lexicographic order descends into the first cell
+    whose state has a failing completion, adding the completions of the
+    cells before it, so the counterexample is the lexicographically first
+    failing assignment and ``assignments_checked`` counts the assignments
+    satisfying every premise, in that order, up to and including it.
+
+    The chunks bound memory: a level of a chunk holds at most as many states
+    and passing cells as one grid has cells, unless one value of the first
+    variable already leads to more.  A search that would grid more than
+    ``_WORK_BUDGET`` cells in all raises :class:`SearchTooLarge` before
+    gridding them, and so does one whose level of a chunk would hold more
+    than ``_HOLD_BUDGET`` passing cells.
+    """
+    search = _Search(L, q)  # every term names a variable, so a qid without any raises here
+    names = q.variables
+    chunk = max(1, _ROW_BUDGET // L.n ** max(len(names) - 2, 0))
     checked = 0
-    stack: list[list[np.ndarray]] = [[]]
-    while stack:
-        block = stack.pop()
-        rows = len(block[0]) if block else 1
-        if len(block) == k:
-            fails = np.flatnonzero(~_holds(q.conclusion, index, block, tables, n))
-            if fails.size:
-                first = int(fails[0])
-                counterexample = {name: int(col[first]) for name, col in zip(names, block)}
-                return Verdict(False, counterexample, checked + first + 1)
-            checked += rows
-        elif rows > rows_per_block:
-            stack.extend(
-                [col[start:start + rows_per_block] for col in block]
-                for start in reversed(range(0, rows, rows_per_block))
-            )
-        elif premises_at[len(block)]:
-            eqs = premises_at[len(block)]
-            grid = [col[:, None] for col in block] + [new]
-            mask = _holds(eqs[0], index, grid, tables, n, new)
-            for eq in eqs[1:]:
-                mask = mask & _holds(eq, index, grid, tables, n, new)
-            # row-major order keeps the rows lexicographic
-            keep, value = np.divmod(np.flatnonzero(np.broadcast_to(mask, (rows, n))), n)
-            if len(keep):
-                stack.append([col.take(keep) for col in block] + [value.astype(np.int32)])
-        else:
-            stack.append([np.repeat(col, n) for col in block] + [np.tile(values, rows)])
+    for start in range(0, L.n, chunk):
+        count, failing = search.chunk(search.values[start:start + chunk])
+        checked += count
+        if failing is not None:
+            return Verdict(False, dict(zip(names, failing)), checked)
     return Verdict(True, None, checked)

@@ -33,6 +33,8 @@ regenerates the table of down-set masks that ``enumerate_lattices`` reads;
 built from before ``core._lattice_of_closed`` replaced it, and
 ``_closed_sets`` the per-rule filters over all subsets that
 ``core._closure_table`` replaced.
+``oracle_block_evaluate`` keeps the block-stack search over prefixes that
+``latkit.qid.evaluate`` replaced with dynamic programming over interface values.
 ``assert_rebuilds`` compares a lattice the library built from tables it
 proves (``FiniteLattice._from_tables``) with its rebuild through the
 validating constructor, and ``assert_stored_verdicts`` re-decides every
@@ -64,7 +66,7 @@ from latkit.geometry import (
     convex_hull,
     orientation,
 )
-from latkit.qid import QuasiIdentity, Term, Var, Verdict
+from latkit.qid import Equation, QuasiIdentity, Term, Var, Verdict
 
 
 # -- well-known small lattices ----------------------------------------------------
@@ -899,6 +901,110 @@ def oracle_evaluate(L: FiniteLattice, q: QuasiIdentity) -> Verdict:
 
     if descend(0):
         return Verdict(False, counterexample, checked)
+    return Verdict(True, None, checked)
+
+
+# Cells, rows times n, of the grid on which one block of
+# ``oracle_block_evaluate`` binds its next variable.
+BLOCK_ROW_BUDGET = 1 << 15
+
+
+def _last_var(eq: Equation, index: dict[str, int]) -> int:
+    """Position of the last declared variable the equation uses."""
+    return max(index[v] for v in _term_vars(eq.lhs) | _term_vars(eq.rhs))
+
+
+def _block_values(t: Term, index: dict[str, int], cols, tables, n: int, new=None) -> np.ndarray:
+    """The value of ``t`` on the rows of ``cols``, by table gathers.
+
+    The columns broadcast.  On a grid, ``new`` is the (1, n) row of every
+    value of the variable being bound and the bound variables are (rows, 1)
+    columns, so a subterm free of the new variable costs one gather per row,
+    and one that holds it a (rows, n) gather.  A join or meet of ``new`` with
+    a column is a gather of whole table rows.
+    """
+    if isinstance(t, Var):
+        return cols[index[t.name]]
+    left = _block_values(t.left, index, cols, tables, n, new)
+    right = _block_values(t.right, index, cols, tables, n, new)
+    table = tables[t.kind]
+    if right is new:
+        left, right = right, left  # join and meet commute
+    if left is new and right.shape[1] == 1:
+        return table.take(right[:, 0], axis=0)
+    return table.take(left * n + right)
+
+
+def _block_holds(eq: Equation, index: dict[str, int], cols, tables, n: int, new=None) -> np.ndarray:
+    lhs = _block_values(eq.lhs, index, cols, tables, n, new)
+    return lhs == _block_values(eq.rhs, index, cols, tables, n, new)
+
+
+def oracle_block_evaluate(L: FiniteLattice, q: QuasiIdentity) -> Verdict:
+    """Exhaustively evaluate a quasi-identity over every assignment.
+
+    The search holds blocks of partial assignments, one integer array per
+    bound variable, with rows in lexicographic order of the declared
+    variables.  Extending a block binds its next variable on every row at
+    once.  If premises have that variable as their last, they are computed,
+    by gathers from the join and meet tables, on the grid of the block's rows
+    against the n values, and the block left holds the (row, value) cells
+    passing all of them, taken in row-major order; otherwise every row is
+    repeated once per value.  A block whose grid would pass ``BLOCK_ROW_BUDGET``
+    cells is split into consecutive sub-blocks searched in order, depth
+    first, so complete assignments are reached in lexicographic order, the
+    conclusion is checked on each block of them, and the search stops at the
+    first block where it fails.  The counterexample returned, if any, is
+    therefore the lexicographically first among complete assignments, and
+    ``assignments_checked`` counts the complete assignments satisfying every
+    premise, in that order, up to and including it.
+    """
+    names = q.variables
+    k = len(names)
+    index = {name: i for i, name in enumerate(names)}
+    premises_at: list[list[Equation]] = [[] for _ in range(k)]
+    for eq in q.premises:
+        premises_at[_last_var(eq, index)].append(eq)
+    _last_var(q.conclusion, index)  # an undeclared name fails before any search
+
+    n = L.n
+    # flat table positions l * n + r fit in int32, as n <= MAX_ELEMENTS
+    tables = {
+        "join": L.join_table.astype(np.int32, copy=False),
+        "meet": L.meet_table.astype(np.int32, copy=False),
+    }
+    values = np.arange(n, dtype=np.int32)
+    new = values[None, :]
+    rows_per_block = max(1, BLOCK_ROW_BUDGET // n)
+    checked = 0
+    stack: list[list[np.ndarray]] = [[]]
+    while stack:
+        block = stack.pop()
+        rows = len(block[0]) if block else 1
+        if len(block) == k:
+            fails = np.flatnonzero(~_block_holds(q.conclusion, index, block, tables, n))
+            if fails.size:
+                first = int(fails[0])
+                counterexample = {name: int(col[first]) for name, col in zip(names, block)}
+                return Verdict(False, counterexample, checked + first + 1)
+            checked += rows
+        elif rows > rows_per_block:
+            stack.extend(
+                [col[start:start + rows_per_block] for col in block]
+                for start in reversed(range(0, rows, rows_per_block))
+            )
+        elif premises_at[len(block)]:
+            eqs = premises_at[len(block)]
+            grid = [col[:, None] for col in block] + [new]
+            mask = _block_holds(eqs[0], index, grid, tables, n, new)
+            for eq in eqs[1:]:
+                mask = mask & _block_holds(eq, index, grid, tables, n, new)
+            # row-major order keeps the rows lexicographic
+            keep, value = np.divmod(np.flatnonzero(np.broadcast_to(mask, (rows, n))), n)
+            if len(keep):
+                stack.append([col.take(keep) for col in block] + [value.astype(np.int32)])
+        else:
+            stack.append([np.repeat(col, n) for col in block] + [np.tile(values, rows)])
     return Verdict(True, None, checked)
 
 

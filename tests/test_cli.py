@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import boundary_lattices, hull_lattices, one_unsolved_atom
-from latkit import __version__, cli, extend
+from latkit import __version__, cli, extend, qid
 from latkit.analysis import biatomicity_problems
 from latkit.cli import _split_labels, main
 from latkit.core import FiniteLattice, PreconditionFailed
@@ -865,6 +865,21 @@ def test_eval_deeply_nested_qid_gives_one_error_report(capsys, tmp_path):
     assert code == 2
     assert report["error"]["type"] == "InputError"
     assert "nests deeper than 100 levels (at position 107)" in report["error"]["message"]
+
+
+@pytest.mark.parametrize("budget, size, message", [
+    ("_WORK_BUDGET", 10000,
+     "the search needs more than its budget of 10000 grid cells; 6424 were checked"),
+    ("_HOLD_BUDGET", 1000,
+     "a level of the search holds more than its budget of 1000 cells; "
+     "1463 grid cells were checked"),
+])
+def test_eval_search_budgets_give_one_report(capsys, monkeypatch, budget, size, message):
+    monkeypatch.setattr(qid, budget, size)
+    code, report, err = run(capsys, "eval", "--gen", "co-chain:4", "--qid", "builtin:theta")
+    assert code == 2
+    assert report["error"] == {"type": "SearchTooLarge", "message": message}
+    assert "results" not in report and "SearchTooLarge" in err
 
 
 def test_eval_bad_qid_specs(capsys):

@@ -5,9 +5,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import check_assignment, eval_term, meet_semilattices, oracle_evaluate
+from conftest import (
+    check_assignment,
+    eval_term,
+    meet_semilattices,
+    oracle_block_evaluate,
+    oracle_evaluate,
+)
 from latkit.analysis import is_atomistic, is_biatomic, is_join_semidistributive
-from latkit.core import MAX_ELEMENTS
+from latkit.core import MAX_ELEMENTS, TooLarge
 from latkit.generators import (
     boolean,
     chain,
@@ -22,6 +28,7 @@ from latkit.qid import (
     Op,
     QidSyntaxError,
     QuasiIdentity,
+    SearchTooLarge,
     UndeclaredVariable,
     Var,
     Verdict,
@@ -295,6 +302,84 @@ def test_evaluate_matches_depth_first_oracle():
     for L in lattices:
         for q in qids:
             assert evaluate(L, q) == oracle_evaluate(L, q)
+
+
+def test_evaluate_matches_block_oracle():
+    config = five_point_configuration()
+    lattices = [co_points(_relabelled(config, order))
+                for order in [(0, 1, 2, 3, 4), (2, 3, 1, 0, 4), (1, 2, 3, 4, 0), (4, 3, 2, 1, 0)]]
+    lattices += [co_chain(n) for n in range(1, 7)] + [boolean(n) for n in range(5)]
+    for n in range(1, 8):
+        lattices.extend(enumerate_lattices(n))
+    for L in lattices:
+        for q in (theta(), sd_join()):
+            assert evaluate(L, q) == oracle_block_evaluate(L, q), (L.n, format_qid(q))
+
+
+def _term(text: str):
+    return parse_qid(f"a,b,c,u | => {text} = a").conclusion.lhs
+
+
+def test_interfaces_of_the_builtins():
+    # the maximal v-free subterms of the premises bound at v and of the conclusion
+    assert qid._interface(theta(), 4) == tuple(
+        _term(t) for t in ["u", "a v b", "a v c v u", "a v c", "a", "a v u", "u v a"]
+    )
+    # after (a, b, c) the state is (a, a v b, b v c, a v c), so b and c merge
+    assert set(qid._interface(theta(), 3)) == {_term(t) for t in ["a", "a v b", "b v c", "a v c"]}
+    plan = qid._plan(theta())
+    assert [level.grouped for level in plan] == [False, False, True, True, False]
+    # sd-join's state after (x, y) is (x v y, x, y): the prefixes themselves
+    x, y = Var("x"), Var("y")
+    assert qid._interface(sd_join(), 2) == (Op("join", x, y), x, y)
+    assert not any(level.grouped for level in qid._plan(sd_join()))
+
+
+def _cells_needed(L, q, monkeypatch) -> int:
+    """The least work budget under which ``evaluate`` finishes."""
+    low, high = 0, 1
+    while True:
+        monkeypatch.setattr(qid, "_WORK_BUDGET", high)
+        try:
+            evaluate(L, q)
+            break
+        except SearchTooLarge:
+            low, high = high, 2 * high
+    while high - low > 1:
+        mid = (low + high) // 2
+        monkeypatch.setattr(qid, "_WORK_BUDGET", mid)
+        try:
+            evaluate(L, q)
+            high = mid
+        except SearchTooLarge:
+            low = mid
+    return high
+
+
+def test_theta_stops_with_the_chunk_holding_its_counterexample(monkeypatch):
+    L = co_points(five_point_configuration())
+    assert qid._ROW_BUDGET // L.n ** 3 == 1  # each chunk holds one value of a
+    verdict = evaluate(L, theta())
+    assert verdict.counterexample["a"] == 1
+    # the cells checked through each chunk by a search of every value of a
+    search = qid._Search(L, theta())
+    through = []
+    for a in range(L.n):
+        search.chunk(search.values[a:a + 1])
+        through.append(search.cells)
+    assert _cells_needed(L, theta(), monkeypatch) == through[1]
+    assert through[1] < through[-1] / 3
+
+
+def test_work_budget_raises_before_gridding(monkeypatch):
+    L = chain(6)
+    need = _cells_needed(L, theta(), monkeypatch)
+    monkeypatch.setattr(qid, "_WORK_BUDGET", need - 1)
+    with pytest.raises(SearchTooLarge, match=f"budget of {need - 1} grid cells") as exc:
+        evaluate(L, theta())
+    assert isinstance(exc.value, TooLarge)
+    done = int(exc.value.args[0].split("; ")[1].split()[0])
+    assert 0 < done < need
 
 
 def test_evaluate_without_variables_rejects_every_term(m3):
