@@ -546,15 +546,21 @@ class _Search:
         for lhs, rhs in level.premises:
             held = self.run(lhs, grid, new) == self.run(rhs, grid, new)
             mask = held if mask is None else mask & held
+        # flat positions in a grid fit in int32, and so do the rows and values, which
+        # halves what the gathers move; division by a scalar is far cheaper than divmod
         if mask is None:
-            row, value = np.divmod(np.arange(rows * width), width)
+            at = np.arange(rows * width, dtype=np.int32)
             passing = np.full(rows, width)
         else:
             if mask.shape != (rows, width):
                 mask = np.broadcast_to(mask, (rows, width))
-            row, value = np.divmod(np.flatnonzero(mask), width)
+            at = np.flatnonzero(mask).astype(np.int32)
+        row = at // width
+        value = at - row * width
+        if mask is not None:
             passing = np.bincount(row, minlength=rows)
-        value = values.take(value)  # int32, like the columns, halves what the gathers move
+        if width < self.n:
+            value = values.take(value)
         cells = {i: cols[i][start:stop].take(row) for i in level.cell_slots}
         return passing, row, value, [self.run(t, cells, value) for t in level.next]
 
@@ -562,18 +568,27 @@ class _Search:
         """Bind one variable on all ``m`` states, a grid of at most ``_ROW_BUDGET`` cells at a time.
 
         Returns how many cells of each state pass and, at the last variable,
-        the states with a cell failing the conclusion; otherwise the value of
-        each passing cell and its next interface, packed into words if the
-        level groups.
+        the states with a cell failing the conclusion, with the rank among
+        their passing cells and the value of the first such cell; otherwise
+        the value of each passing cell and its next interface, packed into
+        words if the level groups.
         """
         self.spend(m * len(values))
         step = max(1, _ROW_BUDGET // len(values))
-        blocks, held = [], 0
+        blocks, failures, held = [], [], 0
         for start in range(0, m, step):
             passing, row, value, out = self.block(level, cols, start, min(m, start + step), values)
-            if last:
+            if last:  # keep the first failing cell of each state: its rank there and value
                 lhs, rhs = out
-                blocks.append((passing, row[lhs != rhs] + start))
+                bad = np.flatnonzero(lhs != rhs)
+                if bad.size:
+                    row = row[bad]
+                    first = np.ones(len(bad), dtype=bool)
+                    first[1:] = row[1:] != row[:-1]
+                    bad, row = bad[first], row[first]
+                    rank = bad - (np.cumsum(passing) - passing)[row]
+                    failures.append((row + start, rank, value[bad]))
+                blocks.append(passing)
                 continue
             held += len(row)
             if held > _HOLD_BUDGET:
@@ -590,6 +605,9 @@ class _Search:
                     words.append(word)
                 out = words
             blocks.append((passing, value, *out))
+        if last:
+            failures = failures or [(np.empty(0, dtype=np.intp),) * 3]
+            return [_joined(blocks)] + [_joined(part) for part in zip(*failures)]
         return [_joined(part) for part in zip(*blocks)]
 
     def chunk(self, first: np.ndarray) -> tuple[int, list[int] | None]:
@@ -623,40 +641,53 @@ class _Search:
             if m == 0:
                 return 0, None
         values = first if len(self.plan) == 1 else self.values
-        passing, failed = self.level(self.plan[-1], cols, m, values, True)
-        if not failed.size and not self.grouped:
-            return int(passing.sum()), None
+        passing, *failed = self.level(self.plan[-1], cols, m, values, True)
+        if not self.grouped:
+            return self.first_failure(levels, passing, failed)
         levels = [(_offsets(passing), value, child) for passing, value, child in levels]
         # a state's completions are the sums over its cells of their next states' completions
         counts = [passing.astype(self.count_type)]
         for offsets, _, child in reversed(levels):
             count = counts[-1] if child is None else counts[-1][child]
             counts.append(_segment_sums(count, offsets))
-        if not failed.size:
+        if not failed[0].size:
             return int(counts[-1][0]), None
-        failing = np.zeros(m, dtype=np.int64)
-        failing[failed] = 1
-        fails = [failing]
+        # and it has a failing completion where one of its cells' next states has
+        fails = [np.zeros(m, dtype=np.int64)]
+        fails[0][failed[0]] = 1
         for offsets, _, child in reversed(levels):
             fail = fails[-1] if child is None else fails[-1][child]
-            fails.append(np.minimum(_segment_sums(fail, offsets), 1))
-        return self.walk(levels, counts[::-1], fails[::-1], cols, values)
+            fails.append(_segment_sums(fail, offsets))
+        return self.walk(levels, counts[::-1], fails[::-1], failed)
 
-    def walk(self, levels, counts, fails, cols, values):
+    def first_failure(self, levels, passing, failed):
+        """Where no level groups, the states are the prefixes in lexicographic order,
+        so the first failing state holds the first failing assignment: trace it back."""
+        states, rank, value = failed
+        if not states.size:
+            return int(passing.sum()), None
+        state = int(states[0])
+        checked = int(passing[:state].sum()) + int(rank[0]) + 1
+        prefix = [int(value[0])]
+        for cells, values, _ in reversed(levels):
+            prefix.append(int(values[state]))
+            state = int(np.searchsorted(np.cumsum(cells), state, side="right"))
+        return checked, prefix[::-1]
+
+    def walk(self, levels, counts, fails, failed):
         """Descend to the first failing assignment, adding the completions passed on the way."""
         state, prefix, checked = 0, [], 0
         for d, (offsets, value, child) in enumerate(levels):
             lo, hi = offsets[state], offsets[state + 1]
-            kids = np.arange(lo, hi) if child is None else child[lo:hi]
-            j = int(np.argmax(fails[d + 1][kids]))
-            checked += int(counts[d + 1][kids[:j]].sum())
+            kids = slice(lo, hi) if child is None else child[lo:hi]
+            j = int(np.argmax(fails[d + 1][kids] > 0))
+            checked += int(counts[d + 1][kids][:j].sum())
             prefix.append(int(value[lo + j]))
-            state = int(kids[j])
-        self.spend(len(values))
-        _, _, value, (lhs, rhs) = self.block(self.plan[-1], cols, state, state + 1, values)
-        j = int(np.argmax(lhs != rhs))
-        prefix.append(int(value[j]))
-        return checked + j + 1, prefix
+            state = lo + j if child is None else int(kids[j])
+        states, rank, value = failed
+        at = int(np.searchsorted(states, state))
+        prefix.append(int(value[at]))
+        return checked + int(rank[at]) + 1, prefix
 
 
 def evaluate(L: FiniteLattice, q: QuasiIdentity) -> Verdict:
@@ -694,7 +725,10 @@ def evaluate(L: FiniteLattice, q: QuasiIdentity) -> Verdict:
     whose state has a failing completion, adding the completions of the
     cells before it, so the counterexample is the lexicographically first
     failing assignment and ``assignments_checked`` counts the assignments
-    satisfying every premise, in that order, up to and including it.
+    satisfying every premise, in that order, up to and including it.  Where
+    no level groups, as for ``sd_join``, the states are the prefixes in
+    lexicographic order, so the walk is a trace back from the first failing
+    cell.
 
     The chunks bound memory: a level of a chunk holds at most as many states
     and passing cells as one grid has cells, unless one value of the first
