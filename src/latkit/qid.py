@@ -532,12 +532,12 @@ class _Search:
             return table.take(right[:, 0], axis=0)
         return table.take(left * self.n + right)
 
-    def block(self, level: _Level, cols, start: int, stop: int, values: np.ndarray):
+    def block(self, level: _Level, cols, start: int, stop: int, values: np.ndarray, count=True):
         """Grid states start:stop against ``values``; compute ``next`` on the passing cells.
 
-        Returns how many cells of each state pass, and the state, counted
-        from ``start``, the value and the ``next`` terms of each passing cell,
-        in row-major order.
+        Returns how many cells of each state pass (if ``count``), and the
+        state, counted from ``start``, the value and the ``next`` terms of
+        each passing cell, in row-major order.
         """
         rows, width = stop - start, len(values)
         new = values[None, :]
@@ -558,38 +558,25 @@ class _Search:
         row = at // width
         value = at - row * width
         if mask is not None:
-            passing = np.bincount(row, minlength=rows)
+            passing = np.bincount(row, minlength=rows) if count else None
         if width < self.n:
             value = values.take(value)
         cells = {i: cols[i][start:stop].take(row) for i in level.cell_slots}
         return passing, row, value, [self.run(t, cells, value) for t in level.next]
 
-    def level(self, level: _Level, cols, m: int, values: np.ndarray, last: bool):
-        """Bind one variable on all ``m`` states, a grid of at most ``_ROW_BUDGET`` cells at a time.
+    def level(self, level: _Level, cols, m: int, values: np.ndarray):
+        """Bind one variable but the last on all ``m`` states, a grid of at most
+        ``_ROW_BUDGET`` cells at a time.
 
-        Returns how many cells of each state pass and, at the last variable,
-        the states with a cell failing the conclusion, with the rank among
-        their passing cells and the value of the first such cell; otherwise
-        the value of each passing cell and its next interface, packed into
-        words if the level groups.
+        Returns how many cells of each state pass, and the value of each
+        passing cell and its next interface, packed into words if the level
+        groups.
         """
         self.spend(m * len(values))
         step = max(1, _ROW_BUDGET // len(values))
-        blocks, failures, held = [], [], 0
+        blocks, held = [], 0
         for start in range(0, m, step):
             passing, row, value, out = self.block(level, cols, start, min(m, start + step), values)
-            if last:  # keep the first failing cell of each state: its rank there and value
-                lhs, rhs = out
-                bad = np.flatnonzero(lhs != rhs)
-                if bad.size:
-                    row = row[bad]
-                    first = np.ones(len(bad), dtype=bool)
-                    first[1:] = row[1:] != row[:-1]
-                    bad, row = bad[first], row[first]
-                    rank = bad - (np.cumsum(passing) - passing)[row]
-                    failures.append((row + start, rank, value[bad]))
-                blocks.append(passing)
-                continue
             held += len(row)
             if held > _HOLD_BUDGET:
                 raise SearchTooLarge(
@@ -605,10 +592,46 @@ class _Search:
                     words.append(word)
                 out = words
             blocks.append((passing, value, *out))
-        if last:
-            failures = failures or [(np.empty(0, dtype=np.intp),) * 3]
-            return [_joined(blocks)] + [_joined(part) for part in zip(*failures)]
         return [_joined(part) for part in zip(*blocks)]
+
+    def last(self, cols, m: int, values: np.ndarray):
+        """Bind the last variable on all ``m`` states and check the conclusion.
+
+        Where some level groups, returns how many cells of each state pass
+        and, for each state with a cell failing the conclusion, the rank
+        among its passing cells and the value of the first such cell.  Where
+        none does, the states are the prefixes in lexicographic order, so the
+        first failing cell is the first failing assignment: returns how many
+        cells pass up to and including it, or in all, and its state and
+        value, and stops there.
+        """
+        level = self.plan[-1]
+        self.spend(m * len(values))
+        step = max(1, _ROW_BUDGET // len(values))
+        blocks, failures, done = [], [], 0
+        for start in range(0, m, step):
+            passing, row, value, (lhs, rhs) = self.block(
+                level, cols, start, min(m, start + step), values, self.grouped
+            )
+            bad = np.flatnonzero(lhs != rhs)
+            if not self.grouped:
+                if bad.size:
+                    j = int(bad[0])
+                    return done + j + 1, int(row[j]) + start, int(value[j])
+                done += len(row)
+                continue
+            if bad.size:  # keep the first failing cell of each state
+                row = row[bad]
+                first = np.ones(len(bad), dtype=bool)
+                first[1:] = row[1:] != row[:-1]
+                bad, row = bad[first], row[first]
+                rank = bad - (np.cumsum(passing) - passing)[row]
+                failures.append((row + start, rank, value[bad]))
+            blocks.append(passing)
+        if not self.grouped:
+            return done, None, None
+        failures = failures or [(np.empty(0, dtype=np.intp),) * 3]
+        return [_joined(blocks)] + [_joined(part) for part in zip(*failures)]
 
     def chunk(self, first: np.ndarray) -> tuple[int, list[int] | None]:
         """Search the assignments whose first variable takes a value in ``first``.
@@ -622,7 +645,7 @@ class _Search:
         cols: list[np.ndarray] = []
         m = 1  # the empty prefix
         for d, level in enumerate(self.plan[:-1]):
-            passing, value, *out = self.level(level, cols, m, first if d == 0 else self.values, False)
+            passing, value, *out = self.level(level, cols, m, first if d == 0 else self.values)
             if not level.grouped:
                 cols, child, m = out, None, len(value)
             elif not out:  # nothing later reads the bound variables
@@ -641,9 +664,16 @@ class _Search:
             if m == 0:
                 return 0, None
         values = first if len(self.plan) == 1 else self.values
-        passing, *failed = self.level(self.plan[-1], cols, m, values, True)
         if not self.grouped:
-            return self.first_failure(levels, passing, failed)
+            checked, state, value = self.last(cols, m, values)
+            if state is None:
+                return checked, None
+            prefix = [value]  # trace the failing cell back through the prefixes
+            for cells, values, _ in reversed(levels):
+                prefix.append(int(values[state]))
+                state = int(np.searchsorted(np.cumsum(cells), state, side="right"))
+            return checked, prefix[::-1]
+        passing, *failed = self.last(cols, m, values)
         levels = [(_offsets(passing), value, child) for passing, value, child in levels]
         # a state's completions are the sums over its cells of their next states' completions
         counts = [passing.astype(self.count_type)]
@@ -659,20 +689,6 @@ class _Search:
             fail = fails[-1] if child is None else fails[-1][child]
             fails.append(_segment_sums(fail, offsets))
         return self.walk(levels, counts[::-1], fails[::-1], failed)
-
-    def first_failure(self, levels, passing, failed):
-        """Where no level groups, the states are the prefixes in lexicographic order,
-        so the first failing state holds the first failing assignment: trace it back."""
-        states, rank, value = failed
-        if not states.size:
-            return int(passing.sum()), None
-        state = int(states[0])
-        checked = int(passing[:state].sum()) + int(rank[0]) + 1
-        prefix = [int(value[0])]
-        for cells, values, _ in reversed(levels):
-            prefix.append(int(values[state]))
-            state = int(np.searchsorted(np.cumsum(cells), state, side="right"))
-        return checked, prefix[::-1]
 
     def walk(self, levels, counts, fails, failed):
         """Descend to the first failing assignment, adding the completions passed on the way."""
