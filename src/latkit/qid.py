@@ -564,19 +564,24 @@ class _Search:
         cells = {i: cols[i][start:stop].take(row) for i in level.cell_slots}
         return passing, row, value, [self.run(t, cells, value) for t in level.next]
 
+    def blocks(self, level: _Level, cols, m: int, values: np.ndarray, count=True):
+        """Grid all ``m`` states, a block of at most ``_ROW_BUDGET`` cells at a time,
+        after counting the cells against ``_WORK_BUDGET``; yields each block's
+        first state and :meth:`block`'s results."""
+        self.spend(m * len(values))
+        step = max(1, _ROW_BUDGET // len(values))
+        for start in range(0, m, step):
+            yield start, self.block(level, cols, start, min(m, start + step), values, count)
+
     def level(self, level: _Level, cols, m: int, values: np.ndarray):
-        """Bind one variable but the last on all ``m`` states, a grid of at most
-        ``_ROW_BUDGET`` cells at a time.
+        """Bind one variable but the last on all ``m`` states.
 
         Returns how many cells of each state pass, and the value of each
         passing cell and its next interface, packed into words if the level
         groups.
         """
-        self.spend(m * len(values))
-        step = max(1, _ROW_BUDGET // len(values))
         blocks, held = [], 0
-        for start in range(0, m, step):
-            passing, row, value, out = self.block(level, cols, start, min(m, start + step), values)
+        for _, (passing, row, value, out) in self.blocks(level, cols, m, values):
             held += len(row)
             if held > _HOLD_BUDGET:
                 raise SearchTooLarge(
@@ -605,14 +610,10 @@ class _Search:
         cells pass up to and including it, or in all, and its state and
         value, and stops there.
         """
-        level = self.plan[-1]
-        self.spend(m * len(values))
-        step = max(1, _ROW_BUDGET // len(values))
         blocks, failures, done = [], [], 0
-        for start in range(0, m, step):
-            passing, row, value, (lhs, rhs) = self.block(
-                level, cols, start, min(m, start + step), values, self.grouped
-            )
+        for start, (passing, row, value, (lhs, rhs)) in self.blocks(
+            self.plan[-1], cols, m, values, self.grouped
+        ):
             bad = np.flatnonzero(lhs != rhs)
             if not self.grouped:
                 if bad.size:
