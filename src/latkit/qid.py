@@ -17,14 +17,18 @@ variable; a deeper one is a syntax error.
 :func:`evaluate` decides a quasi-identity on a finite lattice over every
 assignment of the declared variables, by dynamic programming over interface
 values.  The variables are bound in order.  After the first d of them, the
-search keeps not the prefixes but their states: the values of the interface,
-the maximal subterms over those d variables of the equations checked later.
-Prefixes with equal states have the same completions, because every term
-checked later is built from later variables and interface terms.  A premise is
-checked at the variable it binds last, on a grid of states against every value
-of that variable, so the assignments it rules out are never built.  Counts of
-completions flow back through the states, and a walk in lexicographic order
-finds the first counterexample, so the verdict is that of a search of every
+search carries the values of the interface, the maximal subterms over those d
+variables of the equations checked later.  Prefixes with equal interface
+values have the same completions, because every term checked later is built
+from later variables and interface terms.  A premise is checked at the
+variable it binds last, on a grid of rows against every value of that
+variable, so the assignments it rules out are never built.  While the
+interface holds every bound variable bare, the rows are the prefixes
+themselves, searched depth first in lexicographic order.  From the first
+variable where it does not, prefixes with equal interface values are grouped
+into one state, a block of prefixes at a time; counts of completions flow
+back through the states, and a walk in lexicographic order finds the first
+counterexample.  Either way the verdict is that of a search of every
 assignment in order.
 """
 
@@ -310,17 +314,17 @@ BUILTINS = {"theta": theta, "sd-join": sd_join}
 
 # -- evaluation ----------------------------------------------------------------
 
-# Cells, rows times values, of one grid on which a level binds its variable; a
-# level whose grid would pass it is gridded in consecutive blocks of rows.  The
-# first variable is searched in chunks of values sized from it too, so that no
-# level of a chunk holds more states or cells than one grid, unless a single
-# value of the first variable already leads to more.
+# Cells, rows times n, of one grid on which the search binds a variable.  A
+# block of prefixes or states whose grid would pass it is gridded in
+# consecutive blocks of rows.  The blocks of prefixes that the grouping takes
+# over are sized from it too (see ``evaluate``).
 _ROW_BUDGET = 1 << 15
 
-# Grid cells one evaluation may check, over every level of every chunk.
+# Grid cells one evaluation may check, over every block.
 _WORK_BUDGET = 1 << 32
 
-# Passing cells one level of a chunk may hold: they are grouped all at once.
+# Passing cells one grouped level may hold for one block of prefixes: they are
+# grouped all at once.
 _HOLD_BUDGET = 1 << 22
 
 # The variable being bound, in a compiled term; interface slots are >= 0.
@@ -416,15 +420,33 @@ class _Level:
     cell_slots: tuple[int, ...]
 
 
-# Plans of recent quasi-identities, by identity: hashing a term walks all of it.
-_PLANS: dict[int, tuple[QuasiIdentity, tuple[_Level, ...]]] = {}
+@dataclass(frozen=True)
+class _Plan:
+    """The levels of a search, and the depth where grouping takes over.
+
+    ``depth`` is the first level that groups, if ``grouped``, or else the
+    last level; the levels before it keep prefixes.  ``bare`` holds the slots
+    of the first ``depth`` variables in the interface after them.
+    """
+
+    levels: tuple[_Level, ...]
+    depth: int
+    grouped: bool
+    bare: tuple[int, ...]
 
 
-def _plan(q: QuasiIdentity) -> tuple[_Level, ...]:
-    """One level per variable; a name the variables lack raises KeyError."""
-    hit = _PLANS.get(id(q))
-    if hit is not None and hit[0] is q:
-        return hit[1]
+# One quasi-identity is often evaluated on many lattices, and building the plan
+# walks its terms once per level: 0.65 ms for theta, 0.1 ms for sd-join.
+@functools.lru_cache(maxsize=64)
+def _plan(q: QuasiIdentity) -> _Plan:
+    """One level per variable; a name the variables lack raises KeyError.
+
+    A level after a grouped one groups too: a bound variable bare in the
+    interface after d + 1 variables is a maximal subterm over the first d as
+    well, of an equation checked at d or later.  So the levels that keep
+    prefixes come first, and their last interface holds every bound variable
+    bare.
+    """
     index = {name: i for i, name in enumerate(q.variables)}
     _checked_at(q.conclusion, index)
     k = len(q.variables)
@@ -445,10 +467,9 @@ def _plan(q: QuasiIdentity) -> tuple[_Level, ...]:
         nxt = tuple(_compile(t, slots) for t in following)
         sides = [side for pair in premises for side in pair]
         levels.append(_Level(premises, nxt, grouped, _slots(sides), _slots(nxt)))
-    if len(_PLANS) >= 64:
-        _PLANS.clear()
-    _PLANS[id(q)] = (q, tuple(levels))
-    return _PLANS[id(q)][1]
+    depth = next((d for d, level in enumerate(levels) if level.grouped), k - 1)
+    bare = tuple(interfaces[depth].index(Var(name)) for name in q.variables[:depth])
+    return _Plan(tuple(levels), depth, levels[depth].grouped, bare)
 
 
 def _offsets(passing: np.ndarray) -> np.ndarray:
@@ -489,7 +510,7 @@ class _Search:
     """One evaluation: the lattice's tables, the plan, and the cells checked so far."""
 
     def __init__(self, L: FiniteLattice, q: QuasiIdentity):
-        self.plan = _plan(q)
+        self.plan = plan = _plan(q)
         self.n = n = L.n
         # flat table positions l * n + r fit in int32, as n <= MAX_ELEMENTS
         self.tables = {
@@ -498,7 +519,14 @@ class _Search:
         }
         self.values = np.arange(n, dtype=np.int32)
         self.cells = 0
-        self.grouped = any(level.grouped for level in self.plan)
+        # rows of a grid; and prefixes of a block the grouping takes over, which fan
+        # out over n values at each of the g grouped levels before the last: the
+        # first block holds _ROW_BUDGET // n ** g, and each next one twice as many,
+        # up to _ROW_BUDGET // n ** (g - 1)
+        self.rows = max(1, _ROW_BUDGET // n)
+        fan_out = n ** (len(plan.levels) - 1 - plan.depth)
+        self.chunk_rows = max(1, _ROW_BUDGET // fan_out)
+        self.chunk_cap = max(1, _ROW_BUDGET * n // fan_out)
         # interface values packed into int64 words in base n, as many as fit
         self.per_word = 63 // max(1, (n - 1).bit_length())
         # a state has at most n ** k completions
@@ -516,10 +544,10 @@ class _Search:
         """The value of a compiled term, by table gathers.
 
         On a grid the interface columns are (rows, 1) and ``new`` is the
-        (1, values) row of the variable being bound, so a subterm free of it
-        costs one gather per row and one that holds it a (rows, values)
-        gather; a join or meet of every value with a column is a gather of
-        whole table rows.  On cells every array is flat.
+        (1, n) row of every value of the variable being bound, so a subterm
+        free of it costs one gather per row and one that holds it a
+        (rows, n) gather; a join or meet of every value with a column is a
+        gather of whole table rows.  On cells every array is flat.
         """
         if not isinstance(node, tuple):
             return new if node == _NEW else cols[node]
@@ -528,20 +556,20 @@ class _Search:
         table = self.tables[kind]
         if right is new:
             left, right = right, left  # join and meet commute
-        if left is new and new.ndim == 2 and new.shape[1] == self.n and right.shape[1] == 1:
+        if left is new and new.ndim == 2 and right.shape[1] == 1:
             return table.take(right[:, 0], axis=0)
         return table.take(left * self.n + right)
 
-    def block(self, level: _Level, cols, start: int, stop: int, values: np.ndarray, count=True):
-        """Grid states start:stop against ``values``; compute ``next`` on the passing cells.
+    def block(self, level: _Level, cols, rows: int):
+        """Grid ``rows`` rows of ``cols`` against every value; compute ``next`` on the passing cells.
 
-        Returns how many cells of each state pass (if ``count``), and the
-        state, counted from ``start``, the value and the ``next`` terms of
-        each passing cell, in row-major order.
+        Counts the grid's cells against ``_WORK_BUDGET`` first.  Returns the
+        row, the value and the ``next`` terms of each passing cell, in
+        row-major order.
         """
-        rows, width = stop - start, len(values)
-        new = values[None, :]
-        grid = {i: cols[i][start:stop, None] for i in level.grid_slots}
+        self.spend(rows * self.n)
+        new = self.values[None, :]
+        grid = {i: cols[i][:, None] for i in level.grid_slots}
         mask = None
         for lhs, rhs in level.premises:
             held = self.run(lhs, grid, new) == self.run(rhs, grid, new)
@@ -549,78 +577,97 @@ class _Search:
         # flat positions in a grid fit in int32, and so do the rows and values, which
         # halves what the gathers move; division by a scalar is far cheaper than divmod
         if mask is None:
-            at = np.arange(rows * width, dtype=np.int32)
-            passing = np.full(rows, width)
+            at = np.arange(rows * self.n, dtype=np.int32)
         else:
-            if mask.shape != (rows, width):
-                mask = np.broadcast_to(mask, (rows, width))
+            if mask.shape != (rows, self.n):
+                mask = np.broadcast_to(mask, (rows, self.n))
             at = np.flatnonzero(mask).astype(np.int32)
-        row = at // width
-        value = at - row * width
-        if mask is not None:
-            passing = np.bincount(row, minlength=rows) if count else None
-        if width < self.n:
-            value = values.take(value)
-        cells = {i: cols[i][start:stop].take(row) for i in level.cell_slots}
-        return passing, row, value, [self.run(t, cells, value) for t in level.next]
+        row = at // self.n
+        value = at - row * self.n
+        cells = {i: cols[i].take(row) for i in level.cell_slots}
+        return row, value, [self.run(t, cells, value) for t in level.next]
 
-    def blocks(self, level: _Level, cols, m: int, values: np.ndarray, count=True):
-        """Grid all ``m`` states, a block of at most ``_ROW_BUDGET`` cells at a time,
-        after counting the cells against ``_WORK_BUDGET``; yields each block's
-        first state and :meth:`block`'s results."""
-        self.spend(m * len(values))
-        step = max(1, _ROW_BUDGET // len(values))
-        for start in range(0, m, step):
-            yield start, self.block(level, cols, start, min(m, start + step), values, count)
+    def blocks(self, level: _Level, cols, m: int):
+        """Grid all ``m`` states, a block of rows at a time; yields each block's
+        first state and row count, and :meth:`block`'s results."""
+        for start in range(0, m, self.rows):
+            rows = min(self.rows, m - start)
+            part = [col[start:start + rows] for col in cols]
+            yield start, rows, self.block(level, part, rows)
 
-    def level(self, level: _Level, cols, m: int, values: np.ndarray):
-        """Bind one variable but the last on all ``m`` states.
+    def search(self) -> tuple[int, list[int] | None]:
+        """Search every assignment in lexicographic order.
+
+        Returns the number of assignments satisfying every premise and the
+        values of the first that fails the conclusion, if one does; in that
+        case the number counts only the assignments up to and including it.
+        """
+        plan = self.plan
+        checked = 0
+        stack: list[tuple[int, list[np.ndarray]]] = [(0, [])]  # the empty prefix
+        while stack:
+            d, cols = stack.pop()
+            rows = len(cols[0]) if cols else 1
+            grouping = d == plan.depth and plan.grouped
+            limit = self.chunk_rows if grouping else self.rows
+            if rows > limit:  # split off the first block; the rest is split when popped
+                stack.append((d, [col[limit:] for col in cols]))
+                stack.append((d, [col[:limit] for col in cols]))
+            elif grouping:
+                count, failing = self.chunk(cols, rows)
+                self.chunk_rows = min(2 * self.chunk_rows, self.chunk_cap)
+                checked += count
+                if failing is not None:
+                    row, suffix = failing
+                    return checked, [int(cols[s][row]) for s in plan.bare] + suffix
+            else:
+                row, value, out = self.block(plan.levels[d], cols, rows)
+                if d + 1 < len(plan.levels):
+                    if len(row):  # row-major order keeps the prefixes lexicographic
+                        stack.append((d + 1, out))
+                    continue
+                bad = np.flatnonzero(out[0] != out[1])
+                if bad.size:
+                    j = int(bad[0])
+                    prefix = [int(cols[s][row[j]]) for s in plan.bare]
+                    return checked + j + 1, prefix + [int(value[j])]
+                checked += len(row)
+        return checked, None
+
+    def level(self, level: _Level, cols, m: int):
+        """Bind a grouped level's variable on all ``m`` states.
 
         Returns how many cells of each state pass, and the value of each
-        passing cell and its next interface, packed into words if the level
-        groups.
+        passing cell and its next interface packed into words.
         """
         blocks, held = [], 0
-        for _, (passing, row, value, out) in self.blocks(level, cols, m, values):
+        for _, rows, (row, value, out) in self.blocks(level, cols, m):
             held += len(row)
             if held > _HOLD_BUDGET:
                 raise SearchTooLarge(
                     f"a level of the search holds more than its budget of {_HOLD_BUDGET} "
                     f"cells; {self.cells} grid cells were checked"
                 )
-            if level.grouped:
-                words = []
-                for j in range(0, len(out), self.per_word):
-                    word = np.zeros(len(row), dtype=np.int64)
-                    for col in out[j:j + self.per_word]:
-                        word = word * self.n + col
-                    words.append(word)
-                out = words
-            blocks.append((passing, value, *out))
+            words = []
+            for j in range(0, len(out), self.per_word):
+                word = np.zeros(len(row), dtype=np.int64)
+                for col in out[j:j + self.per_word]:
+                    word = word * self.n + col
+                words.append(word)
+            blocks.append((np.bincount(row, minlength=rows), value, *words))
         return [_joined(part) for part in zip(*blocks)]
 
-    def last(self, cols, m: int, values: np.ndarray):
+    def last(self, cols, m: int):
         """Bind the last variable on all ``m`` states and check the conclusion.
 
-        Where some level groups, returns how many cells of each state pass
-        and, for each state with a cell failing the conclusion, the rank
-        among its passing cells and the value of the first such cell.  Where
-        none does, the states are the prefixes in lexicographic order, so the
-        first failing cell is the first failing assignment: returns how many
-        cells pass up to and including it, or in all, and its state and
-        value, and stops there.
+        Returns how many cells of each state pass and, for each state with a
+        cell failing the conclusion, the rank among its passing cells and the
+        value of the first such cell.
         """
-        blocks, failures, done = [], [], 0
-        for start, (passing, row, value, (lhs, rhs)) in self.blocks(
-            self.plan[-1], cols, m, values, self.grouped
-        ):
+        counts, failures = [], []
+        for start, rows, (row, value, (lhs, rhs)) in self.blocks(self.plan.levels[-1], cols, m):
+            passing = np.bincount(row, minlength=rows)
             bad = np.flatnonzero(lhs != rhs)
-            if not self.grouped:
-                if bad.size:
-                    j = int(bad[0])
-                    return done + j + 1, int(row[j]) + start, int(value[j])
-                done += len(row)
-                continue
             if bad.size:  # keep the first failing cell of each state
                 row = row[bad]
                 first = np.ones(len(bad), dtype=bool)
@@ -628,102 +675,99 @@ class _Search:
                 bad, row = bad[first], row[first]
                 rank = bad - (np.cumsum(passing) - passing)[row]
                 failures.append((row + start, rank, value[bad]))
-            blocks.append(passing)
-        if not self.grouped:
-            return done, None, None
+            counts.append(passing)
         failures = failures or [(np.empty(0, dtype=np.intp),) * 3]
-        return [_joined(blocks)] + [_joined(part) for part in zip(*failures)]
+        return [_joined(counts)] + [_joined(part) for part in zip(*failures)]
 
-    def chunk(self, first: np.ndarray) -> tuple[int, list[int] | None]:
-        """Search the assignments whose first variable takes a value in ``first``.
+    def chunk(self, cols, m: int):
+        """Search the completions of ``m`` prefixes by grouping, from the plan's depth on.
 
-        Returns the number of complete assignments satisfying every premise,
-        and the values of the lexicographically first that fails the
-        conclusion, if one does.  In that case the number counts only the
-        assignments up to and including it.
+        ``cols`` are the prefixes' interface columns, in lexicographic order
+        of the prefixes.  Returns the number of completions satisfying every
+        premise and, if one fails the conclusion, the row of the first prefix
+        with such a completion and the values of its lexicographically first
+        one; the number then counts the completions up to and including it.
         """
-        levels = []  # per level but the last: passing cells per state, their values and next states
-        cols: list[np.ndarray] = []
-        m = 1  # the empty prefix
-        for d, level in enumerate(self.plan[:-1]):
-            passing, value, *out = self.level(level, cols, m, first if d == 0 else self.values)
-            if not level.grouped:
-                cols, child, m = out, None, len(value)
-            elif not out:  # nothing later reads the bound variables
-                cols, child, m = [], np.zeros(len(value), dtype=np.intp), min(len(value), 1)
-            else:
-                words, child = _group(out, len(value))
+        levels = []  # per grouped level: where each state's cells start, their values and next states
+        for level in self.plan.levels[self.plan.depth:-1]:
+            passing, value, *words = self.level(level, cols, m)
+            if words:
+                words, child = _group(words, len(value))
                 cols, m = [], len(words[0])
                 for j, word in zip(range(0, len(level.next), self.per_word), words):
-                    width = min(self.per_word, len(level.next) - j)
                     digits = []
-                    for _ in range(width):
+                    for _ in range(min(self.per_word, len(level.next) - j)):
                         word, digit = np.divmod(word, self.n)
                         digits.append(digit.astype(np.int32))
                     cols.extend(reversed(digits))
-            levels.append((passing, value, child))
+            else:  # nothing later reads the bound variables
+                cols, child, m = [], np.zeros(len(value), dtype=np.intp), min(len(value), 1)
+            levels.append((_offsets(passing), value, child))
             if m == 0:
                 return 0, None
-        values = first if len(self.plan) == 1 else self.values
-        if not self.grouped:
-            checked, state, value = self.last(cols, m, values)
-            if state is None:
-                return checked, None
-            prefix = [value]  # trace the failing cell back through the prefixes
-            for cells, values, _ in reversed(levels):
-                prefix.append(int(values[state]))
-                state = int(np.searchsorted(np.cumsum(cells), state, side="right"))
-            return checked, prefix[::-1]
-        passing, *failed = self.last(cols, m, values)
-        levels = [(_offsets(passing), value, child) for passing, value, child in levels]
+        passing, *failed = self.last(cols, m)
         # a state's completions are the sums over its cells of their next states' completions
         counts = [passing.astype(self.count_type)]
         for offsets, _, child in reversed(levels):
-            count = counts[-1] if child is None else counts[-1][child]
-            counts.append(_segment_sums(count, offsets))
+            counts.append(_segment_sums(counts[-1][child], offsets))
         if not failed[0].size:
-            return int(counts[-1][0]), None
-        # and it has a failing completion where one of its cells' next states has
-        fails = [np.zeros(m, dtype=np.int64)]
+            return int(counts[-1].sum()), None
+        # and it has a failing completion where one of its cells' next states has; the
+        # marks are 0 or 1, so their sums stay below one level's cell count
+        fails = [np.zeros(m, dtype=np.intp)]
         fails[0][failed[0]] = 1
         for offsets, _, child in reversed(levels):
-            fail = fails[-1] if child is None else fails[-1][child]
-            fails.append(_segment_sums(fail, offsets))
+            fails.append((_segment_sums(fails[-1][child], offsets) > 0).astype(np.intp))
         return self.walk(levels, counts[::-1], fails[::-1], failed)
 
     def walk(self, levels, counts, fails, failed):
         """Descend to the first failing assignment, adding the completions passed on the way."""
-        state, prefix, checked = 0, [], 0
-        for d, (offsets, value, child) in enumerate(levels):
+        first = int(np.argmax(fails[0]))
+        checked = int(counts[0][:first].sum())
+        state, suffix = first, []
+        for (offsets, value, child), count, fail in zip(levels, counts[1:], fails[1:]):
             lo, hi = offsets[state], offsets[state + 1]
-            kids = slice(lo, hi) if child is None else child[lo:hi]
-            j = int(np.argmax(fails[d + 1][kids] > 0))
-            checked += int(counts[d + 1][kids][:j].sum())
-            prefix.append(int(value[lo + j]))
-            state = lo + j if child is None else int(kids[j])
+            kids = child[lo:hi]
+            j = int(np.argmax(fail[kids]))
+            checked += int(count[kids[:j]].sum())
+            suffix.append(int(value[lo + j]))
+            state = int(kids[j])
         states, rank, value = failed
         at = int(np.searchsorted(states, state))
-        prefix.append(int(value[at]))
-        return checked + int(rank[at]) + 1, prefix
+        suffix.append(int(value[at]))
+        return checked + int(rank[at]) + 1, (first, suffix)
 
 
 def evaluate(L: FiniteLattice, q: QuasiIdentity) -> Verdict:
     """Exhaustively evaluate a quasi-identity over every assignment.
 
-    The search binds the declared variables in order, one level each, by
-    dynamic programming over interface values (see :func:`_interface`).  A
+    The search binds the declared variables in order, one level each.  Level
+    d grids its rows against the n values of variable d, keeps the cells
+    passing the premises whose last variable it is, and computes on them the
+    next interface (see :func:`_interface`); at the last variable it checks
+    the conclusion instead.
+
+    While the next interface holds every bound variable bare, the rows are
+    prefixes, and the search holds them in blocks searched depth first: a
+    block whose grid would pass ``_ROW_BUDGET`` cells is split into
+    consecutive blocks searched in order, and the cells of a grid are taken
+    in row-major order.  So complete assignments are reached in
+    lexicographic order, and the search stops at the first that fails the
+    conclusion.  ``sd_join`` is searched this way to the end.
+
+    From the first level where the next interface lacks a bound variable,
+    the search groups: it takes the prefixes a block at a time and searches
+    all their completions by dynamic programming over interface values.  A
     state after d variables stands for every prefix with the same values of
-    the d-th interface, with its multiplicity.  Level d grids the states
-    against the n values of variable d, a block of at most ``_ROW_BUDGET``
-    cells at a time, keeps the cells passing the premises whose last
-    variable it is, and computes the next interface on them; cells with
-    equal next-interface values become one state, found with one
-    ``np.unique`` (or ``np.lexsort`` over several words) of the values
-    packed in base n.  A level whose next interface holds every bound
-    variable bare skips the grouping, as its cells already differ there.  At
-    the last variable the conclusion is checked on the passing cells.  Then
-    each state's number of premise-satisfying completions, and whether one
-    fails the conclusion, are summed back through the cells of every level.
+    the d-th interface, with its multiplicity; cells with equal
+    next-interface values become one state, found with one ``np.unique``
+    (or ``np.lexsort`` over several words) of the values packed in base n.
+    Then each state's number of premise-satisfying completions, and whether
+    one fails the conclusion, are summed back through the cells of every
+    level.  If one fails, a walk over the values in lexicographic order
+    descends from the first prefix with a failing completion into the first
+    cell whose state has one, adding the completions of the cells before it,
+    and the search stops after that block.
 
     Grouping is exact.  A premise checked at level d, and a term of the
     interface after d + 1 variables, are built by joins and meets from
@@ -735,32 +779,23 @@ def evaluate(L: FiniteLattice, q: QuasiIdentity) -> Verdict:
     conclusion, checked on interface values at the last level, judges them
     alike.
 
-    The first variable's values are searched in consecutive chunks of
-    ``_ROW_BUDGET // n ** (k - 2)`` values (at least one), in order, and the
-    search stops at the first chunk where the conclusion fails.  There a walk
-    over the values in lexicographic order descends into the first cell
-    whose state has a failing completion, adding the completions of the
-    cells before it, so the counterexample is the lexicographically first
-    failing assignment and ``assignments_checked`` counts the assignments
-    satisfying every premise, in that order, up to and including it.  Where
-    no level groups, as for ``sd_join``, the states are the prefixes in
-    lexicographic order, so the walk is a trace back from the first failing
-    cell.
+    Either way the counterexample is the lexicographically first failing
+    assignment, and ``assignments_checked`` counts the assignments satisfying
+    every premise, in that order, up to and including it.
 
-    The chunks bound memory: a level of a chunk holds at most as many states
-    and passing cells as one grid has cells, unless one value of the first
-    variable already leads to more.  A search that would grid more than
-    ``_WORK_BUDGET`` cells in all raises :class:`SearchTooLarge` before
-    gridding them, and so does one whose level of a chunk would hold more
-    than ``_HOLD_BUDGET`` passing cells.
+    Memory is bounded by the budgets, the number of variables and the nesting
+    of terms, not by n ** k.  With g grouped levels before the last, the
+    first block that the grouping takes over holds ``_ROW_BUDGET // n ** g``
+    prefixes, so a counterexample among the first prefixes stops the search
+    early, and each next block twice as many, up to ``_ROW_BUDGET // n **
+    (g - 1)``, so a long search shares more states (at least one prefix
+    each).  No level of a block then holds more states or passing cells than
+    n grids have cells, unless one prefix already leads to more; a level
+    that would hold more than ``_HOLD_BUDGET`` passing cells raises
+    :class:`SearchTooLarge`, and so does a search before gridding a block
+    that would take it past ``_WORK_BUDGET`` grid cells in all.
     """
-    search = _Search(L, q)  # every term names a variable, so a qid without any raises here
-    names = q.variables
-    chunk = max(1, _ROW_BUDGET // L.n ** max(len(names) - 2, 0))
-    checked = 0
-    for start in range(0, L.n, chunk):
-        count, failing = search.chunk(search.values[start:start + chunk])
-        checked += count
-        if failing is not None:
-            return Verdict(False, dict(zip(names, failing)), checked)
-    return Verdict(True, None, checked)
+    checked, failing = _Search(L, q).search()  # a qid without variables raises KeyError
+    if failing is None:
+        return Verdict(True, None, checked)
+    return Verdict(False, dict(zip(q.variables, failing)), checked)

@@ -328,11 +328,14 @@ def test_interfaces_of_the_builtins():
     # after (a, b, c) the state is (a, a v b, b v c, a v c), so b and c merge
     assert set(qid._interface(theta(), 3)) == {_term(t) for t in ["a", "a v b", "b v c", "a v c"]}
     plan = qid._plan(theta())
-    assert [level.grouped for level in plan] == [False, False, True, True, False]
+    assert [level.grouped for level in plan.levels] == [False, False, True, True, False]
+    assert (plan.depth, plan.grouped) == (2, True)
     # sd-join's state after (x, y) is (x v y, x, y): the prefixes themselves
     x, y = Var("x"), Var("y")
     assert qid._interface(sd_join(), 2) == (Op("join", x, y), x, y)
-    assert not any(level.grouped for level in qid._plan(sd_join()))
+    plan = qid._plan(sd_join())
+    assert not any(level.grouped for level in plan.levels)
+    assert (plan.depth, plan.grouped, plan.bare) == (2, False, (1, 2))
 
 
 def _cells_needed(L, q, monkeypatch) -> int:
@@ -356,19 +359,57 @@ def _cells_needed(L, q, monkeypatch) -> int:
     return high
 
 
-def test_theta_stops_with_the_chunk_holding_its_counterexample(monkeypatch):
+def test_theta_stops_with_the_block_holding_its_counterexample(monkeypatch):
     L = co_points(five_point_configuration())
-    assert qid._ROW_BUDGET // L.n ** 3 == 1  # each chunk holds one value of a
     verdict = evaluate(L, theta())
-    assert verdict.counterexample["a"] == 1
-    # the cells checked through each chunk by a search of every value of a
-    search = qid._Search(L, theta())
-    through = []
-    for a in range(L.n):
-        search.chunk(search.values[a:a + 1])
-        through.append(search.cells)
-    assert _cells_needed(L, theta(), monkeypatch) == through[1]
-    assert through[1] < through[-1] / 3
+    prefix = verdict.counterexample["a"] * L.n + verdict.counterexample["b"]
+    # the prefixes (a, b) and the cells checked through each block by a search
+    # of every prefix: a conclusion that always holds and reads the same
+    # interface terms
+    holds = QuasiIdentity(theta().variables, theta().premises,
+                          parse_qid("a,u | => u v a = u v a").conclusion)
+    assert qid._interface(holds, 4) == qid._interface(theta(), 4)
+    blocks = []
+    chunk = qid._Search.chunk
+
+    def recorded(search, cols, m):
+        out = chunk(search, cols, m)
+        blocks.append((m, search.cells))
+        return out
+
+    monkeypatch.setattr(qid._Search, "chunk", recorded)
+    assert evaluate(L, holds).holds
+    monkeypatch.undo()
+    # the first block holds _ROW_BUDGET // n ** 2 prefixes, and each next one twice as many
+    sizes = [m for m, _ in blocks]
+    assert sizes[0] == qid._ROW_BUDGET // L.n ** 2 and sizes[1] == 2 * sizes[0]
+    assert sum(sizes) == L.n ** 2 and len(blocks) > 2
+    block = int(np.searchsorted(np.cumsum(sizes), prefix, side="right"))
+    through = [cells for _, cells in blocks]
+    assert _cells_needed(L, theta(), monkeypatch) == through[block]
+    assert through[block] < through[-1] / 4
+
+
+def test_ungrouped_search_stops_at_its_first_failing_cell():
+    # no level groups, so the search keeps prefixes and stops at (0, 0, 0, 1)
+    q = parse_qid("a,b,c,d | => (a v d) ^ (b v d) ^ (c v d) = a")
+    assert not qid._plan(q).grouped
+    L = chain(MAX_ELEMENTS)
+    expected = Verdict(False, {"a": 0, "b": 0, "c": 0, "d": 1}, 2)
+    assert evaluate(L, q) == oracle_block_evaluate(L, q) == expected
+
+
+def test_counts_past_int64():
+    # 2 ** 66 assignments on chain(2); with b = 0 each x is free, so 2 ** 63
+    # completions fail, and with b = 1 each x is 1
+    xs = [f"x{i}" for i in range(63)]
+    premises = " & ".join(f"b <= {x}" for x in xs)
+    q = parse_qid(f"a,b,{','.join(xs)},c | {premises} => b v c = b ^ c")
+    assert qid._plan(q).depth == 0 and qid._Search(chain(2), q).count_type is object
+    expected = dict.fromkeys(q.variables, 0) | {"c": 1}
+    assert evaluate(chain(2), q) == Verdict(False, expected, 2)
+    holds = QuasiIdentity(q.variables, q.premises, parse_qid("b | => b = b").conclusion)
+    assert evaluate(chain(2), holds) == Verdict(True, None, 2 * (2 ** 63 * 2 + 2))
 
 
 def test_work_budget_raises_before_gridding(monkeypatch):
