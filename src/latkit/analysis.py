@@ -36,6 +36,7 @@ from itertools import combinations
 
 import numpy as np
 
+from . import core
 from .core import (
     FiniteLattice,
     LatticeError,
@@ -45,21 +46,6 @@ from .core import (
     _check_indices,
     _packed_rows,
 )
-
-# Upper bound on the uint64 words of one block of atom-set unions in
-# _biatomic: 256 KB.  Twice the block of core's kernels, since a block
-# of unions often has rows of only a few words, and the per-block numpy
-# calls would otherwise cost as much as the work.  The same 256 KB bounds
-# a block of the problem cube, of join-dependency's gathers and of
-# extend.jsd_extension_criteria's table.
-_SET_BLOCK_WORDS = 1 << 15
-
-# Keys (x, x v y) in the first and the largest chunk of rows x of
-# jsd_violation.  A small first chunk keeps lattices that fail at a small x
-# cheap; the cap bounds its temporaries to a few arrays of 32 KB, and those
-# of the witness scan, which takes the pairs (y, z) a block of y at a time.
-_FIRST_CHUNK_KEYS = 1 << 10
-_MAX_CHUNK_KEYS = 1 << 12
 
 
 # -- basic predicates -------------------------------------------------------
@@ -117,7 +103,7 @@ def _biatomic(L: FiniteLattice) -> bool:
     are ``bitwise_or.reduceat`` over the (element, atom) pairs with the atom
     below the element.  The nonzero elements b are taken a block at a time;
     by symmetry only the a before the block's end are paired with it.  A
-    block's temporaries hold about ``_SET_BLOCK_WORDS`` words, or one column
+    block's temporaries hold about ``core._BLOCK_WORDS`` words, or one column
     b where that alone takes more; T is built a few rows x at a time within
     the same bound.  The first block with an unsolved atom ends the search.
     """
@@ -129,14 +115,14 @@ def _biatomic(L: FiniteLattice) -> bool:
     # the pairs (j, i) with atom i below nonzero[j], grouped by j; none is empty
     owner, atom = np.divmod(np.flatnonzero(L.leq[np.ix_(atoms, nonzero)].T), len(atoms))
     starts = np.searchsorted(owner, np.arange(len(nonzero) + 1))
-    step = max(1, _SET_BLOCK_WORDS // max(1, width * len(owner)))
+    step = max(1, core._BLOCK_WORDS // max(1, width * len(owner)))
     for j0 in range(0, len(nonzero), step):
         j1 = min(j0 + step, len(nonzero))
         lo, hi = starts[j0], starts[j1]
         ys, segments = atoms[atom[lo:hi]], starts[j0:j1] - lo
         # t[i, j]: T(x, b) for x the i-th atom and b = nonzero[j0 + j]
         t = np.empty((len(atoms), j1 - j0, width), dtype=sets.dtype)
-        rows = max(1, _SET_BLOCK_WORDS // (width * (hi - lo)))
+        rows = max(1, core._BLOCK_WORDS // (width * (hi - lo)))
         for i in range(0, len(atoms), rows):
             xy = L.join_table[np.ix_(atoms[i : i + rows], ys)]
             t[i : i + rows] = np.bitwise_or.reduceat(sets[xy], segments, axis=1)
@@ -166,8 +152,9 @@ def _jsd(L: FiniteLattice) -> bool:
     member, so the member with the fewest is the only candidate, and it is
     the least iff every member lies above it: one gather of the candidates'
     rows of ``leq`` checks a block of m.  The m are taken a block at a
-    time, the block's temporaries about ``_SET_BLOCK_WORDS`` words, or one
-    m where that alone takes more.
+    time, the block's temporaries about ``core._BLOCK_WORDS`` words, or one
+    m where that alone takes more: its bool arrays have four entries to a
+    word.
     """
     n = L.n
     cov = L.cover_matrix()
@@ -175,7 +162,7 @@ def _jsd(L: FiniteLattice) -> bool:
     # size[e]: the number of elements below e; n <= MAX_ELEMENTS fits in int16
     size = L.leq.sum(axis=0, dtype=np.int16)
     down = L.leq.T
-    step = max(1, 4 * _SET_BLOCK_WORDS // n)
+    step = max(1, 4 * core._BLOCK_WORDS // n)
     for i in range(0, len(ms), step):
         block = ms[i : i + step]
         # the only upper cover of each m, the one True of its cover-matrix row
@@ -198,19 +185,19 @@ def jsd_violation(L: FiniteLattice) -> tuple[int, int, int] | None:
     S.  The rows x are taken a chunk at a time, in order.  A chunk's keys
     x * n + (x v y) are stably sorted, and each group of equal keys is
     reduced to its meet by doubling: at step s, position i takes the meet
-    with position i + s wherever both hold the same key.  The first chunk
-    has about ``_FIRST_CHUNK_KEYS`` keys, and later ones double up to
-    ``_MAX_CHUNK_KEYS``.  The least x with a failing group gets the pair
-    scan of its row alone, a block of about ``_MAX_CHUNK_KEYS`` pairs at a
-    time, which gives the first (y, z) in row-major order.
+    with position i + s wherever both hold the same key.  The least x with
+    a failing group gets the pair scan of its row alone, a block of rows y
+    at a time, which gives the first (y, z) in row-major order.  A chunk
+    holds ``core._BLOCK_WORDS // 8`` keys and a block as many pairs, so
+    their temporaries, a few int64 arrays of that length, hold about
+    ``core._BLOCK_WORDS`` words.
     """
     if is_join_semidistributive(L):
         return None
     n = L.n
     join, meet = L.join_table, L.meet_table
-    rows = max(1, _FIRST_CHUNK_KEYS // n)
-    x0 = 0
-    while x0 < n:
+    rows = max(1, core._BLOCK_WORDS // 8 // n)
+    for x0 in range(0, n, rows):
         x1 = min(n, x0 + rows)
         keys = (np.arange(x0 * n, x1 * n, n)[:, None] + join[x0:x1]).ravel()
         order = np.argsort(keys, kind="stable")
@@ -227,15 +214,12 @@ def jsd_violation(L: FiniteLattice) -> tuple[int, int, int] | None:
         if len(failing):
             x = int(failing[0])
             jx = join[x]
-            block = max(1, _MAX_CHUNK_KEYS // n)
-            for y0 in range(0, n, block):
-                ys = jx[y0:y0 + block, None]
-                hits = np.flatnonzero((ys == jx[None, :]) & (ys != jx[meet[y0:y0 + block]]))
+            for y0 in range(0, n, rows):
+                ys = jx[y0:y0 + rows, None]
+                hits = np.flatnonzero((ys == jx[None, :]) & (ys != jx[meet[y0:y0 + rows]]))
                 if len(hits):
                     y, z = divmod(int(hits[0]), n)
                     return (x, y0 + y, z)
-        x0 = x1
-        rows = max(1, min(2 * rows, _MAX_CHUNK_KEYS // n))
     raise LatticeError("unreachable: a lattice that is not jsd has a failing group")
 
 
@@ -274,7 +258,7 @@ def join_dependency(L: FiniteLattice) -> DependencyRelation:
     of the join-irreducibles.  The join-irreducibles below each element are
     packed into words, and the columns of ``d`` for a block of y come from
     one gather of the sets below y v u and one of those below y_* v u, for
-    every u.  A block's gathers hold about ``_SET_BLOCK_WORDS`` words each,
+    every u.  A block's gathers hold about ``core._BLOCK_WORDS`` words each,
     or one y where that alone takes more.
     """
     elements = L.join_irreducibles()
@@ -285,7 +269,7 @@ def join_dependency(L: FiniteLattice) -> DependencyRelation:
     # sets[e]: the join-irreducibles below e, elements[i] in bit i % 64 of word i // 64
     sets = np.ascontiguousarray(_packed_rows(L.leq[ys].T).T)
     d = np.empty((m, m), dtype=bool)
-    step = max(1, _SET_BLOCK_WORDS // max(1, sets.size))
+    step = max(1, core._BLOCK_WORDS // max(1, sets.size))
     for j in range(0, m, step):
         block = slice(j, j + step)
         # reach[y, u]: the x below y v u but not below y_* v u
@@ -311,12 +295,7 @@ def is_lower_bounded(L: FiniteLattice) -> bool:
 
 
 def minimal_decomposition(L: FiniteLattice, a: int) -> tuple[int, ...]:
-    """The containment-least set of atoms joining to a.
-
-    Computed as the irredundant decomposition, obtained greedily from the
-    atoms below a; this is sound because in an atomistic join-semidistributive
-    lattice the irredundant decomposition is unique and least.
-    """
+    """The containment-least set of atoms joining to a (:func:`_irredundant_atoms`)."""
     _check_indices(L, "element", [a])
     if not is_atomistic(L):
         raise PreconditionFailed("minimal_decomposition needs an atomistic lattice")
@@ -328,17 +307,30 @@ def minimal_decomposition(L: FiniteLattice, a: int) -> tuple[int, ...]:
 
 
 def _irredundant_atoms(L: FiniteLattice, a: int) -> tuple[int, ...]:
-    """Greedy irredundant atom decomposition of a; the lattice is not checked."""
-    kept = [p for p in L.atoms() if L.leq[p, a]]
-    changed = True
-    while changed:
-        changed = False
-        for p in list(kept):
-            rest = [x for x in kept if x != p]
-            if L.join_all(rest) == a:
-                kept.remove(p)
-                changed = True
-    return tuple(sorted(kept))
+    """The atoms p <= a that the other atoms below a do not join to a.
+
+    Where a has a least joining set C of atoms, a set of atoms below a joins
+    to a iff it holds C: its join lies below a, and above the join of C if
+    it holds C; one joining to a holds C by leastness.  So dropping p from
+    the atoms below a leaves a join below a iff p lies in C, and the atoms
+    returned are C.  Every element of a finite atomistic jsd lattice has
+    such a C, its canonical join representation (Freese, Jezek and Nation,
+    *Free Lattices*, Thm. 2.24): the canonical joinands are
+    join-irreducible, so atoms, and each lies below some member of any set
+    joining to a, so each is a member of any atom set joining to a.  Each
+    "all but one" join is the join of a prefix and a suffix of the atom
+    list, so the whole costs O(k) table lookups for k atoms below a.  The
+    lattice is not checked.
+    """
+    below = [p for p in L.atoms() if L.leq[p, a]]
+    join = L.join_table
+    # before[i]: the join of below[:i]; after[i]: the join of below[i:]
+    before, after = [L.bottom], [L.bottom]
+    for p, q in zip(below, reversed(below)):
+        before.append(join[before[-1], p])
+        after.append(join[after[-1], q])
+    after.reverse()
+    return tuple(p for i, p in enumerate(below) if join[before[i], after[i + 1]] != a)
 
 
 def ell(L: FiniteLattice, x: int) -> int:
@@ -393,10 +385,11 @@ def biatomicity_problems(L: FiniteLattice) -> np.ndarray:
     problems, and the flat nonzeros of its upper triangle a <= b are its
     rows.  Every x of the block then comes from one gather of the split
     table, and every y from one gather of the join table.  A cube holds
-    about ``_SET_BLOCK_WORDS`` words, or one atom where its n x n slice
-    alone takes more.  Its slices are gathered one atom at a time, since
-    numpy lays the result of ``up[:, join_table]`` out as (a, b, p), which
-    would make every later pass over the cube strided.
+    about ``core._BLOCK_WORDS`` words, its bool entries eight to a word, or
+    one atom where its n x n slice alone takes more.  Its slices are
+    gathered one atom at a time, since numpy lays the result of
+    ``up[:, join_table]`` out as (a, b, p), which would make every later
+    pass over the cube strided.
     """
     n = L.n
     atoms = np.array(L.atoms(), dtype=np.int64)
@@ -410,7 +403,7 @@ def biatomicity_problems(L: FiniteLattice) -> np.ndarray:
     # upper[a, b]: a <= b by index
     index = np.arange(n)
     upper = index[:, None] <= index
-    step = max(1, 8 * _SET_BLOCK_WORDS // (n * n))
+    step = max(1, 8 * core._BLOCK_WORDS // (n * n))
     out = [np.empty((0, 5), dtype=np.int32)]
     for h0 in range(0, k, step):
         up = L.leq[atoms[h0 : h0 + step]]

@@ -35,6 +35,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import re
 import sys
 import time
@@ -384,6 +385,9 @@ def _parse_label_list(L: FiniteLattice, text: str) -> list[int]:
 
 
 def cmd_build(args):
+    if args.out and args.trace and os.path.realpath(args.out) == os.path.realpath(args.trace):
+        # the trace write would truncate the lattice just written
+        raise _InputError(f"--out and --trace name the same file, {args.out!r}")
     lattices = load_lattices(args.gen, args.file)
     if len(lattices) != 1:
         raise _InputError("build needs a source naming exactly one lattice")

@@ -18,11 +18,12 @@ every subset of the points; :func:`_closure_table` computes that table
 from rules "a set holding all of t holds all of h".
 
 Every boolean matrix product and both tables are computed on rows packed
-into 64-bit words (:func:`_packed_rows`), a block of at most
-``_BLOCK_WORDS`` words at a time (one row, where a row alone is larger),
-so the temporaries stay small.  The dense n x n arrays bound the size: an
-order on more than ``MAX_ELEMENTS`` elements raises :class:`TooLarge`
-before any of them is allocated.
+into 64-bit words (:func:`_packed_rows`), a block of rows at a time.  One
+rule sizes the blocks of every blocked pass in the package, here and in
+``analysis``, ``extend`` and ``qid``: a block's temporaries hold about
+``_BLOCK_WORDS`` words, or one row where a row alone is larger.  The dense
+n x n arrays bound the size: an order on more than ``MAX_ELEMENTS``
+elements raises :class:`TooLarge` before any of them is allocated.
 """
 
 from __future__ import annotations
@@ -66,8 +67,10 @@ class TooLarge(LatticeError):
 # At this size ``leq`` takes 16 MB and each of the two tables 64 MB.
 MAX_ELEMENTS = 4096
 
-# Upper bound on the uint64 words of one block of a packed-row kernel.
-_BLOCK_WORDS = 1 << 14
+# The one block size of the package: a block's temporaries hold about this
+# many words, or one row where a row alone is larger.  Other modules read it
+# as ``core._BLOCK_WORDS`` when they run, so one setting moves every edge.
+_BLOCK_WORDS = 1 << 15
 
 
 def _check_size(count: int, what: str) -> None:

@@ -35,6 +35,7 @@ from itertools import combinations
 
 import numpy as np
 
+from . import core
 from .core import (
     EmbeddingMap,
     FiniteLattice,
@@ -47,7 +48,6 @@ from .core import (
     verify_embedding,
 )
 from .analysis import (
-    _SET_BLOCK_WORDS,
     _atom_joins,
     _irredundant_atoms,
     is_atomistic,
@@ -393,9 +393,10 @@ def jsd_extension_criteria(pair: ExtensionPair):
     distinct atoms: f(x v u) = f(x v v) forces u <= f(x).  Returns
     (verdict, witness); the witness names the violated criterion.
     Criterion (ii) is checked a block of x at a time, with one gather of
-    f(x v u) for the block.  A block's table of (x, u, v) takes about
-    ``_SET_BLOCK_WORDS`` words, or one x where that alone takes more, and
-    its first violation in row-major order is the witness with the least x.
+    f(x v u) for the block.  A block's bool table of (x, u, v) takes about
+    ``core._BLOCK_WORDS`` words, eight entries to a word, or one x where
+    that alone takes more, and its first violation in row-major order is
+    the witness with the least x.
     """
     L = pair.lattice
     if not is_atomistic(L):
@@ -412,7 +413,7 @@ def jsd_extension_criteria(pair: ExtensionPair):
     atoms = np.array(L.atoms(), dtype=np.int64)
     k = len(atoms)
     distinct = ~np.eye(k, dtype=bool)
-    step = max(1, 8 * _SET_BLOCK_WORDS // max(1, k * k))
+    step = max(1, 8 * core._BLOCK_WORDS // max(1, k * k))
     for x0 in range(0, L.n, step):
         xs = np.arange(x0, min(L.n, x0 + step))
         # fu[x, i]: f(x v u) for u the i-th atom

@@ -41,6 +41,7 @@ from typing import Union
 
 import numpy as np
 
+from . import core
 from .core import FiniteLattice, TooLarge
 
 
@@ -314,12 +315,6 @@ BUILTINS = {"theta": theta, "sd-join": sd_join}
 
 # -- evaluation ----------------------------------------------------------------
 
-# Cells, rows times n, of one grid on which the search binds a variable.  A
-# block of prefixes or states whose grid would pass it is gridded in
-# consecutive blocks of rows.  The blocks of prefixes that the grouping takes
-# over are sized from it too (see ``evaluate``).
-_ROW_BUDGET = 1 << 15
-
 # Grid cells one evaluation may check, over every block.
 _WORK_BUDGET = 1 << 32
 
@@ -519,14 +514,15 @@ class _Search:
         }
         self.values = np.arange(n, dtype=np.int32)
         self.cells = 0
-        # rows of a grid; and prefixes of a block the grouping takes over, which fan
-        # out over n values at each of the g grouped levels before the last: the
-        # first block holds _ROW_BUDGET // n ** g, and each next one twice as many,
-        # up to _ROW_BUDGET // n ** (g - 1)
-        self.rows = max(1, _ROW_BUDGET // n)
+        # a grid of rows times n cells holds about core._BLOCK_WORDS cells, or
+        # one row.  The prefixes of a block the grouping takes over fan out over
+        # n values at each of the g grouped levels before the last: the first
+        # block holds core._BLOCK_WORDS // n ** g, and each next one twice as
+        # many, up to core._BLOCK_WORDS // n ** (g - 1)
+        self.rows = max(1, core._BLOCK_WORDS // n)
         fan_out = n ** (len(plan.levels) - 1 - plan.depth)
-        self.chunk_rows = max(1, _ROW_BUDGET // fan_out)
-        self.chunk_cap = max(1, _ROW_BUDGET * n // fan_out)
+        self.chunk_rows = max(1, core._BLOCK_WORDS // fan_out)
+        self.chunk_cap = max(1, core._BLOCK_WORDS * n // fan_out)
         # interface values packed into int64 words in base n, as many as fit
         self.per_word = 63 // max(1, (n - 1).bit_length())
         # a state has at most n ** k completions
@@ -749,7 +745,7 @@ def evaluate(L: FiniteLattice, q: QuasiIdentity) -> Verdict:
 
     While the next interface holds every bound variable bare, the rows are
     prefixes, and the search holds them in blocks searched depth first: a
-    block whose grid would pass ``_ROW_BUDGET`` cells is split into
+    block whose grid would pass ``core._BLOCK_WORDS`` cells is split into
     consecutive blocks searched in order, and the cells of a grid are taken
     in row-major order.  So complete assignments are reached in
     lexicographic order, and the search stops at the first that fails the
@@ -785,15 +781,16 @@ def evaluate(L: FiniteLattice, q: QuasiIdentity) -> Verdict:
 
     Memory is bounded by the budgets, the number of variables and the nesting
     of terms, not by n ** k.  With g grouped levels before the last, the
-    first block that the grouping takes over holds ``_ROW_BUDGET // n ** g``
-    prefixes, so a counterexample among the first prefixes stops the search
-    early, and each next block twice as many, up to ``_ROW_BUDGET // n **
-    (g - 1)``, so a long search shares more states (at least one prefix
-    each).  No level of a block then holds more states or passing cells than
-    n grids have cells, unless one prefix already leads to more; a level
-    that would hold more than ``_HOLD_BUDGET`` passing cells raises
-    :class:`SearchTooLarge`, and so does a search before gridding a block
-    that would take it past ``_WORK_BUDGET`` grid cells in all.
+    first block that the grouping takes over holds ``core._BLOCK_WORDS //
+    n ** g`` prefixes, so a counterexample among the first prefixes stops the
+    search early, and each next block twice as many, up to
+    ``core._BLOCK_WORDS // n ** (g - 1)``, so a long search shares more
+    states (at least one prefix each).  No level of a block then holds more
+    states or passing cells than n grids have cells, unless one prefix
+    already leads to more; a level that would hold more than
+    ``_HOLD_BUDGET`` passing cells raises :class:`SearchTooLarge`, and so
+    does a search before gridding a block that would take it past
+    ``_WORK_BUDGET`` grid cells in all.
     """
     checked, failing = _Search(L, q).search()  # a qid without variables raises KeyError
     if failing is None:

@@ -35,6 +35,8 @@ built from before ``core._lattice_of_closed`` replaced it, and
 ``core._closure_table`` replaced.
 ``oracle_block_evaluate`` keeps the block-stack search over prefixes that
 ``latkit.qid.evaluate`` replaced with dynamic programming over interface values.
+``oracle_irredundant_atoms`` keeps the greedy re-join loop that
+``analysis._irredundant_atoms`` replaced with prefix and suffix joins.
 ``assert_rebuilds`` compares a lattice the library built from tables it
 proves (``FiniteLattice._from_tables``) with its rebuild through the
 validating constructor, and ``assert_stored_verdicts`` re-decides every
@@ -377,6 +379,20 @@ def oracle_decompositions(L: FiniteLattice, a: int) -> list[frozenset[int]]:
     return out
 
 
+def oracle_irredundant_atoms(L: FiniteLattice, a: int) -> tuple[int, ...]:
+    """Greedy irredundant atom decomposition of a: drop atoms while the rest join to a."""
+    kept = [p for p in oracle_atoms(L) if L.leq[p, a]]
+    changed = True
+    while changed:
+        changed = False
+        for p in list(kept):
+            rest = [x for x in kept if x != p]
+            if oracle_join_all(L, rest) == a:
+                kept.remove(p)
+                changed = True
+    return tuple(sorted(kept))
+
+
 def oracle_least_decomposition(L: FiniteLattice, a: int) -> frozenset[int] | None:
     """The decomposition contained in every other one, if it exists."""
     decs = oracle_decompositions(L, a)
@@ -390,7 +406,7 @@ def join_prime_decomposition(L: FiniteLattice, a: int) -> tuple[int, ...]:
     """The atoms below a that are join-prime within the ideal [0, a].
 
     In an atomistic join-semidistributive lattice these form the least
-    decomposition of a, so they must match the library's greedy route.
+    decomposition of a, so they must match the library's route.
     """
     ideal = [x for x in range(L.n) if L.leq[x, a]]
     return tuple(

@@ -21,6 +21,7 @@ from conftest import (
     oracle_biatomicity_problems,
     oracle_cover_matrix,
     oracle_dependency,
+    oracle_irredundant_atoms,
     oracle_least_decomposition,
     oracle_lower_bounded,
     oracle_separates,
@@ -186,7 +187,7 @@ def test_jsd_verdict_reads_the_meet_irreducibles_alone(n5):
 def test_jsd_verdict_memory_stays_bounded():
     verdict, peak = peak_bytes(is_join_semidistributive, chain(1024))
     assert verdict
-    # a block of m at a time holds about _SET_BLOCK_WORDS words (0.54 MB in
+    # a block of m at a time holds about core._BLOCK_WORDS words (0.54 MB in
     # all); all 1,023 meet-irreducibles at once peaked at 3.2 MB
     assert peak < 1e6
 
@@ -202,8 +203,8 @@ def test_jsd_violation_memory_stays_bounded():
             tracemalloc.stop()
         assert witness == expected
         # the chunks and the witness scan's blocks hold a few arrays of
-        # _MAX_CHUNK_KEYS; one flat copy of the transposed meet table alone
-        # would take 4 MB
+        # core._BLOCK_WORDS // 8 keys; one flat copy of the transposed meet
+        # table alone would take 4 MB
         assert peak < 2**20
 
 
@@ -233,7 +234,7 @@ def test_biatomicity_problems_memory_stays_bounded():
 def test_join_dependency_memory_stays_bounded():
     rel, peak = peak_bytes(join_dependency, chain(300))
     assert rel.d.sum() == 0 and len(rel.elements) == 299
-    # the gathers of a block of y hold about _SET_BLOCK_WORDS words each
+    # the gathers of a block of y hold about core._BLOCK_WORDS words each
     # (0.9 MB in all); every y at once peaked at 7.7 MB
     assert peak < 2e6
 
@@ -393,6 +394,18 @@ def test_minimal_decomposition_matches_oracle(m3, n5):
             got = minimal_decomposition(L, a)
             assert got == tuple(sorted(want))
             assert got == join_prime_decomposition(L, a)
+
+
+def test_irredundant_atoms_match_the_greedy_route():
+    lattices = [L for n in range(1, 8) for L in enumerate_lattices(n)]
+    lattices += [*hull_lattices(), *(boolean(k) for k in range(6))]
+    lattices += [co_chain(k) for k in range(1, 9)]
+    targets = [L for L in lattices if is_atomistic(L) and is_join_semidistributive(L)]
+    for L in targets:
+        for a in range(L.n):
+            want = oracle_irredundant_atoms(L, a)
+            assert analysis._irredundant_atoms(L, a) == want, (L.to_json(), a)
+    assert (len(targets), sum(L.n for L in targets)) == (36, 1211)
 
 
 def test_minimal_decomposition_b2():

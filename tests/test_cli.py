@@ -767,6 +767,24 @@ def test_build_out_and_trace_files(capsys, tmp_path):
     assert results["steps"] == 0
 
 
+def test_build_rejects_one_file_for_out_and_trace(capsys, tmp_path):
+    out = tmp_path / "same.json"
+    out.write_text("kept\n")
+    (tmp_path / "sub").mkdir()
+    trace = tmp_path / "sub" / ".." / "same.json"  # another spelling of the same file
+    code, report, _ = run(
+        capsys,
+        "build", "--gen", "co-points:paper5", "--op", "biatomic-completion",
+        "--out", str(out), "--trace", str(trace),
+    )
+    assert code == 2
+    assert report["error"] == {
+        "type": "InputError",
+        "message": f"--out and --trace name the same file, {str(out)!r}",
+    }
+    assert out.read_text() == "kept\n"  # rejected before anything is written
+
+
 def test_build_biatomize_with_steps(capsys, tmp_path):
     from latkit.geometry import PointConfiguration, RationalPoint, co_points
 

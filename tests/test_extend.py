@@ -24,7 +24,7 @@ from conftest import (
     oracle_separating_map,
     triangle_with_center_lattice,
 )
-from latkit import extend
+from latkit import core, extend
 from latkit.analysis import (
     biatomicity_problems,
     is_atomistic,
@@ -351,7 +351,7 @@ def seeded_extension_pairs(L, rng, count: int = 12):
 @pytest.mark.parametrize("block_words", [None, 1], ids=["default-blocks", "one-word-blocks"])
 def test_criteria_match_the_per_element_loop(block_words, monkeypatch):
     if block_words is not None:
-        monkeypatch.setattr(extend, "_SET_BLOCK_WORDS", block_words)
+        monkeypatch.setattr(core, "_BLOCK_WORDS", block_words)
     rng = np.random.default_rng(20)
     pairs = [pair for L in atomistic_jsd_corpus(7) for pair in extension_pairs(L)]
     pairs += [pair for L in hull_lattices() for pair in seeded_extension_pairs(L, rng)]

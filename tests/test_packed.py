@@ -6,11 +6,12 @@ their reference routes.
 atoms against the pair scan and the ``@`` routes of ``conftest``;
 ``is_biatomic`` against the per-atom product routes and the brute-force
 oracle of ``conftest``; the problem list and join-dependency against their
-loop oracles.  Each comparison asks for the same table, verdict, list or
+loop oracles; the jsd witness and the quasi-identity evaluator against
+their scans.  Each comparison asks for the same table, verdict, list or
 element, or for the same error type with the same message.  The table,
-product, biatomicity, problem-list and dependency tests run twice: with the
-default block sizes, and with one word per block, so that the search for the
-first failing pair crosses every block edge.
+product, biatomicity, problem-list, dependency, witness and evaluator tests
+run twice: with the default block size, and with one word per block, so that
+the search for the first failing pair crosses every block edge.
 """
 
 import functools
@@ -34,15 +35,19 @@ from conftest import (
     oracle_check_partial_order,
     oracle_cover_matrix,
     oracle_dependency,
+    oracle_evaluate,
+    oracle_jsd_violation,
     oracle_lub_table,
     one_unsolved_atom,
 )
+from test_analysis import row_scan_inputs
 from latkit import analysis, core
 from latkit.analysis import (
     atomistic_violation,
     biatomicity_problems,
     is_biatomic,
     join_dependency,
+    jsd_violation,
 )
 from latkit.core import (
     FiniteLattice,
@@ -53,6 +58,7 @@ from latkit.core import (
     _packed_rows,
 )
 from latkit.generators import boolean, co_chain, enumerate_lattices
+from latkit.qid import evaluate, format_qid, sd_join, theta
 
 # sizes around one and two 64-bit words, and a few between
 SIZES = [1, 2, 5, 20, 63, 64, 65, 127, 128, 129, 200]
@@ -62,7 +68,6 @@ SIZES = [1, 2, 5, 20, 63, 64, 65, 127, 128, 129, 200]
 def blocks(request, monkeypatch):
     if request.param is not None:
         monkeypatch.setattr(core, "_BLOCK_WORDS", request.param)
-        monkeypatch.setattr(analysis, "_SET_BLOCK_WORDS", request.param)
 
 
 def outcome(f, *args):
@@ -303,6 +308,18 @@ def test_problems_and_dependency_across_block_edges(blocks):
             assert got == oracle_biatomicity_problems(L)
             listed.add(len(L.atoms()))
     assert listed >= {0, 1, 5, 63, 64, 65, 81}
+
+
+def test_jsd_witness_and_quasi_identities_across_block_edges(blocks):
+    """The jsd witness and the quasi-identity search size their chunks and
+    grids from the same block size, so one-word blocks take one row x, one
+    row y of the witness scan, or one grid row at a time."""
+    small, completions, sums, jsd = row_scan_inputs()
+    for L in small + completions + sums + jsd:
+        assert jsd_violation(L) == oracle_jsd_violation(L), L.to_json()
+    for L in [boolean(2), co_chain(3), *enumerate_lattices(5)]:
+        for q in (theta(), sd_join()):
+            assert evaluate(L, q) == oracle_evaluate(L, q), (L.to_json(), format_qid(q))
 
 
 def test_one_unsolved_atom_has_its_problems_at_the_last_atom():

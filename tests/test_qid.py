@@ -22,7 +22,7 @@ from latkit.generators import (
     sub_meet_semilattice,
 )
 from latkit.geometry import PointConfiguration, RationalPoint, co_points, five_point_configuration
-from latkit import qid
+from latkit import core, qid
 from latkit.qid import (
     Equation,
     Op,
@@ -380,9 +380,9 @@ def test_theta_stops_with_the_block_holding_its_counterexample(monkeypatch):
     monkeypatch.setattr(qid._Search, "chunk", recorded)
     assert evaluate(L, holds).holds
     monkeypatch.undo()
-    # the first block holds _ROW_BUDGET // n ** 2 prefixes, and each next one twice as many
+    # the first block holds _BLOCK_WORDS // n ** 2 prefixes, and each next one twice as many
     sizes = [m for m, _ in blocks]
-    assert sizes[0] == qid._ROW_BUDGET // L.n ** 2 and sizes[1] == 2 * sizes[0]
+    assert sizes[0] == core._BLOCK_WORDS // L.n ** 2 and sizes[1] == 2 * sizes[0]
     assert sum(sizes) == L.n ** 2 and len(blocks) > 2
     block = int(np.searchsorted(np.cumsum(sizes), prefix, side="right"))
     through = [cells for _, cells in blocks]
@@ -479,8 +479,11 @@ def test_tiny_budgets_agree_with_oracle(monkeypatch):
         for q in qids:
             expected = oracle_evaluate(L, q)
             for budget in (1, L.n - 1, 64):
-                monkeypatch.setattr(qid, "_ROW_BUDGET", budget)
+                monkeypatch.setattr(core, "_BLOCK_WORDS", budget)
                 assert evaluate(L, q) == expected, (L.n, format_qid(q), budget)
+    # a search reads the block size when it starts
+    monkeypatch.setattr(core, "_BLOCK_WORDS", 1)
+    assert qid._Search(lattices[0], theta()).rows == 1
 
 
 SMALL_LATTICES = [L for n in range(1, 7) for L in enumerate_lattices(n)]
