@@ -558,9 +558,9 @@ def _solve_instance(K, p, a, b, steps, limit=None):
     """Extend K until some atoms x <= a, y <= b satisfy p <= x v y.
 
     Returns (lattice, x, y).  The measure of a level is the total size of
-    the irredundant decompositions of a and b, which the greedy step finds
-    since every K reached here is atomistic and jsd.  Below the top level
-    it must not exceed ``limit``, one below the caller's, which guards
+    the irredundant decompositions of a and b, which ``_irredundant_atoms``
+    finds since every K reached here is atomistic and jsd.  Below the top
+    level it must not exceed ``limit``, one below the caller's, which guards
     termination.
     """
     _ensure(bool(K.leq[p, K.join(a, b)]), "instance lost its premise")
